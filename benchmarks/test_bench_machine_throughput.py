@@ -32,7 +32,7 @@ from repro.programs.corpus import load_program
 from repro.programs.examples import find_leftmost_program
 from repro.programs.separators import SEPARATORS_BY_NAME
 from repro.space.consumption import prepare_input, prepare_program
-from repro.space.meter import run_metered, run_sampled, run_to_final
+from repro.space.meter import run_metered, run_to_final
 
 PROGRAM = prepare_program(load_program("fib").source)
 ARGUMENT = prepare_input("10")
@@ -161,21 +161,15 @@ def test_bench_engine_speedup(benchmark, throughput_log):
 
     def run_once():
         delta, delta_rate = timed("delta")
-        generational, generational_rate = timed("generational")
         reference, reference_rate = timed("reference")
-        for engine_result in (delta, generational):
-            assert (
-                engine_result.sup_space,
-                engine_result.consumption,
-                engine_result.collected,
-            ) == (
-                reference.sup_space,
-                reference.consumption,
-                reference.collected,
-            )
-        return delta_rate, generational_rate, reference_rate
+        assert (delta.sup_space, delta.consumption, delta.collected) == (
+            reference.sup_space,
+            reference.consumption,
+            reference.collected,
+        )
+        return delta_rate, reference_rate
 
-    delta_rate, generational_rate, reference_rate = benchmark.pedantic(
+    delta_rate, reference_rate = benchmark.pedantic(
         run_once, rounds=1, iterations=1
     )
     speedup = delta_rate / reference_rate
@@ -184,10 +178,8 @@ def test_bench_engine_speedup(benchmark, throughput_log):
         "machine": SPEEDUP_MACHINE,
         "n": SPEEDUP_N,
         "delta_steps_per_second": round(delta_rate, 1),
-        "generational_steps_per_second": round(generational_rate, 1),
         "reference_steps_per_second": round(reference_rate, 1),
         "speedup": round(speedup, 2),
-        "generational_speedup": round(generational_rate / reference_rate, 2),
     }
     benchmark.extra_info["speedup"] = round(speedup, 2)
     assert speedup >= 5.0, speedup
@@ -245,27 +237,27 @@ def test_bench_sampled_flagship(throughput_log):
         result = run_metered(machine, program, argument, engine="delta")
         return result.steps, result
 
-    def sampled(engine):
-        def run():
-            machine = make_machine(SPEEDUP_MACHINE)
-            result = run_sampled(machine, program, argument, engine=engine)
-            assert result.meter_stats["certified"]
-            return result.steps, result
-        return run
+    def sampled():
+        machine = make_machine(SPEEDUP_MACHINE)
+        result = run_metered(machine, program, argument, meter="sampled")
+        assert result.meter_stats["certified"]
+        return result.steps, result
 
     batched_rate, _ = best(batched)
     per_step_rate, _ = best(per_step)
     exact_rate, exact_result = best(exact)
-    sampled_rate, sampled_result = best(sampled("delta"))
-    generational_rate, generational_result = best(sampled("generational"))
+    sampled_rate, sampled_result = best(sampled)
 
-    # Identical numbers across every metered cell.
-    for result in (sampled_result, generational_result):
-        assert (result.sup_space, result.steps, result.collected) == (
-            exact_result.sup_space,
-            exact_result.steps,
-            exact_result.collected,
-        )
+    # Identical numbers across both metered cells.
+    assert (
+        sampled_result.sup_space,
+        sampled_result.steps,
+        sampled_result.collected,
+    ) == (
+        exact_result.sup_space,
+        exact_result.steps,
+        exact_result.collected,
+    )
 
     sampled_vs_per_step = per_step_rate / sampled_rate
     sampled_over_exact = sampled_rate / exact_rate
@@ -278,9 +270,6 @@ def test_bench_sampled_flagship(throughput_log):
         "unmetered_per_step_steps_per_second": round(per_step_rate, 1),
         "metered_exact_steps_per_second": round(exact_rate, 1),
         "metered_sampled_steps_per_second": round(sampled_rate, 1),
-        "metered_sampled_generational_steps_per_second": round(
-            generational_rate, 1
-        ),
         "sampled_vs_per_step": round(sampled_vs_per_step, 2),
         "sampled_vs_batched": round(batched_rate / sampled_rate, 2),
         "sampled_over_exact": round(sampled_over_exact, 2),

@@ -54,7 +54,7 @@ from .harness.sweep import (
 from .machine.variants import ALL_MACHINES, STEPPERS
 from .programs.corpus import load_corpus
 from .space.asymptotics import fit_growth, is_bounded
-from .space.meter import DEFAULT_CHECKPOINT_EVERY, ENGINES
+from .space.meter import DEFAULT_CHECKPOINT_EVERY, ENGINES, METERS
 
 
 def _read_source(path: str) -> str:
@@ -161,8 +161,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 #: Default corpus slice for ``analyze --meter-audit``: allocation- and
-#: mutation-heavy programs where the generational engine's region
-#: behavior (nursery rescans, promotions, remembered sets) is visible.
+#: mutation-heavy programs where the delta engine's collections, cycle
+#: trials and the lazy schedule's trips are visible.
 METER_AUDIT_PROGRAMS = ("fib", "sieve", "deriv", "destruct", "nqueens", "tak")
 
 
@@ -179,12 +179,11 @@ def _cmd_meter_audit(args: argparse.Namespace) -> int:
             source, argument = entry.source, entry.default_input
         else:
             source, argument = _read_source(name), None
-        for mode in ("exact", "sampled"):
+        for mode in METERS:
             result = measure(
                 args.machine,
                 source,
                 argument,
-                engine="generational",
                 meter=mode,
                 step_limit=2_000_000,
             )
@@ -195,25 +194,20 @@ def _cmd_meter_audit(args: argparse.Namespace) -> int:
                 result.steps,
                 stats.get("collections", 0),
                 stats.get("trials", 0),
-                stats.get("trial_skips", 0),
-                stats.get("nursery_scans", 0),
-                stats.get("nursery_scanned", 0),
-                stats.get("promotions", 0),
-                stats.get("remembered_size", 0),
-                stats.get("tenure_floor", 0),
+                stats.get("canonical_fallbacks", 0),
                 stats.get("trips", "-"),
+                stats.get("checkpoints", "-"),
                 stats.get("certified", "-"),
             ])
     print(render_table(
         [
-            "program", "meter", "steps", "collect", "trials", "skips",
-            "scans", "scanned", "promote", "remem", "floor", "trips",
-            "cert",
+            "program", "meter", "steps", "collect", "trials", "fallback",
+            "trips", "checkpts", "cert",
         ],
         rows,
         title=(
-            f"generational meter audit [{args.machine}] — per-region "
-            "rescan counts and remembered-set sizes"
+            f"delta meter audit [{args.machine}] — collections, cycle "
+            "trials and canonical fallbacks, exact vs sampled"
         ),
     ))
     return 0
@@ -333,17 +327,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     source = _read_source(args.program)
     ns = tuple(int(n) for n in args.ns.split(","))
     machines = args.machine.split(",")
-    if args.meter == "sampled" and (
-        args.metrics
-        or args.trace_sample
-        or args.blame_every
-        or args.retention_sample
-    ):
-        raise SystemExit(
-            "sweep: --meter sampled has no per-transition observation "
-            "points; drop --metrics/--trace-sample/--blame-every/"
-            "--retention-sample or use --meter exact"
-        )
     cells = grid_cells(
         {(machine,): source for machine in machines},
         ns,
@@ -879,10 +862,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument(
         "--meter-audit", action="store_true",
-        help="run the generational metering engine (exact and sampled) "
-        "over corpus programs (or the given files) and report "
-        "per-region rescan counts — nursery scans, trial walks, "
-        "verdict-cache skips — promotions, and remembered-set sizes",
+        help="run the delta metering engine under both meters over "
+        "corpus programs (or the given files) and report its "
+        "collections, cycle trials, canonical fallbacks, and the "
+        "sampled meter's trips, checkpoints and certification",
     )
     analyze_parser.add_argument(
         "--machine", default="gc", choices=sorted(ALL_MACHINES),
@@ -946,18 +929,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="metering engine (all report identical numbers)",
     )
     sweep_parser.add_argument(
-        "--meter", default="exact", choices=("exact", "sampled"),
+        "--meter", default="exact", choices=METERS,
         help="space meter: exact (measure every transition, the "
-        "Definition 21 schedule made observable) or sampled (the "
-        "checkpointed sampling meter — identical numbers, exact "
-        "measurement only at checkpoints and allocation bursts; "
-        "incompatible with per-cell telemetry)",
+        "Definition 21 schedule made observable) or sampled (identical "
+        "numbers, exact measurement only at checkpoints and allocation "
+        "bursts; cells with per-cell telemetry run exactly)",
     )
     sweep_parser.add_argument(
         "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
         metavar="K",
-        help="sampled meter: take an exact measurement at least every "
-        f"K transitions (default {DEFAULT_CHECKPOINT_EVERY})",
+        help="checkpoint cadence: the sampled meter takes an exact "
+        "measurement at least every K transitions "
+        f"(default {DEFAULT_CHECKPOINT_EVERY})",
     )
     sweep_parser.add_argument(
         "--metrics", metavar="PATH",
@@ -1176,7 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="delta", choices=ENGINES
     )
     submit_parser.add_argument(
-        "--meter", default="sampled", choices=("exact", "sampled")
+        "--meter", default="sampled", choices=METERS
     )
     submit_parser.add_argument(
         "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY

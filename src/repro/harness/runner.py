@@ -21,9 +21,7 @@ from ..space.consumption import prepare_input, prepare_program
 from ..space.meter import (
     DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_STEP_LIMIT,
-    MeterResult,
     run_metered,
-    run_sampled,
     run_to_final,
 )
 from ..syntax.ast import Expr
@@ -75,12 +73,11 @@ def run(
     With ``meter=True`` (equivalently ``meter="exact"``) the run is a
     Definition 21 space-efficient computation and the result carries
     sup-space and S_X; without it the run uses a relaxed GC schedule
-    and is much faster.  ``meter="sampled"`` selects the checkpointed
-    sampling meter (:func:`repro.space.meter.run_sampled`): identical
-    numbers, exact measurement only every ``checkpoint_every``
-    transitions plus at allocation-burst watermarks, no telemetry.
-    ``engine`` picks the metering engine (``"delta"``,
-    ``"generational"``, ``"reference"``).
+    and is much faster.  ``meter="sampled"`` lets the meter take its
+    lazy schedule (identical numbers, exact measurement only at
+    checkpoints; see :func:`repro.space.meter.run_metered`).
+    ``engine`` picks the metering engine (``"delta"`` or
+    ``"reference"``).
 
     ``strict=True`` enforces the full section 12 Program/Input
     conditions (atomic constants only, free variables bound in rho_0);
@@ -100,7 +97,8 @@ def run(
     run raises :class:`repro.space.meter.QuotaExceeded` (a structured
     receipt naming the blame-census top holder) the moment its
     certified space lower bound crosses.  ``checkpoint_hook(steps,
-    consumption)`` is the sampled meter's progress callback.
+    consumption)`` is the meter's progress callback, called every
+    ``checkpoint_every`` steps.
 
     ``trace``/``metrics``/``blame`` attach the telemetry stack (a
     :class:`~repro.telemetry.bus.TraceBus`, a
@@ -113,18 +111,16 @@ def run(
     """
     if meter is True:
         meter = "exact"
-    if meter not in (False, "exact", "sampled"):
-        raise ValueError(f"unknown meter mode: {meter!r}")
-    if blame is not None and meter != "exact":
-        raise ValueError("blame profiling requires the exact meter")
-    if retention is not None and meter != "exact":
-        raise ValueError("retention profiling requires the exact meter")
-    if meter == "sampled" and (trace is not None or metrics is not None):
-        raise ValueError("telemetry requires the exact meter")
-    if checkpoint_hook is not None and meter != "sampled":
-        raise ValueError("checkpoint_hook requires meter='sampled'")
-    if budget is not None and not meter:
-        raise ValueError("a space budget requires a metered run")
+    if not meter and not (
+        blame is None
+        and retention is None
+        and budget is None
+        and checkpoint_hook is None
+    ):
+        raise ValueError(
+            "blame, retention, budget and checkpoint_hook require a "
+            "metered run"
+        )
     program_expr = prepare_program(program)
     argument_expr = prepare_input(argument)
     names = primitive_names()
@@ -134,36 +130,24 @@ def run(
 
     stepper_machine = make_stepper(machine, stepper, policy=policy)
     if meter:
-        if meter == "sampled":
-            result: MeterResult = run_sampled(
-                stepper_machine,
-                program_expr,
-                argument_expr,
-                linked=linked,
-                fixed_precision=fixed_precision,
-                checkpoint_every=checkpoint_every,
-                gc_interval=gc_interval,
-                step_limit=step_limit,
-                engine=engine,
-                budget=budget,
-                checkpoint_hook=checkpoint_hook,
-            )
-        else:
-            result = run_metered(
-                stepper_machine,
-                program_expr,
-                argument_expr,
-                linked=linked,
-                fixed_precision=fixed_precision,
-                gc_interval=gc_interval,
-                step_limit=step_limit,
-                engine=engine,
-                budget=budget,
-                trace=trace,
-                metrics=metrics,
-                blame=blame,
-                retention=retention,
-            )
+        result = run_metered(
+            stepper_machine,
+            program_expr,
+            argument_expr,
+            linked=linked,
+            fixed_precision=fixed_precision,
+            gc_interval=gc_interval,
+            step_limit=step_limit,
+            engine=engine,
+            meter=meter,
+            checkpoint_every=checkpoint_every,
+            checkpoint_hook=checkpoint_hook,
+            budget=budget,
+            trace=trace,
+            metrics=metrics,
+            blame=blame,
+            retention=retention,
+        )
         return RunResult(
             machine=machine,
             answer=answer_string(result.final, answer_limit),

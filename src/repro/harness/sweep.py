@@ -49,10 +49,10 @@ class SweepCell:
     fixed_precision: bool = False
     engine: str = "delta"
     #: ``"exact"`` (the per-step Definition 21 meter) or ``"sampled"``
-    #: (the checkpointed sampling meter — same numbers, fewer exact
-    #: measurements; incompatible with the telemetry fields below).
+    #: (the lazy schedule where the meter allows it — same numbers,
+    #: fewer exact measurements; a cell with telemetry runs eagerly).
     meter: str = "exact"
-    #: Sampled-meter checkpoint cadence (exact measurement at least
+    #: Lazy-schedule checkpoint cadence (exact measurement at least
     #: every this many transitions).
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     gc_interval: int = 1

@@ -40,48 +40,24 @@ Two collectors implement the rule:
   * otherwise each unrooted anchor's reachable subgraph gets a bounded
     trial deletion (the dying letrec cluster is typically a handful of
     cells), reclaiming garbage cycles exactly when they arise;
-  * only if the subgraph exceeds the budget, or the local analysis
-    cannot decide, does that one application fall back to the
-    canonical trace — after which delta collection resumes with the
-    counts still consistent.
+  * if every trial fits the budget and frees nothing, no garbage
+    remains and the suspects are cleared: a source SCC of any remaining
+    garbage has no references from outside itself, so it is a cycle
+    through some unrooted anchor, and that anchor's trial would have
+    found it unreferenced from outside the subgraph and freed it
+    (pinned locations, below, count as referenced from outside);
+  * only if a subgraph exceeds the budget does that one application
+    fall back to the canonical trace — after which delta collection
+    resumes with the counts still consistent.
+
+  The unrooted-anchor subset is maintained incrementally (root-count
+  transitions, the write barrier, and deletions update it), so a
+  collection never rescans the full anchor set.
 
   Escape procedures (captured continuations) root entire continuation
   chains; rather than reference-count frames the tracker raises
   :attr:`RefTracker.saw_escape` and the meter falls back to the
   canonical collector for the rest of the run.
-
-Constructed with ``generational=True`` (the ``engine="generational"``
-meter), the tracker additionally partitions locations by a *tenure
-floor*: locations below the floor are tenured, locations at or above
-it are the nursery.  Allocation order makes the partition a single
-cursor comparison — locations are monotone, so "recently allocated" is
-literally "numerically large".  Three mechanisms keep collections from
-rescanning cold (tenured) state:
-
-* the unrooted-anchor set is maintained *incrementally* (root-count
-  transitions, the write barrier, and deletions update it), replacing
-  the per-collection O(|anchors|) rescan;
-* a trial deletion that proves an unrooted anchor's subgraph fully
-  live, with the subgraph entirely tenured, caches that verdict
-  against the *tenured epoch* — a counter bumped only by mutations of
-  tenured cells — so the dormant letrec clusters that dominate cold
-  regions are re-examined only when tenured state actually changed;
-* when every unrooted anchor is decided live (cached verdict or a
-  zero-reclaim trial), the suspects are cleared *without* the
-  conservative canonical trace: if all trials fit the budget and free
-  nothing, a source SCC of any remaining garbage would have had no
-  external references and been freed, so no garbage remains.
-
-Promotion is driven by survival count: every ``nursery_span``
-allocations the live nursery is scanned once, each survivor's count
-incremented, and the floor advanced past the leading run of cells
-that survived ``promote_after`` scans.  A write barrier records
-tenured cells whose value references the nursery (the remembered set
-— old-to-young edges, reported by ``repro analyze --meter-audit``
-together with per-region scan counters in :attr:`RefTracker.stats`).
-The reclaimed locations per GC-rule application are *identical* to the
-plain delta tracker's — the equivalence suite holds generational ==
-delta == reference on answer/sup/peak/collected.
 
 Both collectors accept ``pin_from``: locations at or above the pin are
 never reclaimed (treated as externally referenced).  The sampled meter
@@ -227,13 +203,6 @@ class RefTracker:
     #: falls back to the canonical trace for that application.
     TRIAL_BUDGET = 256
 
-    #: Allocations between nursery survival scans (generational mode).
-    NURSERY_SPAN = 512
-
-    #: Survival scans a nursery cell must live through before the
-    #: tenure floor may advance past it.
-    PROMOTE_AFTER = 2
-
     __slots__ = (
         "rc",
         "root_rc",
@@ -243,17 +212,10 @@ class RefTracker:
         "unrooted_anchors",
         "saw_escape",
         "bus",
-        "generational",
-        "tenure_floor",
-        "tenured_epoch",
-        "survival",
-        "remembered",
-        "_verdicts",
-        "_next_scan",
         "stats",
     )
 
-    def __init__(self, generational: bool = False):
+    def __init__(self):
         #: Total (heap + root) reference count per location.
         self.rc: Dict[Location, int] = {}
         #: Root-only reference count per location.
@@ -278,34 +240,11 @@ class RefTracker:
         #: a ``gc`` event labelled ``delta`` (sweeps) or ``trial``
         #: (cycle trial deletions), partitioning the collected total.
         self.bus = None
-        #: Generational mode (see the module docstring).
-        self.generational = generational
-        #: Locations below the floor are tenured; at/above, nursery.
-        #: Zero in plain delta mode, making every region comparison on
-        #: the hot decrement paths a single always-false integer test.
-        self.tenure_floor: int = 0
-        #: Bumped by any mutation of a tenured location; cached
-        #: all-tenured trial verdicts are valid while it is unchanged.
-        self.tenured_epoch: int = 0
-        #: Survival-scan counts for live nursery locations.
-        self.survival: Dict[Location, int] = {}
-        #: Remembered set: tenured cells whose value references the
-        #: nursery (old-to-young edges recorded by the write barrier).
-        self.remembered: Set[Location] = set()
-        #: anchor -> tenured_epoch of a trial that proved its (fully
-        #: tenured) subgraph live while freeing nothing.
-        self._verdicts: Dict[Location, int] = {}
-        #: Allocation cursor at which the next survival scan runs.
-        self._next_scan: int = self.NURSERY_SPAN
-        #: Region observability counters for ``--meter-audit``.
+        #: Work counters for ``repro analyze --meter-audit``.
         self.stats: Dict[str, int] = {
             "collections": 0,
             "trials": 0,
             "trial_nodes": 0,
-            "trial_skips": 0,
-            "nursery_scans": 0,
-            "nursery_scanned": 0,
-            "promotions": 0,
         }
 
     # -- reference-count primitives ----------------------------------------
@@ -316,10 +255,6 @@ class RefTracker:
     def dec_heap(self, location: Location) -> None:
         count = self.rc[location] - 1
         self.rc[location] = count
-        if location < self.tenure_floor:
-            # Any decrement of a tenured location can turn a proven-
-            # live subgraph into garbage: invalidate cached verdicts.
-            self.tenured_epoch += 1
         if count == 0:
             self.zeros.add(location)
         elif self.anchors and self.root_rc.get(location, 0) == 0:
@@ -334,8 +269,6 @@ class RefTracker:
     def dec_root(self, location: Location) -> None:
         count = self.rc[location] - 1
         self.rc[location] = count
-        if location < self.tenure_floor:
-            self.tenured_epoch += 1
         roots = self.root_rc[location] - 1
         if roots:
             self.root_rc[location] = roots
@@ -382,18 +315,11 @@ class RefTracker:
         self._dec_value_heap(old)
         if isinstance(new, Escape):
             self.saw_escape = True
-        floor = self.tenure_floor
-        tenured = location < floor
-        if tenured:
-            self.tenured_epoch += 1
         forward = False
-        young = False
         for reference in new.locations():
             self.inc_heap(reference)
             if reference >= location:
                 forward = True
-            if reference >= floor:
-                young = True
         if forward:
             # A forward (or self) edge: any cycle through this cell is
             # now possible.  The canonical case is letrec/define
@@ -406,29 +332,13 @@ class RefTracker:
             self.anchors.discard(location)
             if self.unrooted_anchors:
                 self.unrooted_anchors.discard(location)
-        if tenured:
-            # Write barrier: a tenured cell now referencing the nursery
-            # carries an old-to-young edge (every such edge is forward,
-            # so remembered is always a subset of the anchors).
-            if young:
-                self.remembered.add(location)
-            elif self.remembered:
-                self.remembered.discard(location)
 
     def on_delete(self, location: Location, value: Value) -> None:
         self._dec_value_heap(value)
-        if location < self.tenure_floor:
-            self.tenured_epoch += 1
-            if self.remembered:
-                self.remembered.discard(location)
         if self.anchors:
             self.anchors.discard(location)
             if self.unrooted_anchors:
                 self.unrooted_anchors.discard(location)
-        if self.survival:
-            self.survival.pop(location, None)
-        if self._verdicts:
-            self._verdicts.pop(location, None)
 
     # -- priming and sweeping ----------------------------------------------
 
@@ -448,8 +358,6 @@ class RefTracker:
                     self.anchors.add(location)
         # No roots are registered yet, so every anchor is unrooted.
         self.unrooted_anchors = set(self.anchors)
-        if self.generational:
-            self._next_scan = store._next_location + self.NURSERY_SPAN
 
     def sweep(self, store: Store, pin_from: Optional[int] = None) -> int:
         """Apply the GC rule via the decrement cascade: delete every
@@ -498,12 +406,8 @@ class RefTracker:
         Members neither externally referenced nor reachable from one
         are garbage and are deleted.  Returns the number reclaimed, or
         None when the subgraph exceeds the budget.  Locations at or
-        above *pin_from* count as externally referenced.  A trial that
-        frees nothing over an entirely tenured subgraph caches an
-        epoch-stamped liveness verdict for the anchor."""
+        above *pin_from* count as externally referenced."""
         budget = self.TRIAL_BUDGET
-        floor = self.tenure_floor
-        all_tenured = True
         subgraph: Dict[Location, Tuple[Location, ...]] = {}
         stack: List[Location] = [anchor]
         while stack:
@@ -512,8 +416,6 @@ class RefTracker:
                 continue
             if len(subgraph) >= budget:
                 return None
-            if location >= floor:
-                all_tenured = False
             references = store.read(location).locations()
             subgraph[location] = references
             stack.extend(references)
@@ -547,10 +449,6 @@ class RefTracker:
             # itself, so the deletion hooks drive those counts to zero
             # and the next sweep purges the entries.
             store.delete_many(garbage)
-        elif self.generational and all_tenured and pin_from is None:
-            # Fully live, fully tenured: re-examining this anchor is
-            # pointless until some tenured location is mutated.
-            self._verdicts[anchor] = self.tenured_epoch
         return len(garbage)
 
     def reclaim(
@@ -567,7 +465,6 @@ class RefTracker:
         ``collected`` total."""
         bus = self.bus
         self.stats["collections"] += 1
-        generational = self.generational
         collected = self.sweep(store, pin_from)
         if bus is not None and collected:
             bus.emit_gc("delta", collected)
@@ -583,16 +480,6 @@ class RefTracker:
                 # suspects are refcount-exact leftovers.
                 self.suspects.clear()
                 break
-            if generational:
-                epoch = self.tenured_epoch
-                verdicts = self._verdicts
-                pending = []
-                for anchor in unrooted:
-                    if verdicts.get(anchor) == epoch:
-                        self.stats["trial_skips"] += 1
-                    else:
-                        pending.append(anchor)
-                unrooted = pending
             progress = 0
             for anchor in unrooted:
                 freed = self._trial_reclaim(store, anchor, pin_from)
@@ -600,77 +487,19 @@ class RefTracker:
                     return collected, True
                 progress += freed
             if not progress:
-                if generational:
-                    # Every unrooted anchor's trial fit the budget and
-                    # freed nothing (this round or, cached, since the
-                    # last tenured mutation).  Any remaining garbage
-                    # would have a source SCC with no external
-                    # references inside some unrooted anchor's
-                    # subgraph, and that trial would have freed it —
-                    # so no garbage remains and the conservative
-                    # canonical trace can be skipped.  It would have
-                    # reclaimed nothing, so the collected totals stay
-                    # identical to the plain delta engine's.
-                    self.suspects.clear()
-                    break
-                # Unrooted anchors kept alive through heap references
-                # the local analysis cannot rule on: trace once.
-                return collected, True
+                # Every trial fit the budget and freed nothing, so no
+                # garbage remains (the source-SCC argument in the
+                # module docstring): the canonical trace would reclaim
+                # nothing, and is skipped.
+                self.suspects.clear()
+                break
             swept = self.sweep(store, pin_from)
             if bus is not None:
                 bus.emit_gc("trial", progress)
                 if swept:
                     bus.emit_gc("delta", swept)
             collected += progress + swept
-        if generational and store._next_location >= self._next_scan:
-            self._promote(store)
         return collected, False
-
-    def _promote(self, store: Store) -> None:
-        """Survival scan of the live nursery.  Each surviving location's
-        count is incremented; the tenure floor advances past the
-        leading run of locations that survived ``PROMOTE_AFTER`` scans
-        (the floor is a cursor, so only a prefix of the nursery can be
-        promoted).  The remembered set is rebuilt from the anchors —
-        every old-to-young edge is a forward edge, so tenured cells
-        referencing the nursery are always anchors — which also prunes
-        entries the floor movement made stale."""
-        floor = self.tenure_floor
-        survival = self.survival
-        cells = store._cells
-        nursery: List[Location] = []
-        for location in reversed(cells):
-            if location < floor:
-                break
-            nursery.append(location)
-        nursery.reverse()
-        self.stats["nursery_scans"] += 1
-        self.stats["nursery_scanned"] += len(nursery)
-        promote_after = self.PROMOTE_AFTER
-        new_floor = floor
-        promoted = 0
-        leading = True
-        for location in nursery:
-            count = survival.get(location, 0) + 1
-            if leading and count >= promote_after:
-                new_floor = location + 1
-                survival.pop(location, None)
-                promoted += 1
-            else:
-                leading = False
-                survival[location] = count
-        if promoted:
-            self.tenure_floor = new_floor
-            self.stats["promotions"] += promoted
-            remembered: Set[Location] = set()
-            for location in self.anchors:
-                if location < new_floor and location in cells and any(
-                    reference >= new_floor
-                    for reference in cells[location].locations()
-                ):
-                    remembered.add(location)
-            self.remembered = remembered
-        self._next_scan = store._next_location + self.NURSERY_SPAN
 
     def note_canonical(self, store: Store) -> None:
         """Reconcile after a canonical collection ran: every remaining
@@ -681,12 +510,6 @@ class RefTracker:
                 self.root_rc.pop(location, None)
         self.zeros.clear()
         self.suspects.clear()
-        if self.anchors and not self.generational:
-            # Generational mode skips this O(live heap) rescan: the
-            # deletion hooks already prune anchors (and the unrooted
-            # subset) cell by cell.
-            self.anchors.intersection_update(store.locations())
-            self.unrooted_anchors.intersection_update(self.anchors)
 
     # -- integrity audit ----------------------------------------------------
 
@@ -780,19 +603,6 @@ class RefTracker:
             raise AssertionError(
                 f"unrooted-anchor drift: expected={expected_unrooted} "
                 f"actual={live_unrooted}"
-            )
-        floor = self.tenure_floor
-        expected_remembered = {
-            location
-            for location, value in store.items()
-            if location < floor
-            and any(ref >= floor for ref in value.locations())
-        }
-        live_remembered = {loc for loc in self.remembered if loc in store}
-        if live_remembered != expected_remembered:
-            raise AssertionError(
-                f"remembered-set drift: expected={expected_remembered} "
-                f"actual={live_remembered}"
             )
         live = reachable_locations(store, root_values, root_env, root_kont)
         garbage = [loc for loc in store.locations() if loc not in live]

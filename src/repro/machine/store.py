@@ -16,11 +16,11 @@ binding ledger without rescanning the heap.
 
 Two store invariants double as metering infrastructure: locations are
 never reused (the supply counter only grows), so a location's number
-orders its allocation in time — the generational engine's nursery is
-simply the suffix of the domain above a watermark, and "tenured" is a
-comparison, not a tag; and ``mut_version`` increments on every write
-to an existing location, which is the write barrier the sampled meter
-reads to tell retro-reconstructible steps from suspect ones.
+orders its allocation in time — everything a step allocated lies above
+the allocation cursor it started from, which is how the sampled meter
+pins a step's allocations; and ``mut_version`` increments on every
+write to an existing location, which is the write barrier the sampled
+meter reads to tell retro-reconstructible steps from suspect ones.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ over HTTP, schedules them across the sweep harness's
 :class:`~repro.harness.sweep.WorkerPool`, and enforces **space-quota
 admission control**: each tenant carries a byte budget on the
 Definition 23 consumption under a chosen accounting (flat/linked),
-checked at the sampled meter's certified checkpoints.  A run whose
+checked at the meter's certified measurements.  A run whose
 certified lower bound crosses its quota is killed mid-flight with a
 structured ``QuotaExceeded`` receipt naming the blame-census top holder
 — the same machinery Theorem 25 uses to classify a separator program

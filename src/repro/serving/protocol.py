@@ -19,6 +19,7 @@ from ..space.meter import (
     DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_STEP_LIMIT,
     ENGINES,
+    METERS,
 )
 
 #: Every receipt kind a job stream may carry, in the rough order they
@@ -53,7 +54,6 @@ EXIT_CODES = (
 MAX_BATCH = 64
 
 ACCOUNTINGS = ("flat", "linked")
-METERS = ("exact", "sampled")
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
@@ -144,11 +144,6 @@ def validate_submit(payload: dict) -> dict:
         )
     if spec["meter"] not in METERS:
         raise ValueError(f"submit field 'meter' must be one of {METERS}")
-    if spec["meter"] == "sampled" and spec["engine"] == "reference":
-        raise ValueError(
-            "meter='sampled' needs a delta-family engine; use "
-            "engine='delta' or engine='generational' (or meter='exact')"
-        )
     _require_int(spec, "checkpoint_every", 1, 1_000_000)
     if spec["budget"] is not None:
         _require_int(spec, "budget", 1, 2**62)

@@ -47,8 +47,8 @@ def quota_receipt(exc, blame_top: int = 8) -> dict:
 
 
 def make_progress_hook(emit, progress_every: int):
-    """A sampled-meter ``checkpoint_hook`` that ships every k-th
-    certified checkpoint down the worker's progress channel."""
+    """A meter ``checkpoint_hook`` that ships every k-th certified
+    checkpoint down the worker's progress channel."""
     if emit is None or progress_every <= 0:
         return None
     fired = 0
@@ -68,17 +68,14 @@ def run_service_job(spec: dict, emit=None) -> dict:
     payload (``result`` / ``quota`` / ``error``) as plain data.
 
     The budget rides :func:`repro.harness.runner.run`'s ``budget``
-    hook; progress heartbeats ride the sampled meter's
-    ``checkpoint_hook`` (the exact meter has no checkpoint cadence, so
-    exact-meter jobs simply send no heartbeats).
+    hook; progress heartbeats ride the meter's ``checkpoint_hook``,
+    which fires every ``checkpoint_every`` steps under either meter.
     """
     from ..harness.runner import run
     from ..space.meter import QuotaExceeded
     from .artifacts import resolve_program
 
-    hook = None
-    if spec["meter"] == "sampled":
-        hook = make_progress_hook(emit, spec.get("progress_every", 0))
+    hook = make_progress_hook(emit, spec.get("progress_every", 0))
     try:
         # When the spec carries a compiled artifact, hydrate it (once
         # per program per worker) and inject the pre-lowered tree;

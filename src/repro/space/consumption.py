@@ -21,13 +21,7 @@ from ..machine.policy import Policy
 from ..machine.variants import REFERENCE_MACHINES, make_machine
 from ..syntax.ast import Expr
 from ..syntax.expander import expand_expression, expand_program
-from .meter import (
-    DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_STEP_LIMIT,
-    MeterResult,
-    run_metered,
-    run_sampled,
-)
+from .meter import DEFAULT_CHECKPOINT_EVERY, DEFAULT_STEP_LIMIT, run_metered
 
 Source = Union[str, Expr]
 
@@ -59,9 +53,9 @@ class Consumption:
     linked: bool
     fixed_precision: bool
     #: Engine/meter introspection from the run (engine name, fallback
-    #: counts, generational scan/promotion counters, sampled-meter trip
-    #: and certification stats) — plain data, travels the sweep
-    #: channel; ``repro analyze --meter-audit`` aggregates it.
+    #: counts, collection/trial counters, lazy-schedule trip and
+    #: certification stats) — plain data, travels the sweep channel;
+    #: ``repro analyze --meter-audit`` aggregates it.
     meter_stats: Optional[Dict] = None
 
 
@@ -90,76 +84,34 @@ def measure(
     """Measure the Definition 23 space consumption of running
     *program* on *argument* under the named reference implementation.
 
-    ``meter="sampled"`` uses the checkpointed sampling meter
-    (:func:`repro.space.meter.run_sampled`, measuring exactly every
-    ``checkpoint_every`` transitions plus at allocation-burst
-    watermarks) instead of the exact per-step meter; the reported
-    numbers are identical, the run is faster.  The sampled loop has no
-    per-transition observation points, so it cannot carry telemetry.
-
-    ``trace``/``metrics``/``blame``/``retention`` attach the telemetry
-    stack to the metered run (see
-    :func:`repro.space.meter.run_metered`).
-
-    ``budget`` caps the consumption under either meter (the run raises
-    :class:`repro.space.meter.QuotaExceeded` when its certified lower
-    bound crosses); ``checkpoint_hook`` is the sampled meter's progress
-    callback and is rejected under the exact meter."""
-    if meter not in ("exact", "sampled"):
-        raise ValueError(f"unknown meter mode: {meter!r}")
-    if checkpoint_hook is not None and meter != "sampled":
-        raise ValueError(
-            "checkpoint_hook requires meter='sampled' (the exact meter "
-            "has no checkpoint cadence)"
-        )
+    Every metering option — ``engine``, ``meter``, ``checkpoint_every``,
+    ``checkpoint_hook``, ``budget`` and the telemetry stack
+    (``trace``/``metrics``/``blame``/``retention``) — goes straight to
+    :func:`repro.space.meter.run_metered`, which picks the schedule."""
     machine = (
         make_machine(machine_name, policy=policy)
         if policy is not None
         else make_machine(machine_name)
     )
-    if meter == "sampled":
-        if (
-            trace is not None
-            or metrics is not None
-            or blame is not None
-            or retention is not None
-        ):
-            raise ValueError(
-                "telemetry requires the exact meter; the sampled loop "
-                "has no per-transition observation points"
-            )
-        if gc_when != "always":
-            raise ValueError("sampled metering fixes gc_when='always'")
-        result: MeterResult = run_sampled(
-            machine,
-            prepare_program(program),
-            prepare_input(argument),
-            linked=linked,
-            fixed_precision=fixed_precision,
-            checkpoint_every=checkpoint_every,
-            gc_interval=gc_interval,
-            step_limit=step_limit,
-            engine=engine,
-            budget=budget,
-            checkpoint_hook=checkpoint_hook,
-        )
-    else:
-        result = run_metered(
-            machine,
-            prepare_program(program),
-            prepare_input(argument),
-            linked=linked,
-            fixed_precision=fixed_precision,
-            gc_interval=gc_interval,
-            gc_when=gc_when,
-            step_limit=step_limit,
-            engine=engine,
-            budget=budget,
-            trace=trace,
-            metrics=metrics,
-            blame=blame,
-            retention=retention,
-        )
+    result = run_metered(
+        machine,
+        prepare_program(program),
+        prepare_input(argument),
+        linked=linked,
+        fixed_precision=fixed_precision,
+        gc_interval=gc_interval,
+        gc_when=gc_when,
+        step_limit=step_limit,
+        engine=engine,
+        meter=meter,
+        checkpoint_every=checkpoint_every,
+        checkpoint_hook=checkpoint_hook,
+        budget=budget,
+        trace=trace,
+        metrics=metrics,
+        blame=blame,
+        retention=retention,
+    )
     return Consumption(
         machine=machine_name,
         total=result.consumption,

@@ -11,7 +11,8 @@ step); this exists for the section 7 experiment showing that a real
 collector running less often costs at most a small constant factor R
 over collecting after every step.
 
-Two metering engines drive the same loop:
+:func:`run_metered` is the one metering driver.  Two engines apply the
+GC rule and measure space for it:
 
 - ``engine="delta"`` (the default) — the incremental engine.  It keeps
   a :class:`~repro.machine.gc.RefTracker` (per-location reference
@@ -24,39 +25,38 @@ Two metering engines drive the same loop:
   U_X measurement is O(1) instead of a configuration re-walk.  Cycle
   suspects are resolved locally (rooted-anchor check, bounded trial
   deletion — see the ``gc`` module docstring); the engine degrades to
-  the canonical trace only per-application when that analysis cannot
-  decide, and permanently when an escape procedure enters the
+  the canonical trace only per-application when a trial exceeds its
+  budget, and permanently when an escape procedure enters the
   configuration (reference counts do not model the continuation
   chains it retains).  Either way the measured numbers are
   *identical* to the reference engine on every program.
-- ``engine="generational"`` — the delta engine with the tracker's
-  generational mode switched on (tenure floor, epoch-cached trial
-  verdicts, incremental unrooted-anchor set, survival-driven
-  promotion, remembered set — see the ``gc`` module docstring).  The
-  reclaimed locations per application are identical to ``delta``; only
-  the amount of cold state re-examined per collection shrinks.
 - ``engine="reference"`` — the seed behaviour: canonical full-heap
   trace per application, direct configuration re-walk per measurement.
   Kept as the verification oracle; the agreement tests in
   ``tests/test_delta_meter.py`` hold the engines equal over the
   corpus, the separator families, and random programs.
 
-:func:`run_sampled` is the checkpointed sampling meter
-(``meter="sampled"``): it drives the same trajectory per-step but
-applies the GC rule lazily, reading an O(1) *upper bound* on the exact
-pre-GC space each step and reconstructing the exact measurement
-retroactively (pinned collection against the previous configuration's
-roots) only when the bound threatens the running sup, every
-``checkpoint_every`` transitions, and at every allocation-burst
-watermark.  The reported sup is exact: any step whose bound could not
-be resolved exactly records the bound as a *suspect*, and a run whose
-suspects are not all dominated by the final sup transparently replays
-under the exact meter.
+The driver runs one of two schedules.  The *eager* schedule (every
+``meter="exact"`` run) is Definition 21 made observable: measure every
+configuration, apply the GC rule after every step.  The *lazy*
+schedule (``meter="sampled"``) applies the GC rule lazily, reading an
+O(1) *upper bound* on the exact pre-GC space each step and
+reconstructing the exact measurement retroactively (pinned collection
+against the previous configuration's roots) only when the bound
+threatens the running sup, every ``checkpoint_every`` transitions, and
+at every allocation-burst watermark.  The reported sup is exact: any
+step whose bound could not be resolved exactly records the bound as a
+*suspect*, and a run whose suspects are not all dominated by the final
+sup replays under the eager schedule.  A sampled run takes the lazy
+schedule only where its bound is sound and nothing observes single
+steps — see :func:`run_metered` — and the eager one otherwise, so a
+meter/engine/observer combination is never an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple, Union
 
 from ..machine.config import Configuration, Final, State
@@ -71,14 +71,17 @@ from .linked import BindingLedger, configuration_space_linked, value_structural
 
 DEFAULT_STEP_LIMIT = 5_000_000
 
-ENGINES = ("delta", "generational", "reference")
+METERS = ("exact", "sampled")
+ENGINES = ("delta", "reference")
 
-#: Default sampled-meter knobs: exact checkpoint every this many
-#: transitions, and whenever this many locations were allocated since
-#: the last collection (the burst watermark also bounds how far the
-#: lazily-collected store may outgrow the exact one).
+#: Default checkpoint cadence: ``checkpoint_hook`` fires every this
+#: many transitions, and the lazy schedule measures exactly at least
+#: that often.
 DEFAULT_CHECKPOINT_EVERY = 64
-DEFAULT_BURST = 512
+#: The lazy schedule also measures exactly whenever this many locations
+#: were allocated since the last collection (the burst watermark bounds
+#: how far the lazily-collected store may outgrow the exact one).
+BURST = 512
 
 
 @dataclass
@@ -94,7 +97,7 @@ class MeterResult:
     peak_step: int
     trace: List[Tuple[int, int]] = field(default_factory=list)
     #: Engine/meter observability (``repro analyze --meter-audit``):
-    #: trial/scan/promotion counters, remembered-set size, sampled-mode
+    #: collection and trial counters, fallback counts, lazy-schedule
     #: trip and checkpoint counts, certification outcome.
     meter_stats: dict = field(default_factory=dict)
 
@@ -108,8 +111,8 @@ class QuotaExceeded(Exception):
     """A run's certified space lower bound crossed its byte budget.
 
     ``budget`` caps the Definition 23 consumption ``|P| + sup space``.
-    The exact meter kills at the first transition whose measurement
-    crosses; the sampled meter kills at the first checkpoint whose
+    The eager schedule kills at the first transition whose measurement
+    crosses; the lazy schedule kills at the first checkpoint whose
     retro-exact reconstruction crosses.  Every measurement that can
     trigger a kill is a lower bound of the run's true sup (exact trips
     are exact; write-step trip readings can only understate the exact
@@ -172,10 +175,10 @@ def _quota_kill(
     machine: Machine,
     budget: int,
     program_size: int,
-    space: int,
-    step: int,
     linked: bool,
     fixed_precision: bool,
+    space: int,
+    step: int,
     configuration,
 ) -> QuotaExceeded:
     """Build the structured kill for a measurement that crossed."""
@@ -289,18 +292,12 @@ class DeltaMeter:
         "canonical_fallbacks",
     )
 
-    def __init__(
-        self,
-        machine: Machine,
-        linked: bool,
-        fixed_precision: bool,
-        generational: bool = False,
-    ):
+    def __init__(self, machine: Machine, linked: bool, fixed_precision: bool):
         self.uses_gc = machine.uses_gc_rule
         self.linked = linked
         self.fixed_precision = fixed_precision
         self.tracker: Optional[RefTracker] = (
-            RefTracker(generational) if self.uses_gc else None
+            RefTracker() if self.uses_gc else None
         )
         self.ledger: Optional[BindingLedger] = BindingLedger() if linked else None
         #: Optional incremental blame sink (attached by a profiler in
@@ -315,8 +312,8 @@ class DeltaMeter:
         self.prov = None
         self.fallback = False
         self.bus = None
-        #: GC-rule applications where the local cycle analysis could
-        #: not decide and the canonical trace ran (telemetry).
+        #: GC-rule applications where a cycle trial exceeded its budget
+        #: and the canonical trace ran (telemetry).
         self.canonical_fallbacks = 0
         self._fallback_measure = (
             configuration_space_linked if linked else configuration_space
@@ -613,14 +610,12 @@ def make_meter(
 ) -> Union[DeltaMeter, ReferenceMeter]:
     if engine == "delta":
         return DeltaMeter(machine, linked, fixed_precision)
-    if engine == "generational":
-        return DeltaMeter(machine, linked, fixed_precision, generational=True)
     if engine == "reference":
         return ReferenceMeter(machine, linked, fixed_precision)
     raise ValueError(f"unknown metering engine: {engine!r} (want {ENGINES})")
 
 
-def _engine_stats(meter, engine: str, extra: Optional[dict] = None) -> dict:
+def _engine_stats(meter, engine: str, extra: dict) -> dict:
     """Observability payload for ``MeterResult.meter_stats``."""
     stats = {
         "engine": engine,
@@ -630,11 +625,8 @@ def _engine_stats(meter, engine: str, extra: Optional[dict] = None) -> dict:
     tracker = getattr(meter, "tracker", None)
     if tracker is not None:
         stats.update(tracker.stats)
-        stats["tenure_floor"] = tracker.tenure_floor
-        stats["remembered_size"] = len(tracker.remembered)
         stats["anchors"] = len(tracker.anchors)
-    if extra:
-        stats.update(extra)
+    stats.update(extra)
     return stats
 
 
@@ -669,6 +661,9 @@ def run_metered(
     step_limit: int = DEFAULT_STEP_LIMIT,
     trace_every: int = 0,
     engine: str = "delta",
+    meter: str = "exact",
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    checkpoint_hook=None,
     audit_every: int = 0,
     budget: Optional[int] = None,
     trace=None,
@@ -696,11 +691,64 @@ def run_metered(
     delta engine's reference counts and binding ledger from scratch
     every that many collections and raises on drift (testing only).
 
+    ``meter`` selects the schedule.  ``"exact"`` is the eager
+    Definition 21 schedule.  ``"sampled"`` takes the lazy schedule
+    when its O(1) bound is sound and no observer needs every
+    configuration — engine ``"delta"``, ``gc_interval == 1``,
+    ``gc_when == "always"``, and no ``trace``, ``metrics``, ``blame``,
+    ``retention``, ``trace_every`` or ``audit_every`` — and the eager
+    one otherwise; ``meter_stats["mode"]`` names the schedule the run
+    started on.
+    Under the lazy schedule the machine trajectory is unchanged (the
+    GC rule only removes unreachable locations, locations are never
+    reused, and compaction runs on the same cadence), while space is
+    handled lazily:
+
+    - Every step reads an O(1) *bound* on the exact pre-GC space: the
+      current register/continuation/accumulator terms (exact) plus the
+      lazily-collected store's maintained total (a superset of the
+      exact store, so the bound can only overestimate).  Under linked
+      accounting the ledger's staleness is covered by adding one word
+      per location allocated since the last root sync — every binding
+      pair created since then uses a fresh location.
+    - When the bound exceeds the running sup (or every
+      ``checkpoint_every`` transitions, or :data:`BURST` allocations
+      accumulated), the exact measurement is reconstructed
+      *retroactively*: sync the engine's roots to the previous
+      configuration and apply the GC rule with the current step's
+      allocations pinned.  The store is then exactly the pre-GC store
+      of the current step, and the same O(1) read is exact.
+    - A step that wrote to the store cannot be reconstructed (the
+      write may have dropped edges that kept garbage reachable in the
+      exact schedule, so the retro-collection could delete cells the
+      exact pre-GC store still charges).  Such a step records its
+      bound as a *suspect* instead; reclamation soundness is
+      unaffected (everything deleted is unreachable in both
+      schedules).
+    - When the engine falls back on an escape, the step that entered
+      the fallback is finished on the eager schedule (its GC rule
+      applied) and the rest of the run is eager.
+
+    The run is *certified* when every suspect bound is dominated by the
+    final sup — then the sup is provably exact: a missed peak at step k
+    would have forced ``bound(k) >= space(k) > sup``, triggering either
+    an exact trip (contradiction) or an undominated suspect.  An
+    uncertified run replays with ``meter="exact"``.  Either way the
+    returned sup equals the exact meter's.
+
     ``budget`` caps the consumption ``|P| + sup space``: the first
-    measurement that crosses raises :class:`QuotaExceeded` carrying the
-    blame census of the killing configuration.  The final
+    certified measurement that crosses raises :class:`QuotaExceeded`
+    carrying the blame census of the killing configuration.  The final
     configuration's pre-GC spike is charged too (the paper's sup ranges
-    over every C_i), so a run can be killed on its last step.
+    over every C_i), so a run can be killed on its last step.  Suspect
+    bounds never kill — they are not certified — but an over-budget
+    peak hiding in a suspect leaves the run uncertified, and the exact
+    replay (which inherits ``budget``) kills it there.
+
+    ``checkpoint_hook(steps, consumption)`` is called with the running
+    certified lower bound of the consumption at the prime measurement
+    and every ``checkpoint_every`` steps, and on the lazy schedule also
+    after every exact trip — the serving layer's progress heartbeat.
 
     Telemetry (all optional, all observation-only — none changes a
     transition or a measured number):
@@ -725,17 +773,35 @@ def run_metered(
     """
     if gc_when not in ("always", "store-change"):
         raise ValueError(f"unknown gc_when: {gc_when!r}")
+    if meter not in METERS:
+        raise ValueError(f"unknown meter mode: {meter!r} (want {METERS})")
+    if checkpoint_every <= 0:
+        raise ValueError("checkpoint_every must be positive")
+    lazy = (
+        meter == "sampled"
+        and engine == "delta"
+        and gc_interval == 1
+        and gc_when == "always"
+        and not (trace_every or audit_every)
+        and trace is None
+        and metrics is None
+        and blame is None
+        and retention is None
+    )
     # |P| counts the program only, not the input (Definition 23).
     program_size = ast_size(program)
+    kill = partial(
+        _quota_kill, machine, budget, program_size, linked, fixed_precision
+    )
 
-    meter = make_meter(machine, linked, fixed_precision, engine)
+    engine_meter = make_meter(machine, linked, fixed_precision, engine)
     bus = trace
     accounting = "linked" if linked else "flat"
     telemetry = bus is not None or metrics is not None or blame is not None
     if telemetry:
         from ..telemetry.bus import step_kind_label
     if bus is not None:
-        meter.attach_bus(bus)
+        engine_meter.attach_bus(bus)
         bus.meta.update(
             machine=machine.name,
             accounting=accounting,
@@ -747,12 +813,12 @@ def run_metered(
         blame.bind(machine.name, linked, fixed_precision)
         attach = getattr(blame, "attach_engine", None)
         if attach is not None:
-            attach(meter)
+            attach(engine_meter)
     if retention is not None:
         retention.bind(machine.name, linked, fixed_precision)
         attach = getattr(retention, "attach_engine", None)
         if attach is not None:
-            attach(meter)
+            attach(engine_meter)
     restrict_token = None
     if metrics is not None:
         from ..machine.environment import (
@@ -770,44 +836,171 @@ def run_metered(
         gc_words = metrics.counter("gc_reclaimed_words", machine=machine.name)
 
     state = machine.inject(program, argument)
+    store = state.store
     try:
         if bus is not None:
             bus.emit_phase("prime", True)
         if metrics is not None:
-            words_before = state.store.space_bignum
-        collected = meter.prime(state)
+            words_before = store.space_bignum
+        collected = engine_meter.prime(state)
         if metrics is not None and collected:
             gc_collections.inc()
             gc_locations.inc(collected)
-            gc_words.inc(words_before - state.store.space_bignum)
+            gc_words.inc(words_before - store.space_bignum)
         if bus is not None:
             bus.emit_phase("prime", False)
-        last_gc_version = state.store.version
-        sup_space = meter.measure(state)
+        sup_space = engine_meter.measure(state)
         peak_step = 0
         if budget is not None and program_size + sup_space > budget:
-            raise _quota_kill(
-                machine, budget, program_size, sup_space, 0,
-                linked, fixed_precision, state,
-            )
+            raise kill(sup_space, 0, state)
         if bus is not None:
             bus.emit_space(accounting, sup_space, 0)
         if blame is not None:
             blame.observe(state, sup_space, 0)
         if retention is not None:
             retention.observe(state, sup_space, 0)
+        if checkpoint_hook is not None:
+            checkpoint_hook(0, program_size + sup_space)
         samples: List[Tuple[int, int]] = []
         if trace_every:
             samples.append((0, sup_space))
 
         steps = 0
         step = machine.step
-        transition = meter.transition
-        measure = meter.measure
+        transition = engine_meter.transition
+        measure = engine_meter.measure
         uses_gc = machine.uses_gc_rule
-        if bus is not None:
-            bus.emit_phase("run", True)
-        while True:
+        fp = fixed_precision
+        final = None
+        mode = "sampled" if lazy else "exact"
+        trips = checkpoints = 0
+        suspects: List[Tuple[int, int]] = []
+        if lazy:
+            compacts = type(machine).compact is not Machine.compact
+            sync_loc = last_collect_loc = store._next_location
+        while lazy:
+            prev = state
+            mut_mark = store.mut_version
+            alloc_mark = store._next_location
+            configuration = step(state)
+            steps += 1
+            if configuration.is_final:
+                final = configuration
+                break
+            state = configuration
+            if linked:
+                bound = measure(state) + (store._next_location - sync_loc)
+            else:
+                bound = (
+                    len(state.env._bindings)
+                    + state.kont.flat_space
+                    + (store._space_fixed if fp else store._space_bignum)
+                )
+                if state.is_value:
+                    bound += value_space(state.control, fp)
+                if not uses_gc:
+                    # No GC rule: the lazy store IS the exact store and
+                    # every flat term is current, so the bound is the
+                    # exact space — no reconstruction ever needed.
+                    if bound > sup_space:
+                        sup_space, peak_step = bound, steps
+                        if budget is not None and (
+                            program_size + bound > budget
+                        ):
+                            raise kill(bound, steps, state)
+                    if checkpoint_hook is not None and (
+                        steps % checkpoint_every == 0
+                    ):
+                        checkpoint_hook(steps, program_size + sup_space)
+                    if steps >= step_limit:
+                        raise StepLimitExceeded(steps)
+                    continue
+            due = (
+                steps % checkpoint_every == 0
+                or store._next_location - last_collect_loc >= BURST
+            )
+            if bound > sup_space or due:
+                wrote = uses_gc and store.mut_version != mut_mark
+                if wrote and not due:
+                    suspects.append((steps, bound))
+                else:
+                    transition(prev)
+                    if uses_gc:
+                        collected += engine_meter.collect(
+                            prev, pin_from=alloc_mark
+                        )
+                    transition(state)
+                    space = measure(state)
+                    if space > sup_space:
+                        sup_space, peak_step = space, steps
+                        if budget is not None and (
+                            program_size + space > budget
+                        ):
+                            raise kill(space, steps, state)
+                    if wrote and bound > sup_space:
+                        # The reading is only a lower bound of the
+                        # exact pre-GC space on a write step.
+                        suspects.append((steps, bound))
+                    sync_loc = last_collect_loc = store._next_location
+                    trips += 1
+                    if due:
+                        checkpoints += 1
+                    if checkpoint_hook is not None:
+                        checkpoint_hook(steps, program_size + sup_space)
+            if compacts:
+                state = machine.compact(state)
+            if engine_meter.fallback:
+                # An escape entered the configuration on this step's
+                # trip, which measured it exactly: apply the GC rule the
+                # lazy schedule deferred and go on eagerly.
+                if uses_gc:
+                    collected += engine_meter.collect(state)
+                lazy = False
+            if steps >= step_limit:
+                raise StepLimitExceeded(steps)
+
+        if final is not None:
+            # The lazy schedule reached the final configuration.
+            wrote = uses_gc and store.mut_version != mut_mark
+            if linked:
+                bound = measure(final) + (store._next_location - sync_loc)
+            else:
+                bound = (
+                    store._space_fixed if fp else store._space_bignum
+                ) + value_space(final.value, fp)
+                if not uses_gc:
+                    if bound > sup_space:
+                        sup_space, peak_step = bound, steps
+                        if budget is not None and (
+                            program_size + bound > budget
+                        ):
+                            raise kill(bound, steps, final)
+                    bound = sup_space  # exact; no suspect, no trip
+            if bound <= sup_space:
+                transition(final)
+            elif wrote:
+                suspects.append((steps, bound))
+                transition(final)
+            else:
+                transition(prev)
+                if uses_gc:
+                    collected += engine_meter.collect(prev, pin_from=alloc_mark)
+                transition(final)
+                space = measure(final)
+                if space > sup_space:
+                    sup_space, peak_step = space, steps
+                    if budget is not None and program_size + space > budget:
+                        raise kill(space, steps, final)
+                trips += 1
+            if uses_gc:
+                collected += engine_meter.collect_final(final)
+        else:
+            # The eager schedule: Definition 21, every configuration
+            # measured and collected.
+            last_gc_version = store.version
+            if bus is not None:
+                bus.emit_phase("run", True)
+        while final is None:
             if telemetry:
                 if bus is not None:
                     label = bus.emit_step_state(state)
@@ -829,59 +1022,34 @@ def run_metered(
             if configuration.is_final:
                 # Measure once pre-GC for the sup (the allocation spike
                 # is charged), once post-GC for the trace sample.
-                space = measure(configuration)
+                final = configuration
+                space = measure(final)
                 if bus is not None:
                     bus.emit_space(accounting, space, steps)
                 if blame is not None:
-                    blame.observe(configuration, space, steps)
+                    blame.observe(final, space, steps)
                 if retention is not None:
-                    retention.observe(configuration, space, steps)
+                    retention.observe(final, space, steps)
                 if space > sup_space:
                     sup_space, peak_step = space, steps
                     if budget is not None and program_size + space > budget:
-                        raise _quota_kill(
-                            machine, budget, program_size, space, steps,
-                            linked, fixed_precision, configuration,
-                        )
+                        raise kill(space, steps, final)
                 if uses_gc:
                     if metrics is not None:
-                        words_before = configuration.store.space_bignum
-                    freed = meter.collect_final(configuration)
+                        words_before = store.space_bignum
+                    freed = engine_meter.collect_final(final)
                     collected += freed
                     if metrics is not None and freed:
                         gc_collections.inc()
                         gc_locations.inc(freed)
-                        gc_words.inc(
-                            words_before - configuration.store.space_bignum
-                        )
+                        gc_words.inc(words_before - store.space_bignum)
                     if audit_every:
-                        meter.audit(configuration)
+                        engine_meter.audit(final)
                 if trace_every:
-                    samples.append((steps, measure(configuration)))
+                    samples.append((steps, measure(final)))
                 if bus is not None:
                     bus.emit_phase("run", False)
-                if metrics is not None:
-                    _finalize_metrics(
-                        metrics,
-                        machine.name,
-                        accounting,
-                        meter,
-                        sup_space,
-                        steps,
-                        restrict_token,
-                    )
-                    restrict_token = None
-                return MeterResult(
-                    machine=machine.name,
-                    sup_space=sup_space,
-                    program_size=program_size,
-                    steps=steps,
-                    final=configuration,
-                    collected=collected,
-                    peak_step=peak_step,
-                    trace=samples,
-                    meter_stats=_engine_stats(meter, engine, {"mode": "exact"}),
-                )
+                break
             state = configuration
             space = measure(state)
             if bus is not None:
@@ -893,330 +1061,66 @@ def run_metered(
             if space > sup_space:
                 sup_space, peak_step = space, steps
                 if budget is not None and program_size + space > budget:
-                    raise _quota_kill(
-                        machine, budget, program_size, space, steps,
-                        linked, fixed_precision, state,
-                    )
+                    raise kill(space, steps, state)
             if trace_every and steps % trace_every == 0:
                 samples.append((steps, space))
+            if checkpoint_hook is not None and steps % checkpoint_every == 0:
+                checkpoint_hook(steps, program_size + sup_space)
             if uses_gc and steps % gc_interval == 0:
                 compacted = machine.compact(state)
                 if compacted is not state:
                     transition(compacted)
                     state = compacted
-                if gc_when == "always" or state.store.version != last_gc_version:
+                if gc_when == "always" or store.version != last_gc_version:
                     if metrics is not None:
-                        words_before = state.store.space_bignum
-                    freed = meter.collect(state)
+                        words_before = store.space_bignum
+                    freed = engine_meter.collect(state)
                     collected += freed
                     if metrics is not None and freed:
                         gc_collections.inc()
                         gc_locations.inc(freed)
-                        gc_words.inc(words_before - state.store.space_bignum)
-                    last_gc_version = state.store.version
+                        gc_words.inc(words_before - store.space_bignum)
+                    last_gc_version = store.version
                     if audit_every and steps % audit_every == 0:
-                        meter.audit(state)
-            if steps >= step_limit:
-                raise StepLimitExceeded(steps)
-    finally:
-        meter.detach(state.store)
-        if restrict_token is not None:
-            pop_restrict_stats(restrict_token)
-
-
-def run_sampled(
-    machine: Machine,
-    program: Expr,
-    argument: Optional[Expr] = None,
-    *,
-    linked: bool = False,
-    fixed_precision: bool = False,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    burst: int = DEFAULT_BURST,
-    gc_interval: int = 1,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-    engine: str = "delta",
-    budget: Optional[int] = None,
-    checkpoint_hook=None,
-) -> MeterResult:
-    """The checkpointed sampling meter (``meter="sampled"``): exact sup
-    at a fraction of the exact meter's per-step cost.
-
-    The machine trajectory is *identical* to :func:`run_metered`'s —
-    the GC rule only removes unreachable locations, locations are never
-    reused, and compaction runs on the same cadence — so the answer and
-    step count always agree.  Space is handled lazily:
-
-    - Every step reads an O(1) *bound* on the exact pre-GC space: the
-      current register/continuation/accumulator terms (exact) plus the
-      lazily-collected store's maintained total (a superset of the
-      exact store, so the bound can only overestimate).  Under linked
-      accounting the ledger's staleness is covered by adding one word
-      per location allocated since the last root sync — every binding
-      pair created since then uses a fresh location.
-    - When the bound exceeds the running sup (or every
-      ``checkpoint_every`` transitions, or ``burst`` allocations
-      accumulated), the exact measurement is reconstructed
-      *retroactively*: sync the engine's roots to the previous
-      configuration and apply the GC rule with the current step's
-      allocations pinned.  The store is then exactly the pre-GC store
-      of the current step, and the same O(1) read is exact.
-    - A step that wrote to the store cannot be reconstructed (the
-      write may have dropped edges that kept garbage reachable in the
-      exact schedule, so the retro-collection could delete cells the
-      exact pre-GC store still charges).  Such a step records its
-      bound as a *suspect* instead; reclamation soundness is
-      unaffected (everything deleted is unreachable in both
-      schedules).
-
-    The run is *certified* when every suspect bound is dominated by the
-    final sup — then the sup is provably exact: a missed peak at step k
-    would have forced ``bound(k) >= space(k) > sup``, triggering either
-    an exact trip (contradiction) or an undominated suspect.  An
-    uncertified run transparently replays under :func:`run_metered`.
-    Either way the returned sup equals the exact meter's.
-
-    ``budget`` caps ``|P| + sup space`` exactly as in
-    :func:`run_metered`: every certified measurement (exact trips, the
-    no-GC fast path, the degraded fallback schedule) checks on update
-    and raises :class:`QuotaExceeded` on crossing.  Suspect bounds
-    never kill — they are not certified — but an over-budget peak
-    hiding in a suspect leaves the run uncertified, and the exact
-    replay (which inherits ``budget``) kills it there.
-
-    ``checkpoint_hook(steps, consumption)`` is called with the running
-    certified lower bound at the prime measurement, after every exact
-    trip, and every ``checkpoint_every`` steps on the trip-free paths —
-    the serving layer's progress heartbeat.
-    """
-    if engine == "reference":
-        raise ValueError(
-            "sampled metering needs a delta-family engine for its O(1) "
-            "space bound; use engine='delta' or engine='generational'"
-        )
-    if checkpoint_every <= 0:
-        raise ValueError("checkpoint_every must be positive")
-    program_size = ast_size(program)
-    meter = make_meter(machine, linked, fixed_precision, engine)
-    state = machine.inject(program, argument)
-    store = state.store
-    uses_gc = machine.uses_gc_rule
-    compacts = type(machine).compact is not Machine.compact
-    fp = fixed_precision
-    trips = 0
-    checkpoints = 0
-    suspects: List[Tuple[int, int]] = []
-    try:
-        collected = meter.prime(state)
-        sup_space = meter.measure(state)
-        peak_step = 0
-        if budget is not None and program_size + sup_space > budget:
-            raise _quota_kill(
-                machine, budget, program_size, sup_space, 0,
-                linked, fixed_precision, state,
-            )
-        if checkpoint_hook is not None:
-            checkpoint_hook(0, program_size + sup_space)
-        sync_loc = store._next_location
-        last_collect_loc = sync_loc
-        steps = 0
-        step = machine.step
-        transition = meter.transition
-        measure = meter.measure
-        while True:
-            prev = state
-            mut_mark = store.mut_version
-            alloc_mark = store._next_location
-            configuration = step(state)
-            steps += 1
-            if configuration.is_final:
-                break
-            state = configuration
-            if meter.fallback:
-                # An escape procedure entered the configuration: the
-                # tracker is gone, so degrade to the exact per-step
-                # schedule (parity with run_metered on such programs).
-                transition(state)
-                space = measure(state)
-                if space > sup_space:
-                    sup_space, peak_step = space, steps
-                    if budget is not None and program_size + space > budget:
-                        raise _quota_kill(
-                            machine, budget, program_size, space, steps,
-                            linked, fixed_precision, state,
-                        )
-                if checkpoint_hook is not None and (
-                    steps % checkpoint_every == 0
-                ):
-                    checkpoint_hook(steps, program_size + sup_space)
-                if uses_gc and steps % gc_interval == 0:
-                    if compacts:
-                        compacted = machine.compact(state)
-                        if compacted is not state:
-                            state = compacted
-                    collected += meter.collect(state)
-                if steps >= step_limit:
-                    raise StepLimitExceeded(steps)
-                continue
-            if linked:
-                bound = measure(state) + (store._next_location - sync_loc)
-            else:
-                bound = (
-                    len(state.env._bindings)
-                    + state.kont.flat_space
-                    + (store._space_fixed if fp else store._space_bignum)
-                )
-                if state.is_value:
-                    bound += value_space(state.control, fp)
-                if not uses_gc:
-                    # No GC rule: the lazy store IS the exact store and
-                    # every flat term is current, so the bound is the
-                    # exact space — no reconstruction ever needed.
-                    if bound > sup_space:
-                        sup_space, peak_step = bound, steps
-                        if budget is not None and (
-                            program_size + bound > budget
-                        ):
-                            raise _quota_kill(
-                                machine, budget, program_size, bound, steps,
-                                linked, fixed_precision, state,
-                            )
-                    if checkpoint_hook is not None and (
-                        steps % checkpoint_every == 0
-                    ):
-                        checkpoint_hook(steps, program_size + sup_space)
-                    if steps >= step_limit:
-                        raise StepLimitExceeded(steps)
-                    continue
-            due = (
-                steps % checkpoint_every == 0
-                or store._next_location - last_collect_loc >= burst
-            )
-            if bound > sup_space or due:
-                wrote = uses_gc and store.mut_version != mut_mark
-                if wrote and not due:
-                    suspects.append((steps, bound))
-                else:
-                    transition(prev)
-                    if uses_gc:
-                        collected += meter.collect(prev, pin_from=alloc_mark)
-                    transition(state)
-                    space = measure(state)
-                    if space > sup_space:
-                        sup_space, peak_step = space, steps
-                        if budget is not None and (
-                            program_size + space > budget
-                        ):
-                            raise _quota_kill(
-                                machine, budget, program_size, space, steps,
-                                linked, fixed_precision, state,
-                            )
-                    if wrote and bound > sup_space:
-                        # The reading is only a lower bound of the
-                        # exact pre-GC space on a write step.
-                        suspects.append((steps, bound))
-                    sync_loc = store._next_location
-                    last_collect_loc = sync_loc
-                    trips += 1
-                    if due:
-                        checkpoints += 1
-                    if checkpoint_hook is not None:
-                        checkpoint_hook(steps, program_size + sup_space)
-            if compacts and steps % gc_interval == 0:
-                compacted = machine.compact(state)
-                if compacted is not state:
-                    state = compacted
+                        engine_meter.audit(state)
             if steps >= step_limit:
                 raise StepLimitExceeded(steps)
 
-        final = configuration
-        if meter.fallback:
-            transition(final)
-            space = measure(final)
-            if space > sup_space:
-                sup_space, peak_step = space, steps
-                if budget is not None and program_size + space > budget:
-                    raise _quota_kill(
-                        machine, budget, program_size, space, steps,
-                        linked, fixed_precision, final,
-                    )
-            if uses_gc:
-                collected += meter.collect_final(final)
-        else:
-            wrote = uses_gc and store.mut_version != mut_mark
-            if linked:
-                bound = measure(final) + (store._next_location - sync_loc)
-            else:
-                bound = (
-                    store._space_fixed if fp else store._space_bignum
-                ) + value_space(final.value, fp)
-                if not uses_gc:
-                    if bound > sup_space:
-                        sup_space, peak_step = bound, steps
-                        if budget is not None and (
-                            program_size + bound > budget
-                        ):
-                            raise _quota_kill(
-                                machine, budget, program_size, bound, steps,
-                                linked, fixed_precision, final,
-                            )
-                    bound = sup_space  # exact; no suspect, no trip
-            if bound > sup_space:
-                if wrote:
-                    suspects.append((steps, bound))
-                    transition(final)
-                else:
-                    transition(prev)
-                    if uses_gc:
-                        collected += meter.collect(prev, pin_from=alloc_mark)
-                    transition(final)
-                    space = measure(final)
-                    if space > sup_space:
-                        sup_space, peak_step = space, steps
-                        if budget is not None and (
-                            program_size + space > budget
-                        ):
-                            raise _quota_kill(
-                                machine, budget, program_size, space, steps,
-                                linked, fixed_precision, final,
-                            )
-                    trips += 1
-            else:
-                transition(final)
-            if uses_gc:
-                collected += meter.collect_final(final)
-
-        certified = all(bound <= sup_space for _step, bound in suspects)
-        stats = _engine_stats(
-            meter,
-            engine,
-            {
-                "mode": "sampled",
-                "trips": trips,
-                "checkpoints": checkpoints,
-                "suspect_steps": len(suspects),
-                "certified": certified,
-                "exact_rerun": False,
-                "checkpoint_every": checkpoint_every,
-                "burst": burst,
-            },
-        )
-        if not certified:
-            meter.detach(store)
+        if metrics is not None:
+            _finalize_metrics(
+                metrics,
+                machine.name,
+                accounting,
+                engine_meter,
+                sup_space,
+                steps,
+                restrict_token,
+            )
+            restrict_token = None
+        stats = {"mode": mode}
+        if mode == "sampled":
+            certified = all(bound <= sup_space for _step, bound in suspects)
+            stats.update(
+                trips=trips,
+                checkpoints=checkpoints,
+                suspect_steps=len(suspects),
+                certified=certified,
+                exact_rerun=False,
+            )
+        stats = _engine_stats(engine_meter, engine, stats)
+        if mode == "sampled" and not certified:
+            engine_meter.detach(store)
             result = run_metered(
                 machine,
                 program,
                 argument,
                 linked=linked,
                 fixed_precision=fixed_precision,
-                gc_interval=gc_interval,
                 step_limit=step_limit,
                 engine=engine,
                 budget=budget,
             )
-            stats["certified"] = True
-            stats["exact_rerun"] = True
-            stats["engine"] = result.meter_stats.get("engine", engine)
+            stats.update(certified=True, exact_rerun=True)
             result.meter_stats = stats
             return result
         return MeterResult(
@@ -1227,10 +1131,13 @@ def run_sampled(
             final=final,
             collected=collected,
             peak_step=peak_step,
+            trace=samples,
             meter_stats=stats,
         )
     finally:
-        meter.detach(store)
+        engine_meter.detach(store)
+        if restrict_token is not None:
+            pop_restrict_stats(restrict_token)
 
 
 def run_to_final(

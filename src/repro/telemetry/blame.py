@@ -531,7 +531,7 @@ class BlameProfiler:
         self.fixed_precision = fixed_precision
 
     def attach_engine(self, meter) -> None:
-        """Wire the incremental delta into a delta-family engine
+        """Wire the incremental delta into the delta engine
         (called by ``run_metered`` after :meth:`bind`; a no-op unless
         ``incremental=True`` and the engine supports the hook)."""
         if not self.incremental or not hasattr(meter, "blame_inc"):

@@ -1,8 +1,6 @@
-; Short-lived garbage churned across nursery-span boundaries while a
-; survivor list keeps growing: the generational engine must promote
-; the survivors (their survival counts crossing the threshold) while
-; collecting the churn without rescanning tenured state, and every
-; engine must still report identical sup/steps/collected.
+; Short-lived garbage churned while a survivor list keeps growing: the
+; engines must collect the churn, keep every survivor, and report
+; identical sup/steps/collected.
 (define (f n)
   (define (make k)
     (if (zero? k) '() (cons k (make (- k 1)))))

@@ -1,8 +1,8 @@
 ; A long-lived pair mutated to point at freshly allocated structure:
-; after the generational engine tenures the pair, each set-cdr!
-; creates an old-to-young edge that only the remembered set can see.
-; Forgetting it would let a nursery-local collection free reachable
-; cells and under-report the sup.
+; each set-cdr! writes an edge from an old cell to a younger one (a
+; forward edge, so the pair becomes a cycle anchor).  Losing track of
+; it would let a collection free reachable cells and under-report the
+; sup.
 (define (f n)
   (let ((anchor (cons 0 '())))
     (define (churn i)

@@ -190,9 +190,9 @@ class TestMeterAuditCommand:
         assert main(["analyze", "--meter-audit", loop_file,
                      "--machine", "gc"]) == 0
         out = capsys.readouterr().out
-        assert "generational meter audit [gc]" in out
-        for column in ("program", "meter", "steps", "collect", "scans",
-                       "promote", "remem", "cert"):
+        assert "delta meter audit [gc]" in out
+        for column in ("program", "meter", "steps", "collect", "trials",
+                       "fallback", "trips", "checkpts", "cert"):
             assert column in out
         # One exact row and one sampled row per program.
         assert sum(line.split()[1] == "exact"
@@ -215,15 +215,23 @@ class TestMeterAuditCommand:
         steps = {row[1]: int(row[2]) for row in rows}
         assert steps["exact"] == steps["sampled"]
 
-    def test_sampled_meter_refuses_telemetry_flags(self, loop_file):
-        """The guard behind the audit: telemetry needs per-transition
-        observation points, which the sampled meter does not have."""
+    def test_sampled_meter_with_telemetry_runs_eagerly(self, loop_file):
+        """Telemetry needs every configuration, so a sampled run that
+        carries it takes the eager schedule — same numbers as the
+        exact meter, no refusal."""
         from repro.space.consumption import measure
         from repro.telemetry.blame import BlameProfiler
 
-        with pytest.raises(ValueError, match="observation points"):
-            measure("gc", open(loop_file).read(), "5", meter="sampled",
-                    blame=BlameProfiler())
+        source = open(loop_file).read()
+        runs = {
+            meter: measure("gc", source, "5", meter=meter,
+                           blame=BlameProfiler())
+            for meter in ("exact", "sampled")
+        }
+        assert runs["sampled"].meter_stats["mode"] == "exact"
+        assert (runs["sampled"].total, runs["sampled"].steps) == (
+            runs["exact"].total, runs["exact"].steps
+        )
 
 
 class TestRetentionCommands:
@@ -303,10 +311,23 @@ class TestRetentionCommands:
         assert "retained words per dominating root over the grid" in out
         assert "samples, summed" in out
 
-    def test_sweep_sampled_meter_refuses_retention_sample(self, loop_file):
-        with pytest.raises(SystemExit, match="observation points"):
-            main(["sweep", loop_file, "--ns", "4", "--machine", "gc",
-                  "--meter", "sampled", "--retention-sample", "4"])
+    def test_sweep_sampled_meter_with_retention_sample_runs_eagerly(
+        self, loop_file, capsys
+    ):
+        from repro.harness.sweep import SweepCell, run_cell
+
+        outputs = {}
+        for meter in ("exact", "sampled"):
+            assert main(["sweep", loop_file, "--ns", "4,8",
+                         "--machine", "gc", "--meter", meter,
+                         "--retention-sample", "4"]) == 0
+            outputs[meter] = capsys.readouterr().out
+        assert outputs["sampled"] == outputs["exact"]
+        outcome = run_cell(SweepCell(
+            key=("gc",), machine="gc", program=open(loop_file).read(),
+            argument="8", meter="sampled", retention_sample=4,
+        ))
+        assert outcome.result.meter_stats["mode"] == "exact"
 
 
 class TestTraceCommand:

@@ -17,9 +17,9 @@ equivalence of the final answer across
 * both accountings (Figure 7 total and Figure 8 linked),
 
 plus the unmetered fused driver.  A second, reduced-machine matrix
-crosses the full engine axis — reference/delta/generational x
-exact/sampled metering — and holds the *numbers* (sup, steps,
-collected), not just the answers, equal across it.  Any divergence
+crosses the full engine axis — reference/delta x exact/sampled
+metering — and holds the *numbers* (sup, steps, collected), not just
+the answers, equal across it.  Any divergence
 anywhere in either matrix — a fusion that changed an answer, a meter
 that drove the machine differently, a variant hook that broke §11 —
 shows up as a two-element answer set, and hypothesis shrinks the
@@ -44,7 +44,7 @@ from repro.machine.answer import answer_string
 from repro.machine.errors import StuckError
 from repro.machine.variants import ALL_MACHINES, make_stepper
 from repro.space.consumption import prepare_input, prepare_program
-from repro.space.meter import run_metered, run_sampled, run_to_final
+from repro.space.meter import ENGINES, METERS, run_metered, run_to_final
 
 ALL_MACHINE_NAMES = tuple(sorted(ALL_MACHINES))
 
@@ -199,27 +199,22 @@ ENGINE_MATRIX_MACHINES = ("gc", "mta", "tail")
 
 def engine_matrix_outcomes(source: str, argument: str = ARGUMENT) -> dict:
     """(answer, steps, sup, collected) for every cell of machine x
-    engine x meter-mode x accounting on the reduced subset.  The
-    sampled meter never carries the reference engine (it needs a
-    delta-family engine for its O(1) bound)."""
+    engine x meter-mode x accounting on the reduced subset."""
     program_expr = prepare_program(source)
     argument_expr = prepare_input(argument)
     outcomes = {}
     for name in ENGINE_MATRIX_MACHINES:
         for accounting in ("S", "U"):
             linked = accounting == "U"
-            for engine in ("reference", "delta", "generational"):
-                modes = ("exact",) if engine == "reference" else (
-                    "exact", "sampled"
-                )
-                for mode in modes:
-                    runner = run_metered if mode == "exact" else run_sampled
-                    def cell(runner=runner, engine=engine, linked=linked):
-                        result = runner(
+            for engine in ENGINES:
+                for mode in METERS:
+                    def cell(mode=mode, engine=engine, linked=linked):
+                        result = run_metered(
                             make_stepper(name, "gen2"),
                             program_expr,
                             argument_expr,
                             engine=engine,
+                            meter=mode,
                             linked=linked,
                             step_limit=FUEL,
                         )
@@ -286,9 +281,8 @@ def test_random_programs_observationally_equivalent(body):
 @given(random_bodies)
 @settings(max_examples=20, deadline=None)
 def test_random_programs_engine_matrix_equivalent(body):
-    """The engine axis: reference/delta/generational x exact/sampled
-    agree on answer, steps, sup, and collected — numbers, not just
-    answers."""
+    """The engine axis: reference/delta x exact/sampled agree on
+    answer, steps, sup, and collected — numbers, not just answers."""
     clear_prepass_caches()
     assert_engine_matrix_equivalent(wrap(body))
 

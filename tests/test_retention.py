@@ -22,6 +22,7 @@ from repro.machine.variants import make_machine
 from repro.space.consumption import prepare_program
 from repro.space.flat import configuration_space
 from repro.space.linked import configuration_space_linked
+from repro.space.meter import ENGINES
 from repro.telemetry.export import (
     validate_flamegraph,
     validate_retention_jsonl,
@@ -187,7 +188,7 @@ def test_provenance_stamps_allocation_sites_and_steps():
 
 
 def test_provenance_survives_every_engine():
-    for engine in ("delta", "generational", "reference"):
+    for engine in ENGINES:
         _result, profiler = retention_run("gc", BUILD, "5", engine=engine)
         snapshot = profiler.at_peak
         assert any(
@@ -377,9 +378,15 @@ def test_sweep_cell_without_retention_ships_none():
     assert len(aggregate_retention([outcome])) == 0
 
 
-def test_sampled_meter_refuses_retention():
-    outcome = run_cell(SweepCell(key=("gc", 4), machine="gc", program=LOOP,
-                                 argument="4", meter="sampled",
-                                 retention_sample=1))
-    assert outcome.error is not None
-    assert "exact meter" in outcome.error
+def test_sampled_meter_with_retention_runs_eagerly():
+    outcomes = {
+        meter: run_cell(SweepCell(key=("gc", 4), machine="gc",
+                                  program=LOOP, argument="4", meter=meter,
+                                  retention_sample=1))
+        for meter in ("exact", "sampled")
+    }
+    sampled, exact = outcomes["sampled"], outcomes["exact"]
+    assert sampled.error is None
+    assert sampled.result.meter_stats["mode"] == "exact"
+    assert sampled.total == exact.total
+    assert sampled.retention == exact.retention

@@ -7,7 +7,7 @@ scheduler's contract: the cell is re-queued, the tenant sees a
 quota tests pin the governor's soundness both directions: an exact sup
 over budget is always killed (at a certified measurement that is a
 *lower bound* of the true sup), an exact sup at-or-under budget never
-is — across both accountings and all three engines.
+is — across both accountings, both engines and both meters.
 """
 
 import argparse
@@ -42,10 +42,11 @@ from repro.serving.protocol import (
     validate_result,
     validate_submit,
 )
-from repro.serving.quota import quota_receipt, resolve_budget
+from repro.serving.quota import quota_receipt, resolve_budget, run_service_job
 from repro.serving.server import ReproServer
 from repro.serving.session import Backpressure, SessionStore
-from repro.space.meter import ENGINES, QuotaExceeded
+from repro.space.consumption import measure
+from repro.space.meter import ENGINES, METERS, QuotaExceeded
 
 pytestmark = pytest.mark.serving
 
@@ -210,13 +211,13 @@ def test_parallel_grid_equals_serial_under_worker_death():
     machine=st.sampled_from(("tail", "gc", "stack")),
     linked=st.booleans(),
     engine=st.sampled_from(ENGINES),
+    meter=st.sampled_from(METERS),
     n=st.integers(min_value=4, max_value=20),
     over=st.booleans(),
 )
 def test_quota_kills_iff_exact_sup_exceeds_budget(
-    machine, linked, engine, n, over
+    machine, linked, engine, meter, n, over
 ):
-    meter = "exact" if engine == "reference" else "sampled"
     exact = run(
         LOOP, str(n), machine=machine, meter="exact", linked=linked,
         engine="delta",
@@ -289,10 +290,6 @@ def test_validate_submit_normalizes_and_defaults():
         ({"program": LOOP, "budget": 0}, "budget"),
         ({"program": LOOP, "budget": True}, "budget"),
         ({"program": LOOP, "step_limit": 10**12}, "step_limit"),
-        (
-            {"program": LOOP, "meter": "sampled", "engine": "reference"},
-            "delta-family",
-        ),
         ("not-a-dict", "JSON object"),
     ],
 )
@@ -300,6 +297,26 @@ def test_validate_submit_rejects(payload, fragment):
     with pytest.raises(ValueError) as caught:
         validate_submit(payload)
     assert fragment in str(caught.value)
+
+
+def test_sampled_reference_submit_runs_eagerly():
+    """The reference engine has no O(1) bound, so a sampled job on it
+    takes the eager schedule — same numbers as the exact meter."""
+    spec = validate_submit({"program": LOOP, "argument": "12",
+                            "machine": "gc", "meter": "sampled",
+                            "engine": "reference"})
+    runs = {
+        meter: measure("gc", LOOP, "12", engine="reference", meter=meter,
+                       fixed_precision=True)
+        for meter in METERS
+    }
+    assert runs["sampled"].meter_stats["mode"] == "exact"
+    assert (runs["sampled"].total, runs["sampled"].steps) == (
+        runs["exact"].total, runs["exact"].steps
+    )
+    receipt = run_service_job(spec)
+    assert receipt["kind"] == "result"
+    assert receipt["consumption"] == runs["exact"].total
 
 
 def test_validate_receipt_requires_kind_fields():
@@ -553,42 +570,48 @@ def test_serve_quota_kill_vs_tail_completion_end_to_end(tmp_path):
 def test_serve_worker_sigkill_yields_retried_receipt_and_serial_result(
     tmp_path,
 ):
+    """Both meters send progress receipts (the checkpoint hook fires
+    under either schedule); killing the worker at the first one must
+    yield a retried receipt and the serial result."""
     with _serve(spool_dir=str(tmp_path), workers=1) as handle:
-        status, body = _post(f"{handle.url}/submit", {
-            "program": GC_VS_TAIL, "argument": "15000", "machine": "gc",
-            "progress_every": 1,
-        })
-        assert status == 202, body
-        job = body["job"]
-        # Follow the stream; kill the worker at its first heartbeat
-        # (the run is ~10^5 steps past that point, so it dies mid-run).
-        pid = None
-        killed = False
-        with urllib.request.urlopen(
-            f"{handle.url}/jobs/{job}/stream", timeout=120
-        ) as response:
-            for raw in response:
-                record = json.loads(raw)
-                if record.get("kind") == "start" and pid is None:
-                    pid = record["pid"]
-                if record.get("kind") == "progress" and not killed:
-                    assert pid is not None
-                    os.kill(pid, signal.SIGKILL)
-                    killed = True
-                if record.get("kind") in ("result", "quota", "error"):
-                    break
-        snapshot = _poll(handle.url, job)
-        assert snapshot["status"] == "done", snapshot["result"]
-        kinds = [record["kind"] for record in snapshot["records"]]
-        assert "retried" in kinds, kinds
-        assert kinds.count("start") == 2, kinds
-        expected = run(GC_VS_TAIL, "15000", machine="gc", meter="sampled",
-                       fixed_precision=True)
-        assert snapshot["result"]["sup_space"] == expected.sup_space
-        assert snapshot["result"]["steps"] == expected.steps
-        info = validate_job_stream(str(tmp_path / f"{job}.jsonl"))
-        assert info["terminal"] == "result"
-        assert "retried" in info["kinds"]
+        for meter in METERS:
+            status, body = _post(f"{handle.url}/submit", {
+                "program": GC_VS_TAIL, "argument": "15000", "machine": "gc",
+                "meter": meter, "progress_every": 1,
+            })
+            assert status == 202, body
+            job = body["job"]
+            # Follow the stream; kill the worker at its first heartbeat
+            # (the run is ~10^5 steps past that point, so it dies
+            # mid-run).
+            pid = None
+            killed = False
+            with urllib.request.urlopen(
+                f"{handle.url}/jobs/{job}/stream", timeout=120
+            ) as response:
+                for raw in response:
+                    record = json.loads(raw)
+                    if record.get("kind") == "start" and pid is None:
+                        pid = record["pid"]
+                    if record.get("kind") == "progress" and not killed:
+                        assert pid is not None
+                        os.kill(pid, signal.SIGKILL)
+                        killed = True
+                    if record.get("kind") in ("result", "quota", "error"):
+                        break
+            assert killed, meter
+            snapshot = _poll(handle.url, job)
+            assert snapshot["status"] == "done", snapshot["result"]
+            kinds = [record["kind"] for record in snapshot["records"]]
+            assert "retried" in kinds, kinds
+            assert kinds.count("start") == 2, kinds
+            expected = run(GC_VS_TAIL, "15000", machine="gc", meter=meter,
+                           fixed_precision=True)
+            assert snapshot["result"]["sup_space"] == expected.sup_space
+            assert snapshot["result"]["steps"] == expected.steps
+            info = validate_job_stream(str(tmp_path / f"{job}.jsonl"))
+            assert info["terminal"] == "result"
+            assert "retried" in info["kinds"]
 
 
 # -- batch submission --------------------------------------------------
