@@ -12,19 +12,17 @@ iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
+from ..compiler.frontend import Source, prepare_input, prepare_program
 from ..machine.config import Final
 from ..machine.continuation import CallK
 from ..machine.errors import StepLimitExceeded
 from ..machine.machine import Machine
 from ..machine.values import Closure, Escape, Primop
 from ..machine.variants import make_machine
-from ..syntax.ast import Expr
-from ..syntax.expander import expand_expression, expand_program
 from ..syntax.tail import call_sites
 
-Source = Union[str, Expr]
 
 
 @dataclass
@@ -66,16 +64,8 @@ def run_census(
     """Run *program* and count every executed call, classified by the
     static tailness of its call site (Definitions 1-2) and by whether
     it invokes the lambda it occurs in (a dynamic self tail call)."""
-    program_expr = (
-        program if isinstance(program, Expr) else expand_program(program)
-    )
-    argument_expr = None
-    if argument is not None:
-        argument_expr = (
-            argument
-            if isinstance(argument, Expr)
-            else expand_expression(argument)
-        )
+    program_expr = prepare_program(program)
+    argument_expr = prepare_input(argument)
 
     sites = {
         id(site.call): site

@@ -18,14 +18,12 @@ than the special case of self-tail calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
+from ..compiler.frontend import Source, prepare_program
 from ..programs.corpus import load_corpus
-from ..syntax.ast import Expr
-from ..syntax.expander import expand_program
 from .callgraph import classify_calls
 
-Source = Union[str, Expr]
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,7 @@ class FrequencyRow:
 
 def analyze_program(name: str, source: Source) -> FrequencyRow:
     """Compute the Figure 2 row for one program."""
-    program = source if isinstance(source, Expr) else expand_program(source)
-    calls = classify_calls(program)
+    calls = classify_calls(prepare_program(source))
     tail = sum(1 for c in calls if c.is_tail)
     known_tail = sum(1 for c in calls if c.is_known_tail)
     self_tail = sum(1 for c in calls if c.is_self_tail)

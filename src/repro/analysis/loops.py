@@ -3,8 +3,9 @@
 The bytecode pass (:mod:`repro.compiler.bytecode`) turns a lambda
 whose body tail-calls itself into a direct ``while``-shaped loop, and
 the call-graph analysis (:mod:`repro.analysis.callgraph`) is what
-proves each back edge.  This module runs exactly that pipeline ahead
-of time — classify, compile, probe ``Code.has_loop`` — and renders
+proves each back edge.  This module runs that pipeline ahead of time —
+classify, compile, find each self-tail site among the code's tail
+calls — and renders
 the result as a ranked table, so the loop-reconstruction decisions
 the stepper makes at run time are auditable from the CLI
 (``repro analyze --loops``) without running anything.
@@ -21,8 +22,9 @@ self-tail call), ranked by self-tail site count:
   enclosing lambda is the candidate (how much of the loop frame the
   back edge covers);
 - ``compiled`` — the bytecode pass accepted the body;
-- ``loop`` — the compiled code carries the reconstructed back edge
-  (``Code.has_loop``), i.e. the candidate actually became a loop.
+- ``loop`` — the compiled code carries a self-tail site as a tail
+  call, the reconstructed back edge, i.e. the candidate actually
+  became a loop.
 
 ``compiled=yes, loop=no`` marks a body the pass lowers but where no
 self-tail site survived lowering; ``compiled=no`` marks a declined
@@ -32,16 +34,13 @@ body (the machine falls back to the gen-2 stepper for it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..compiler.bytecode import gen3_code, register_program
-from ..compiler.prepass import annotate
+from ..compiler.bytecode import EA_TAIL, OP_CALL, gen3_code
+from ..compiler.frontend import Source, prepare_program
 from ..programs.corpus import load_corpus
 from ..syntax.ast import Expr, Lambda, Var
-from ..syntax.expander import expand_program
 from .callgraph import classify_calls
-
-Source = Union[str, Expr]
 
 
 @dataclass(frozen=True)
@@ -73,13 +72,11 @@ def _site_label(operator: Expr) -> Optional[str]:
 def loop_candidates(name: str, source: Source) -> Tuple[LoopCandidate, ...]:
     """All self-tail-loop candidates of one program, ranked.
 
-    Runs the same classify-then-compile pipeline the gen-3 machine
-    runs at injection, so the ``compiled``/``loop`` columns report
-    the decisions the stepper itself would make.
+    Compiles each candidate exactly as the gen-3 machine does on
+    first entry, so the ``compiled``/``loop`` columns report the
+    decisions the stepper itself would make.
     """
-    program = source if isinstance(source, Expr) else expand_program(source)
-    annotate(program)
-    register_program(program)
+    program = prepare_program(source)
     per_lambda: Dict[int, List] = {}
     lambdas: Dict[int, Lambda] = {}
     for cc in classify_calls(program):
@@ -107,6 +104,7 @@ def loop_candidates(name: str, source: Source) -> Tuple[LoopCandidate, ...]:
                 label = site
                 break
         code = gen3_code(lam)
+        calls = {cc.call for cc in sites}
         body = inside.get(key, sites)
         rows.append(
             LoopCandidate(
@@ -117,7 +115,11 @@ def loop_candidates(name: str, source: Source) -> Tuple[LoopCandidate, ...]:
                 tail_calls=sum(1 for cc in body if cc.is_tail),
                 calls=len(body),
                 compiled=code is not None,
-                has_loop=code is not None and code.has_loop,
+                has_loop=code is not None and any(
+                    instr[0] == OP_CALL and instr[6] == EA_TAIL
+                    and instr[1].site in calls
+                    for instr in code.instrs
+                ),
             )
         )
     rows.sort(key=lambda row: (-row.self_tail_sites, row.label))

@@ -27,6 +27,7 @@
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import List, Optional
 
@@ -647,6 +648,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def announce(line: str) -> None:
         print(line, flush=True)
 
+    # SIGTERM stops the server the way Ctrl-C does, so the pool is shut
+    # down below instead of orphaning its workers.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         asyncio.run(server.serve_forever(announce=announce))
     except KeyboardInterrupt:

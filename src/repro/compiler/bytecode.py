@@ -10,13 +10,13 @@ interpreter loop (``machine.machine._run_code``):
 
 - operand runs become *slot* lists read straight from registers,
   interned constants, or environment bindings;
-- calls classified by ``analysis.callgraph`` as self-tail calls of a
-  known lambda become direct back-edges (``EA_SELF``): the interpreter
+- a tail call whose operator turns out, at run time, to be the
+  lambda being executed becomes a direct back-edge: the interpreter
   commits the seed's apply effects (argument allocation, environment
   extension, the variant's frame continuation) and jumps to
   instruction 0 of the same code object — a Python ``while`` loop in
   place of Push/CallK continuation traffic;
-- known non-tail calls (``EA_KNOWN``) descend into the callee's code
+- non-tail calls of compiled closures descend into the callee's code
   in the same interpreter (bounded Python recursion), and direct
   lambda applications in tail position (``let``) are inlined into the
   caller's code (``EA_DIRECT``).
@@ -37,19 +37,20 @@ failed guard materializes the call continuation and exits — the
 generic — exact — rules then apply whatever the operator really is.
 
 Like the prepass, everything here is **derived, never authoritative**:
-caches are pure functions of the immutable AST plus the program-wide
-call classification, interned per node.
+a lambda's code is a pure function of the immutable AST, compiled on
+first entry and kept on the ``Lambda`` node itself
+(:func:`repro.syntax.ast.derive`), so it lives and dies with the
+program and pickles with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-from ..analysis.callgraph import classify_calls
 from ..machine.policy import identity_permutation
-from ..syntax.ast import Call, Expr, If, Lambda, Quote, Var, walk
+from ..syntax.ast import Call, Expr, If, Lambda, Quote, Var, derive
 from ..syntax.free_vars import branch_free_vars
-from .prepass import _VAR_ADDRS, call_plan, if_test_plan, quote_value
+from .prepass import call_plan, if_test_plan, quote_value
 
 # -- opcodes ---------------------------------------------------------------
 
@@ -89,15 +90,16 @@ _INLINE_DEPTH = 8
 class Code:
     """One compiled lambda body."""
 
-    __slots__ = ("lam", "nregs", "instrs", "has_loop", "ncalls", "fns")
+    __slots__ = ("lam", "nregs", "instrs", "fns")
 
-    def __init__(self, lam: Lambda, nregs: int, instrs: tuple,
-                 has_loop: bool, ncalls: int):
+    #: Codes built in this process (:func:`code_count`).
+    built = 0
+
+    def __init__(self, lam: Lambda, nregs: int, instrs: tuple):
+        Code.built += 1
         self.lam = lam
         self.nregs = nregs
         self.instrs = instrs
-        self.has_loop = has_loop
-        self.ncalls = ncalls
         # Machine class -> generated Python function (tier 3b, see
         # compiler/pycodegen.py), or None when generation declined.
         self.fns = {}
@@ -105,100 +107,37 @@ class Code:
     def __repr__(self) -> str:
         return (
             f"Code(params={self.lam.params}, nregs={self.nregs}, "
-            f"|instrs|={len(self.instrs)}, loop={self.has_loop})"
+            f"|instrs|={len(self.instrs)})"
         )
 
     def __getstate__(self):
         # fns holds tier-3b generated Python functions (unpicklable);
         # pycodegen regenerates them lazily in the receiving process.
-        return (self.lam, self.nregs, self.instrs, self.has_loop,
-                self.ncalls)
+        return (self.lam, self.nregs, self.instrs)
 
     def __setstate__(self, state):
-        self.lam, self.nregs, self.instrs, self.has_loop, self.ncalls \
-            = state
+        self.lam, self.nregs, self.instrs = state
         self.fns = {}
-
-
-#: Lambda -> Code | None (None: compiled and judged not worth running —
-#: the probe then never re-compiles).
-_CODE: Dict[Lambda, Optional[Code]] = {}
-
-#: Call -> ClassifiedCall for every registered program (the bytecode
-#: pass's view of analysis/callgraph; filled by register_program).
-_CALL_INFO: Dict[Call, object] = {}
-
-#: id(program) -> program, so repeated injection of the same expression
-#: classifies once (nodes are interned per program text).
-_REGISTERED: Dict[int, Expr] = {}
-
-_MISSING = object()
-
-
-def register_program(program: Expr) -> None:
-    """Run the call-graph classification over *program* once and index
-    every call site for the compiler (invoked from Machine.inject for
-    gen-3 machines)."""
-    key = id(program)
-    if key in _REGISTERED:
-        return
-    _REGISTERED[key] = program
-    for cc in classify_calls(program):
-        _CALL_INFO[cc.call] = cc
 
 
 def gen3_code(lam: Lambda) -> Optional[Code]:
     """The compiled code of *lam*, compiling on first probe; None when
-    the body is not worth (or not safely) compiling."""
-    code = _CODE.get(lam, _MISSING)
-    if code is _MISSING:
-        # Pre-publish None: a self-referential compile (EA_SELF needs
-        # no recursion, but defensive) sees "not compiled" not a loop.
-        _CODE[lam] = None
-        code = _compile_lambda(lam)
-        _CODE[lam] = code
-    return code
-
-
-def clear_gen3_caches() -> None:
-    """Drop compiled codes and call classifications (testing hygiene;
-    chained from clear_prepass_caches)."""
-    _CODE.clear()
-    _CALL_INFO.clear()
-    _REGISTERED.clear()
+    the body is not worth (or not safely) compiling.  The result is
+    kept on the node, so the probe never re-compiles."""
+    try:
+        return lam.code
+    except AttributeError:
+        pass
+    # Pre-publish None: a self-referential compile sees "not compiled",
+    # not a loop.
+    derive(lam, "code", None)
+    return derive(lam, "code", _compile_lambda(lam))
 
 
 def code_count() -> int:
-    """Number of lambdas with live compiled code (introspection)."""
-    return sum(1 for code in _CODE.values() if code is not None)
-
-
-def export_gen3(program: Expr) -> Dict[str, dict]:
-    """Per-program slices of the gen-3 caches — the bytecode half of
-    artifact (de)hydration (:mod:`repro.serving.artifacts`).  Every
-    lambda is compiled eagerly so the artifact carries the finished
-    codes; ``None`` entries (judged not worth compiling) ship too, so
-    hydrated processes never re-probe them."""
-    register_program(program)
-    codes: Dict[Lambda, Optional[Code]] = {}
-    call_info: Dict[Call, object] = {}
-    for node in walk(program):
-        cls = node.__class__
-        if cls is Lambda:
-            codes[node] = gen3_code(node)
-        elif cls is Call:
-            info = _CALL_INFO.get(node)
-            if info is not None:
-                call_info[node] = info
-    return {"codes": codes, "call_info": call_info}
-
-
-def install_gen3(program: Expr, tables: Dict[str, dict]) -> None:
-    """Install exported gen-3 tables for a hydrated *program* and mark
-    it registered — the inverse of :func:`export_gen3`."""
-    _CODE.update(tables["codes"])
-    _CALL_INFO.update(tables["call_info"])
-    _REGISTERED[id(program)] = program
+    """Number of :class:`Code` objects built in this process
+    (introspection: perfbench reads its growth per job)."""
+    return Code.built
 
 
 # -- the compiler ----------------------------------------------------------
@@ -207,15 +146,12 @@ def install_gen3(program: Expr, tables: Dict[str, dict]) -> None:
 class _Emitter:
     """Mutable state of one lambda-body compilation."""
 
-    __slots__ = ("lam", "instrs", "nregs", "ncalls", "nifs", "has_loop")
+    __slots__ = ("lam", "instrs", "nregs")
 
     def __init__(self, lam: Lambda):
         self.lam = lam
         self.instrs = []
         self.nregs = len(lam.params)
-        self.ncalls = 0
-        self.nifs = 0
-        self.has_loop = False
 
     def reg(self) -> int:
         r = self.nregs
@@ -236,7 +172,7 @@ def _compile_lambda(lam: Lambda) -> Optional[Code]:
     # the interpreter would do nothing but bounce back out.
     if em.instrs[0][0] == OP_DEOPT:
         return None
-    return Code(lam, em.nregs, tuple(em.instrs), em.has_loop, em.ncalls)
+    return Code(lam, em.nregs, tuple(em.instrs))
 
 
 def _slot(em: _Emitter, plan, i: int, scope) -> Optional[tuple]:
@@ -302,7 +238,7 @@ def _emit_tail(em: _Emitter, expr: Expr, scope, ctx, depth) -> None:
         return
     if cls is Var:
         reg = scope.get(expr.name)
-        if reg is not None and _VAR_ADDRS.get(expr) is not None:
+        if reg is not None and expr.addr is not None:
             spec = (S_REG, reg, None)
         else:
             spec = (S_NAME, expr.name, None)
@@ -328,7 +264,7 @@ def _emit_if(em: _Emitter, node: If, scope, ctx, depth) -> None:
     tspec = None
     if tcls is Var:
         reg = scope.get(test.name)
-        if reg is not None and _VAR_ADDRS.get(test) is not None:
+        if reg is not None and test.addr is not None:
             tspec = (S_REG, reg, None)
         else:
             tspec = (S_NAME, test.name, None)
@@ -346,7 +282,6 @@ def _emit_if(em: _Emitter, node: If, scope, ctx, depth) -> None:
         # the generic rules (select frame and all).
         em.instrs.append((OP_DEOPT, node, ctx))
         return
-    em.nifs += 1
     sel_fvs = branch_free_vars(node.consequent, node.alternative)
     at = len(em.instrs)
     em.instrs.append(None)  # patched below (needs else_pc)
@@ -372,9 +307,7 @@ def _emit_call(em: _Emitter, site: Call, tail: bool, scope, ctx, depth,
     kinds = plan.kinds
     exprs = plan.in_order
     count = len(exprs)
-    cc = _CALL_INFO.get(site)
     vreg = em.reg()
-    em.ncalls += 1
 
     slots = []
     i0 = 0
@@ -408,8 +341,6 @@ def _emit_call(em: _Emitter, site: Call, tail: bool, scope, ctx, depth,
     last_seg = (OP_CALL, plan, resume, i0, tuple(slots), vreg)
     nargs = count - 1
     if tail:
-        if cc is not None and cc.is_self_tail:
-            em.has_loop = True  # the statically provable loop
         if (
             kinds[0] == 3
             and len(exprs[0].params) == nargs

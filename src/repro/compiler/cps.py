@@ -38,13 +38,11 @@ branching so conversion never duplicates code.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set, Union
+from typing import FrozenSet, Optional, Set
 
 from ..machine.primitives import primitive_names
 from ..syntax.ast import Call, Expr, If, Lambda, Quote, SetBang, Var
-from ..syntax.expander import expand_program
-
-Source = Union[str, Expr]
+from .frontend import Source, prepare_program
 
 #: Standard procedures that transfer control and therefore cannot be
 #: applied directly in CPS code.
@@ -74,12 +72,14 @@ class CpsConverter:
     def convert(self, expr: Expr, kont: Expr, bound: FrozenSet[str]) -> Expr:
         """[[expr]] kont, where *bound* holds the lexically bound
         names (so primitive operators can be recognized)."""
+        # Leaves are copied, not shared: the source program is compiled,
+        # and its nodes carry addresses derived from its own lambdas.
         if isinstance(expr, Var):
             if expr.name not in bound and expr.name in self._primitives:
                 return Call((kont, self._eta_expand_primitive(expr.name)))
-            return Call((kont, expr))
+            return Call((kont, Var(expr.name)))
         if isinstance(expr, Quote):
-            return Call((kont, expr))
+            return Call((kont, Quote(expr.value)))
         if isinstance(expr, Lambda):
             kont_name = self.fresh("k")
             body = self.convert(
@@ -233,9 +233,7 @@ def cps_program(program: Source) -> Expr:
     continuation — so ``run(cps_program(P), D)`` and S_X measurements
     work unchanged.
     """
-    program_expr = (
-        program if isinstance(program, Expr) else expand_program(program)
-    )
+    program_expr = prepare_program(program)
     converter = CpsConverter()
     argument_name = converter.fresh("arg")
     function_name = converter.fresh("fn")

@@ -7,7 +7,7 @@ once per step:
 - the free-variable frozenset of every ``Lambda``, every ``If`` branch
   pair, and every ``set!`` target (interned in
   :mod:`repro.syntax.free_vars`, so the I_free/I_sfs restriction hooks
-  become dict lookups);
+  become attribute reads);
 - a :class:`CallPlan` per (call site, evaluation order): the validated
   permutation, the first expression to evaluate, the interned
   pending-suffix tuples, and the free variables of every pending
@@ -45,37 +45,43 @@ annotated stepper equal to the preserved seed stepper
 (:mod:`repro.machine.reference_step`) on answers, step counts, and
 Definition 21/23 space numbers for all eight machines.
 
-:func:`annotate` is invoked by :meth:`Machine.inject`; every cache
-also fills lazily, so states built by hand (tests, the denotational
-semantics) step correctly without a pre-pass.
+Every annotation lives on the node it describes
+(:func:`repro.syntax.ast.derive`): a ``Call`` carries its plans, a
+``Var`` its lexical address, a ``Quote`` its value, an ``If`` its test
+plan, a ``Lambda`` its body plan.  Annotations therefore live exactly
+as long as the tree, a fresh parse starts from a clean slate, and an
+artifact is just the annotated tree pickled
+(:mod:`repro.serving.artifacts`).
+
+:func:`annotate` is invoked by :meth:`Machine.inject` and by the front
+end (:mod:`repro.compiler.frontend`); every annotation also fills
+lazily, so states built by hand (tests, the denotational semantics)
+step correctly without a pre-pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from ..machine.errors import StuckError
-from ..syntax.ast import Call, Expr, If, Lambda, Quote, SetBang, Var, walk
+from ..machine.policy import identity_permutation
+from ..machine.values import constant_value
+from ..syntax.ast import (
+    Call,
+    Expr,
+    If,
+    Lambda,
+    Quote,
+    SetBang,
+    Var,
+    derive,
+)
 from ..syntax.free_vars import (
     branch_free_vars,
     free_vars,
     free_vars_of_all,
     name_set,
 )
-from ..machine.policy import identity_permutation
-
-#: Bound lazily on first quote interning: ``repro.machine.machine``
-#: imports this module, so the reverse import cannot run at module
-#: scope (same pattern as ``repro.machine.store``).
-_constant_value = None
-
-
-def _bind_constant_value():
-    global _constant_value
-    from ..machine.machine import constant_value
-
-    _constant_value = constant_value
-    return constant_value
 
 
 class CallPlan:
@@ -110,7 +116,11 @@ class CallPlan:
         "beta_cache",
     )
 
+    #: Plans built in this process (:func:`plan_count`).
+    built = 0
+
     def __init__(self, site: Call, order: Tuple[int, ...]):
+        CallPlan.built += 1
         exprs = site.exprs
         count = len(exprs)
         if len(order) != count or sorted(order) != list(range(count)):
@@ -157,7 +167,7 @@ class CallPlan:
         #: stay fresh per evaluation), and the inner identity plan of a
         #: kind-4 operand.
         self.addrs = tuple(
-            _VAR_ADDRS.get(expr) if kind == 1 else None
+            expr.addr if kind == 1 else None
             for expr, kind in zip(in_order, self.kinds)
         )
         self.consts = tuple(
@@ -222,66 +232,23 @@ def _expr_kind(expr: Expr) -> int:
     return kind
 
 
-#: site -> order -> CallPlan.  Keyed by node identity (AST nodes hash
-#: by identity); retained for the process lifetime like the free_vars
-#: cache.  Non-default policies add one entry per distinct order seen
-#: at a site (Shuffled adds at most |site|! of them).
-_SITE_PLANS: Dict[Call, Dict[Tuple[int, ...], CallPlan]] = {}
-
-#: site -> its identity-order CallPlan (a single-lookup shortcut for
-#: the left-to-right fused loop; filled by :func:`call_plan`).
-_IDENTITY_PLANS: Dict[Call, CallPlan] = {}
-
-#: Quote node -> interned runtime value.  ``eqv?`` compares numbers,
-#: booleans, symbols, and characters by content, so interning their
-#: values is unobservable; ``str`` constants are excluded (Str eqv? is
-#: identity, so the seed's fresh Str per evaluation is observable).
-_QUOTE_VALUES: Dict[Quote, object] = {}
-
-#: Var node -> gen-2 lexical address ``(slot, path)``: *path* is the
-#: tuple of enclosing lambdas' parameter tuples from the innermost out
-#: to (and including) the binding lambda, and *slot* indexes the name
-#: in the last of them.  Runtime frames record the parameter tuple they
-#: were extended with, so a lookup walks the frame chain checking tuple
-#: *identity* per level and trusts the slot only when every level
-#: matches — restricted or hand-built frames never match and fall back
-#: to named lookup.  ``set!``-target names and free (global) variables
-#: get no entry at all.
-_VAR_ADDRS: Dict[Var, Tuple[int, Tuple[Tuple[str, ...], ...]]] = {}
-
-#: If node -> inner identity CallPlan of its test when the test is an
-#: all-simple call (the gen-2 if/select fusion candidate), else None.
-_IF_TESTS: Dict[If, Optional[CallPlan]] = {}
-
 _ABSENT = object()
-
-
-def var_addr(node: Var):
-    """The gen-2 lexical address of *node*, or None (named lookup)."""
-    return _VAR_ADDRS.get(node)
 
 
 def if_test_plan(node: If) -> Optional[CallPlan]:
     """The interned identity plan of *node*'s test when the test is an
     all-simple call — the shape the gen-2 loop can evaluate without
     materializing the select frame — else None."""
-    entry = _IF_TESTS.get(node, _ABSENT)
-    if entry is _ABSENT:
-        entry = None
+    plan = node.test_plan
+    if plan is None:
         test = node.test
         if type(test) is Call and test.exprs:
             plan = call_plan(test, identity_permutation(len(test.exprs)))
             if plan.simple_all:
-                entry = plan
-        _IF_TESTS[node] = entry
-    return entry
-
-
-#: Lambda -> the identity plan of its body when the body is an
-#: all-simple call (the gen-2 beta superinstruction candidate: a call
-#: to such a closure whose body operator turns out to be a primop is
-#: evaluated as one batched transition), else None.
-_BODY_PLANS: Dict[Lambda, Optional[CallPlan]] = {}
+                derive(node, "test_plan", plan)
+            else:
+                plan = None
+    return plan
 
 
 def body_fuse_plan(lam: Lambda) -> Optional[CallPlan]:
@@ -289,117 +256,137 @@ def body_fuse_plan(lam: Lambda) -> Optional[CallPlan]:
     all-simple call — the accessor/predicate shape (``(car x)``,
     ``(number? tree)``) the gen-2 loop can apply without materializing
     any frame — else None."""
-    entry = _BODY_PLANS.get(lam, _ABSENT)
-    if entry is _ABSENT:
-        entry = None
+    plan = getattr(lam, "body_plan", _ABSENT)
+    if plan is _ABSENT:
+        plan = None
         body = lam.body
         if type(body) is Call and body.exprs:
             plan = call_plan(body, identity_permutation(len(body.exprs)))
-            if plan.simple_all:
-                entry = plan
-        _BODY_PLANS[lam] = entry
-    return entry
+            if not plan.simple_all:
+                plan = None
+        derive(lam, "body_plan", plan)
+    return plan
 
 
-def _resolve_addresses(expr: Expr) -> None:
-    """Assign lexical addresses to every quickenable Var in *expr*.
+#: Node classes whose binding structure :func:`_unlowered` knows.
+_KNOWN = (Call, If, SetBang, Quote, Var)
 
-    A Var is quickenable when it is bound by an enclosing Lambda and
-    its name is never a ``set!`` target anywhere in the program (the
-    issue-mandated fallback; name-based over-approximation is sound —
-    it only disables the fast path).  Address resolution runs before
-    plan interning so :class:`CallPlan` construction sees the table."""
-    mutated = {
-        node.name for node in walk(expr) if node.__class__ is SetBang
-    }
+
+def _unlowered(expr: Expr):
+    """*expr*'s nodes with their lexical scopes, preorder, leaving out
+    every subtree an earlier :func:`annotate` lowered as a root and
+    that sits outside all of *expr*'s lambdas.  No binding of *expr*
+    reaches into such a subtree, so its annotations stand; the
+    ``(P D)`` wrapper of :meth:`Machine.inject` thus lowers only itself
+    and a new argument.  The scope is the tuple of enclosing lambdas'
+    parameter tuples, or None below an unknown Expr subclass (whose
+    binding structure the prepass does not know)."""
+    nodes = []
     stack = [(expr, ())]
     while stack:
         node, scope = stack.pop()
+        if scope == () and node.annotated:
+            continue
+        nodes.append((node, scope))
         cls = node.__class__
-        if cls is Var:
-            name = node.name
-            if name in mutated or node in _VAR_ADDRS:
-                continue
-            path = []
-            for params in reversed(scope):
-                path.append(params)
-                if name in params:
-                    # The third field pre-answers the overwhelmingly
-                    # common depth-1 case: the binding lambda's own
-                    # params tuple when the path is one level (so the
-                    # lookup site is a single identity check + index),
-                    # else False (an ``is`` check against a frame's
-                    # params tuple or None can never match False, so
-                    # deep vars take the chain walk).
-                    _VAR_ADDRS[node] = (
-                        params.index(name),
-                        tuple(path),
-                        params if len(path) == 1 else False,
-                    )
-                    break
-        elif cls is Lambda:
+        if cls is Lambda:
             stack.append((node.body, scope + (node.params,)))
-        elif cls is Call:
-            for sub in node.exprs:
-                stack.append((sub, scope))
-        elif cls is If:
-            stack.append((node.test, scope))
-            stack.append((node.consequent, scope))
-            stack.append((node.alternative, scope))
-        elif cls is SetBang:
-            stack.append((node.expr, scope))
-        # Quote is a leaf; unknown Expr subclasses are left alone — any
-        # Vars below them simply keep the named-lookup path.
+            continue
+        if scope is not None and cls not in _KNOWN:
+            scope = None
+        for sub in reversed(node.subexpressions()):
+            stack.append((sub, scope))
+    return nodes
+
+
+def _resolve_address(node: Var, scope, mutated) -> None:
+    """Assign *node* its gen-2 lexical address when it is quickenable:
+    bound by an enclosing Lambda and its name never a ``set!`` target
+    anywhere in the walk (name-based over-approximation is sound — it
+    only disables the fast path).  Other Vars keep ``addr = None``, the
+    named lookup.
+
+    An address is ``(slot, path, fast)``: *path* is the tuple of
+    enclosing lambdas' parameter tuples from the innermost out to (and
+    including) the binding lambda, and *slot* indexes the name in the
+    last of them.  Runtime frames record the parameter tuple they were
+    extended with, so a lookup walks the frame chain checking tuple
+    *identity* per level and trusts the slot only when every level
+    matches — restricted or hand-built frames never match and fall back
+    to named lookup."""
+    name = node.name
+    if name in mutated or node.addr is not None:
+        return
+    path = []
+    for params in reversed(scope):
+        path.append(params)
+        if name in params:
+            # The third field pre-answers the overwhelmingly common
+            # depth-1 case: the binding lambda's own params tuple when
+            # the path is one level (so the lookup site is a single
+            # identity check + index), else False (an ``is`` check
+            # against a frame's params tuple or None can never match
+            # False, so deep vars take the chain walk).
+            derive(node, "addr", (
+                params.index(name),
+                tuple(path),
+                params if len(path) == 1 else False,
+            ))
+            return
 
 
 def call_plan(site: Call, order: Tuple[int, ...]) -> CallPlan:
     """The interned :class:`CallPlan` for *site* under *order*,
     validating the permutation on first sight only."""
-    plans = _SITE_PLANS.get(site)
+    plan = site.identity_plan
+    if plan is not None and plan.order == order:
+        return plan
+    plans = getattr(site, "plans", None)
     if plans is None:
-        plans = _SITE_PLANS[site] = {}
+        plans = derive(site, "plans", {})
     plan = plans.get(order)
     if plan is None:
         plan = plans[order] = CallPlan(site, order)
         if plan.is_identity:
-            _IDENTITY_PLANS[site] = plan
+            derive(site, "identity_plan", plan)
     return plan
 
 
 def quote_value(node: Quote):
-    """The runtime value of ``(quote c)``, interned when immutable."""
-    value = _QUOTE_VALUES.get(node)
+    """The runtime value of ``(quote c)``, interned when immutable.
+
+    ``eqv?`` compares numbers, booleans, symbols, and characters by
+    content, so interning their values is unobservable; ``str``
+    constants are not interned (``eqv?`` on strings is identity, so the
+    seed's fresh Str per evaluation is observable)."""
+    value = node.const
     if value is None:
-        make = _constant_value or _bind_constant_value()
-        value = make(node.value)
+        value = constant_value(node.value)
         if type(node.value) is not str:
-            _QUOTE_VALUES[node] = value
+            derive(node, "const", value)
     return value
 
 
-#: id(expr) -> expr for expressions the pre-pass has fully walked.
-_ANNOTATED: Dict[int, Expr] = {}
-
-
 def annotate(expr: Expr) -> Expr:
-    """Run the static pre-pass over *expr* (one preorder walk).
+    """Run the static pre-pass over *expr* and mark it lowered.
 
     Interns, per node: Lambda/If/set! free-variable sets, the
     identity-order :class:`CallPlan` of every call site (the default
     left-to-right policy's order; other orders fill lazily at first
     execution), immutable quote values, gen-2 lexical addresses, and
-    if-test fusion plans.  Returns *expr* unchanged — annotations live
-    in side caches, never in the tree.
-
-    Memoized per expression object: re-injecting a program skips the
-    walk entirely (the memo holds the expression alive, so its id
-    cannot be recycled under the entry).
+    if-test fusion plans — all on the nodes themselves.  Returns
+    *expr*.  A root already lowered is returned at once, and lowered
+    subtrees outside every lambda of *expr* are not walked again.
     """
-    if _ANNOTATED.get(id(expr)) is expr:
+    if expr.annotated:
         return expr
-    _ANNOTATED[id(expr)] = expr
-    _resolve_addresses(expr)
-    for node in walk(expr):
+    nodes = _unlowered(expr)
+    mutated = {node.name for node, _ in nodes if node.__class__ is SetBang}
+    # Addresses first, so every CallPlan built below sees its operands'.
+    for node, scope in nodes:
+        if scope and node.__class__ is Var:
+            _resolve_address(node, scope, mutated)
+    for node, _ in nodes:
         cls = node.__class__
         if cls is Call:
             call_plan(node, identity_permutation(len(node.exprs)))
@@ -413,86 +400,11 @@ def annotate(expr: Expr) -> Expr:
             free_vars(node)
         elif cls is Quote:
             quote_value(node)
+    derive(expr, "annotated", True)
     return expr
 
 
-def clear_prepass_caches() -> None:
-    """Drop all interned plans, quote values, and gen-2 annotations
-    (testing hygiene); the gen-3 bytecode caches are derived from these
-    and cleared with them."""
-    _SITE_PLANS.clear()
-    _IDENTITY_PLANS.clear()
-    _QUOTE_VALUES.clear()
-    _VAR_ADDRS.clear()
-    _IF_TESTS.clear()
-    _BODY_PLANS.clear()
-    _ANNOTATED.clear()
-    from .bytecode import clear_gen3_caches  # late: bytecode imports us
-
-    clear_gen3_caches()
-
-
 def plan_count() -> int:
-    """Number of interned (site, order) plans (introspection/tests)."""
-    return sum(len(plans) for plans in _SITE_PLANS.values())
-
-
-def export_prepass(expr: Expr) -> Dict[str, dict]:
-    """Per-program slices of every prepass side cache, keyed by the
-    nodes of *expr* — the prepass half of artifact (de)hydration
-    (:mod:`repro.serving.artifacts`).  The caches key on node
-    *identity*, so the tables are only meaningful pickled together
-    with the tree they annotate: one blob preserves the sharing."""
-    annotate(expr)
-    plans: Dict[Call, Dict[Tuple[int, ...], CallPlan]] = {}
-    var_addrs: Dict[Var, tuple] = {}
-    quote_values: Dict[Quote, object] = {}
-    if_tests: Dict[If, Optional[CallPlan]] = {}
-    body_plans: Dict[Lambda, Optional[CallPlan]] = {}
-    for node in walk(expr):
-        cls = node.__class__
-        if cls is Call:
-            site_plans = _SITE_PLANS.get(node)
-            if site_plans:
-                plans[node] = dict(site_plans)
-        elif cls is Var:
-            addr = _VAR_ADDRS.get(node)
-            if addr is not None:
-                var_addrs[node] = addr
-        elif cls is Quote:
-            if node in _QUOTE_VALUES:
-                quote_values[node] = _QUOTE_VALUES[node]
-        elif cls is If:
-            entry = _IF_TESTS.get(node, _ABSENT)
-            if entry is not _ABSENT:
-                if_tests[node] = entry
-        elif cls is Lambda:
-            entry = _BODY_PLANS.get(node, _ABSENT)
-            if entry is not _ABSENT:
-                body_plans[node] = entry
-    return {
-        "plans": plans,
-        "var_addrs": var_addrs,
-        "quote_values": quote_values,
-        "if_tests": if_tests,
-        "body_plans": body_plans,
-    }
-
-
-def install_prepass(expr: Expr, tables: Dict[str, dict]) -> None:
-    """Install exported tables for a hydrated *expr* (the unpickled
-    tree whose nodes key *tables*) and mark it annotated — the inverse
-    of :func:`export_prepass`, run once per program per process.  The
-    free-variable lru caches are *not* shipped; they refill lazily per
-    node (plans carry their suffix FV sets precomputed)."""
-    _VAR_ADDRS.update(tables["var_addrs"])
-    _QUOTE_VALUES.update(tables["quote_values"])
-    _IF_TESTS.update(tables["if_tests"])
-    _BODY_PLANS.update(tables["body_plans"])
-    for site, orders in tables["plans"].items():
-        merged = _SITE_PLANS.setdefault(site, {})
-        merged.update(orders)
-        for plan in orders.values():
-            if plan.is_identity:
-                _IDENTITY_PLANS[site] = plan
-    _ANNOTATED[id(expr)] = expr
+    """Number of :class:`CallPlan` objects built in this process
+    (introspection: perfbench reads its growth per job)."""
+    return CallPlan.built

@@ -64,10 +64,6 @@ from .bytecode import (
 #: unpacks ``(_TRANSFER, code, args, base, kont, steps)`` and re-enters.
 _TRANSFER = object()
 
-#: Set DEBUG True (tests) to record every generated source on build.
-DEBUG_SOURCES: dict = {}
-DEBUG = False
-
 
 class _Unsupported(Exception):
     """An instruction shape the generator does not handle."""
@@ -78,7 +74,7 @@ _G = None
 
 def _globals():
     """The shared namespace generated functions execute in (late import:
-    machine.machine imports this module at its bottom knot)."""
+    machine.machine imports this module)."""
     global _G
     if _G is None:
         from ..machine import machine as M
@@ -123,8 +119,6 @@ def build_fn(code, machine):
     ns = dict(_globals())
     ns["_K"] = gen.consts
     exec(compile(src, f"<gen3:{machine.name}>", "exec"), ns)
-    if DEBUG:
-        DEBUG_SOURCES[(code.lam, type(machine))] = src
     return ns["_gen3_fn"]
 
 

@@ -33,7 +33,6 @@ from ..machine.errors import (
     StepLimitExceeded,
     UnboundVariableError,
 )
-from ..machine.machine import constant_value
 from ..machine.policy import LeftToRight, Policy
 from ..machine.primitives import make_initial_environment
 from ..machine.store import Store
@@ -43,6 +42,7 @@ from ..machine.values import (
     UNDEFINED,
     UNSPECIFIED,
     Value,
+    constant_value,
     is_true,
 )
 from ..syntax.ast import Call, Expr, If, Lambda, Quote, SetBang, Var
@@ -245,7 +245,7 @@ def denotational_answer(
     with the same Definition 11 printer the machines use."""
     from ..machine.answer import answer_string
     from ..machine.config import Final
-    from ..space.consumption import prepare_input, prepare_program
+    from ..compiler.frontend import prepare_input, prepare_program
 
     evaluator = DenotationalEvaluator(policy=policy)
     value, store = evaluator.evaluate(

@@ -1,10 +1,11 @@
 """High-level drivers: run a program, compare machines, check answers.
 
-These wrap the reader -> expander -> validator -> machine -> meter
-pipeline into single calls used by the examples, tests, and benchmark
-harness.  The telemetry stack rides along: :func:`run` threads
-``trace``/``metrics`` buses into the metered run, and the full
-trace-and-blame driver is :func:`repro.telemetry.blame.trace_run`.
+These wrap the front end (reader -> expander -> validator -> prepass),
+the machine and the meter into single calls used by the examples,
+tests, and benchmark harness.  The telemetry stack rides along:
+:func:`run` threads ``trace``/``metrics`` buses into the metered run,
+and the full trace-and-blame driver is
+:func:`repro.telemetry.blame.trace_run`.
 """
 
 from __future__ import annotations
@@ -12,22 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Union
 
+from ..compiler.frontend import Source, prepare_input, prepare_program
 from ..machine.answer import answer_string
 from ..machine.policy import Policy
-from ..machine.primitives import primitive_names
 from ..machine.values import Value
 from ..machine.variants import REFERENCE_MACHINES, make_stepper
-from ..space.consumption import prepare_input, prepare_program
 from ..space.meter import (
     DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_STEP_LIMIT,
     run_metered,
     run_to_final,
 )
-from ..syntax.ast import Expr
-from ..syntax.validate import validate
-
-Source = Union[str, Expr]
 
 
 @dataclass
@@ -79,9 +75,10 @@ def run(
     ``engine`` picks the metering engine (``"delta"`` or
     ``"reference"``).
 
-    ``strict=True`` enforces the full section 12 Program/Input
-    conditions (atomic constants only, free variables bound in rho_0);
-    by default only the free-variable condition is enforced.
+    The program and argument go through the front end
+    (:mod:`repro.compiler.frontend`): free variables must be bound in
+    rho_0 and constants atomic (strings allowed); ``strict=True``
+    rejects string constants too, per the letter of section 12.
 
     ``stepper`` selects the transition function: ``"annotated"`` (the
     compiled-once live stepper with the full tier stack), ``"gen3"``
@@ -121,12 +118,8 @@ def run(
             "blame, retention, budget and checkpoint_hook require a "
             "metered run"
         )
-    program_expr = prepare_program(program)
-    argument_expr = prepare_input(argument)
-    names = primitive_names()
-    validate(program_expr, names, strict=strict)
-    if argument_expr is not None:
-        validate(argument_expr, names, strict=strict)
+    program_expr = prepare_program(program, strict)
+    argument_expr = prepare_input(argument, strict)
 
     stepper_machine = make_stepper(machine, stepper, policy=policy)
     if meter:

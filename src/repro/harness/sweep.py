@@ -28,11 +28,13 @@ and a harness test holds parallel output byte-identical to serial.
 from __future__ import annotations
 
 import os
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..compiler.frontend import program_sha
 from ..space.consumption import Consumption, measure
 from ..space.meter import DEFAULT_CHECKPOINT_EVERY, DEFAULT_STEP_LIMIT
 
@@ -217,6 +219,9 @@ def _pool_worker_main(conn) -> None:
         except (BrokenPipeError, OSError):
             pass  # parent gone; the job result will fail the same way
 
+    # A forked worker inherits its parent's handlers; `repro serve`
+    # turns SIGTERM into KeyboardInterrupt, but a worker just dies.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         try:
             job = conn.recv()
@@ -763,8 +768,6 @@ def history_records(outcomes: Iterable[SweepOutcome]) -> List[dict]:
     an integer N, in the :class:`repro.serving.scheduler.SweepHistory`
     JSONL shape.  Failed cells and non-numeric arguments are skipped —
     they carry no (N, consumption) point to predict from."""
-    from ..serving.artifacts import program_sha  # late: avoid cycle
-
     records: List[dict] = []
     for outcome in outcomes:
         if outcome.result is None:

@@ -53,6 +53,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from ..compiler.bytecode import gen3_code
+from ..compiler.prepass import annotate, body_fuse_plan, call_plan, quote_value
+from ..compiler.pycodegen import _TRANSFER, build_beta_fn, build_fn
 from ..syntax.ast import Call, Expr, If, Lambda, Quote, SetBang, Var
 from ..syntax.free_vars import branch_free_vars, free_vars
 from .config import Configuration, Final, State
@@ -78,44 +81,15 @@ from .policy import LeftToRight, Policy
 from .primitives import make_initial_environment
 from .store import Store
 from .values import (
-    Char as CharValue,
     Closure,
     Escape,
-    FALSE,
     Location,
-    NIL,
-    Num,
     Primop,
-    Str,
-    Sym,
-    TRUE,
     UNDEFINED,
     UNSPECIFIED,
     Value,
     is_true,
 )
-from ..reader.datum import Char as CharDatum, Symbol
-
-# Imported late in the module (after constant_value is defined) to
-# close the machine <-> prepass knot; see the bottom of this file.
-annotate = None
-call_plan = None
-quote_value = None
-if_test_plan = None
-body_fuse_plan = None
-gen3_code = None
-register_program = None
-_VAR_ADDRS: dict = {}
-_IF_TESTS: dict = {}
-_IDENTITY_PLANS: dict = {}
-
-#: (id(program), id(argument)) -> the injection wrapper ``(P D)``.
-#: Re-injecting the same prepared program reuses the same Call node, so
-#: the prepass annotation and the gen-3 call-graph classification run
-#: once per program instead of once per run (the cached Call holds the
-#: operands alive, so the ids cannot be recycled under the entry).
-_INJECT_WRAPPERS: dict = {}
-
 
 def _hook_kind(cls, hook_name: str, kind_name: str) -> str:
     """The declared kind of a variant hook, trusted only when the class
@@ -1450,9 +1424,10 @@ class Machine:
         per-program constant change to S_X; pass False for the full
         fixed rho_0 of section 12).
 
-        Injection runs the static pre-pass over the injected
-        expression, interning free-variable sets, call plans, and
-        constant values once so the step handlers only do lookups.
+        Injection runs the static pre-pass
+        (:func:`~repro.compiler.prepass.annotate`) over the program and
+        the argument, once per tree: a compiled program is not walked
+        again, only a new argument and the ``(P D)`` call around it.
         """
         if store is None:
             store = Store(track_refs=self._track_refs)
@@ -1463,17 +1438,9 @@ class Machine:
                 if argument is not None:
                     names |= free_vars(argument)
             global_env = make_initial_environment(store, names)
+        expr = annotate(program)
         if argument is not None:
-            key = (id(program), id(argument))
-            expr = _INJECT_WRAPPERS.get(key)
-            if expr is None:
-                expr = Call((program, argument))
-                _INJECT_WRAPPERS[key] = expr
-        else:
-            expr = program
-        annotate(expr)
-        if self._gen3:
-            register_program(expr)
+            expr = annotate(Call((expr, annotate(argument))))
         self.policy.reset()
         return State(expr, False, global_env, Halt(), store)
 
@@ -1559,10 +1526,7 @@ class Machine:
         fuse_if = self._fuse_if
         fuse_if_call = self._fuse_if_call
         fuse_beta = self._fuse_beta
-        var_addrs_get = _VAR_ADDRS.get
-        if_tests_get = _IF_TESTS.get
         plan0 = self._plan0
-        plan0_get = _IDENTITY_PLANS.get
         gen3 = self._gen3
         gen3_mode2 = gen3 and self._gen3_mode == 2
         gen3_trc = type(self).gen3_tagged
@@ -1771,7 +1735,7 @@ class Machine:
                 name = control.name
                 location = None
                 if gen2:
-                    addr = var_addrs_get(control)
+                    addr = control.addr
                     if addr is not None:
                         if env._frame_names is addr[2]:
                             location = env._frame_locs[addr[0]]
@@ -1799,9 +1763,9 @@ class Machine:
                 continue
             if cls is Call:
                 # Under the stateless identity policy a site's plan is
-                # permutation-independent: one dict probe replaces the
-                # policy consult + memo call after the first visit.
-                plan = plan0_get(control) if plan0 else None
+                # permutation-independent: one attribute read replaces
+                # the policy consult + memo call after the first visit.
+                plan = control.identity_plan if plan0 else None
                 if plan is None:
                     order = permutation(len(control.exprs))
                     plan = call_plan(control, order)
@@ -1845,7 +1809,7 @@ class Machine:
                         if steps + 2 <= limit:
                             name = test.name
                             location = None
-                            addr = var_addrs_get(test)
+                            addr = test.addr
                             if addr is not None:
                                 if env._frame_names is addr[2]:
                                     location = env._frame_locs[addr[0]]
@@ -1874,7 +1838,7 @@ class Machine:
                         if steps + 2 <= limit:
                             value = quote_value(test)
                     elif fuse_if_call and tcls is Call:
-                        plan = if_tests_get(control)
+                        plan = control.test_plan
                         if (
                             plan is not None
                             and plan.speculate
@@ -2192,6 +2156,8 @@ def _expr_call(machine: Machine, state: State, expr: Call) -> State:
     pending = plan.pending
     if machine._default_call_env:
         saved = env
+    elif machine._call_env_fv:
+        saved = env.restrict(plan.suffix_fvs[0])
     else:
         saved = machine.call_env(env, pending)
     kont = Push(pending, (), plan.order, saved, state.kont, expr, plan)
@@ -2247,12 +2213,15 @@ def _value_push(machine: Machine, state: State, value, kont: Push):
     if pending:
         plan = kont.plan
         done = kont.done
-        if plan is not None and plan.suffixes[len(done)] is pending:
+        planned = plan is not None and plan.suffixes[len(done)] is pending
+        if planned:
             rest = plan.suffixes[len(done) + 1]
         else:  # hand-built frame: fall back to slicing
             rest = pending[1:]
         if machine._default_push_env:
             saved = kont.env
+        elif machine._push_env_fv and planned:
+            saved = kont.env.restrict(plan.suffix_fvs[len(done) + 1])
         else:
             saved = machine.push_env(kont.env, rest)
         new_kont = Push(
@@ -2315,50 +2284,9 @@ def _resolve_value_handler(kont):
     raise StuckError(f"unknown continuation: {kont!r}")
 
 
-def constant_value(constant) -> Value:
-    """Map a quoted constant datum to a runtime value."""
-    if isinstance(constant, bool):
-        return TRUE if constant else FALSE
-    if isinstance(constant, int):
-        return Num(constant)
-    if isinstance(constant, Symbol):
-        return Sym(constant.name)
-    if isinstance(constant, CharDatum):
-        return CharValue(constant.value)
-    if isinstance(constant, str):
-        return Str(constant)
-    if constant == ():
-        return NIL
-    raise StuckError(f"not an atomic constant: {constant!r}")
-
-
 def _arity_text(low: int, high: Optional[int]) -> str:
     if high is None:
         return f"at least {low}"
     if low == high:
         return str(low)
     return f"{low} to {high}"
-
-
-# The prepass imports constant_value from this module (lazily, for the
-# quote-value cache); importing it here at the bottom keeps a single
-# import-time ordering for both directions of the knot.
-from ..compiler.prepass import (  # noqa: E402
-    _IDENTITY_PLANS,
-    _IF_TESTS,
-    _VAR_ADDRS,
-    annotate,
-    body_fuse_plan,
-    call_plan,
-    if_test_plan,
-    quote_value,
-)
-from ..compiler.bytecode import (  # noqa: E402
-    gen3_code,
-    register_program,
-)
-from ..compiler.pycodegen import (  # noqa: E402
-    _TRANSFER,
-    build_beta_fn,
-    build_fn,
-)

@@ -59,7 +59,8 @@ from .errors import (
     UnboundVariableError,
 )
 from .gc import reachable_locations
-from .machine import _arity_text, constant_value
+from .machine import _arity_text
+from .values import constant_value
 from .policy import LeftToRight, Policy
 from .store import Store
 from .values import (

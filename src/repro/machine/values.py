@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
+from ..reader.datum import Char as CharDatum, Symbol
+from .errors import StuckError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..syntax.ast import Lambda
     from .continuation import Kont
@@ -273,3 +276,20 @@ def is_true(value: Value) -> bool:
 
 def make_boolean(flag: bool) -> Boolean:
     return TRUE if flag else FALSE
+
+
+def constant_value(constant) -> Value:
+    """Map a quoted constant datum to a runtime value."""
+    if isinstance(constant, bool):
+        return TRUE if constant else FALSE
+    if isinstance(constant, int):
+        return Num(constant)
+    if isinstance(constant, Symbol):
+        return Sym(constant.name)
+    if isinstance(constant, CharDatum):
+        return Char(constant.value)
+    if isinstance(constant, str):
+        return Str(constant)
+    if constant == ():
+        return NIL
+    raise StuckError(f"not an atomic constant: {constant!r}")

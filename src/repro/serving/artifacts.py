@@ -1,19 +1,11 @@
 """Content-addressed compiled-program artifacts for `repro serve`.
 
-PR 9's service re-lowered every submission in every worker: each
-``run(source, ...)`` re-parses the program, so the prepass (call
-plans, lexical addresses, interned quote values) and the gen-3
-bytecode compiler start from a fresh tree every time — the side
-caches key on node *identity*, which a re-parse never hits.
-
-This module closes that gap with one trick: pickle the expanded tree
-*together with* the per-program slices of every compiler side cache
-in a single blob.  Pickle preserves object sharing within a blob, so
-the unpickled tables still key the unpickled tree's nodes, and
-installing them (:func:`repro.compiler.prepass.install_prepass`,
-:func:`repro.compiler.bytecode.install_gen3`) hands the receiving
-process a fully lowered program — parse, expansion, address
-resolution, plan interning, call-graph classification, and bytecode
+A compiled program owns everything derived from it — call plans,
+lexical addresses, quote values and gen-3 code all live on its own
+nodes (:mod:`repro.compiler.frontend`) — so an artifact is just the
+compiled program pickled.  Pickle keeps the sharing within a blob, and
+unpickling hands a worker a fully lowered program: parse, expansion,
+validation, address resolution, plan interning and bytecode
 compilation all skipped.
 
 Three layers:
@@ -21,83 +13,71 @@ Three layers:
 - :func:`build_artifact` / :func:`hydrate_artifact` — (de)hydration
   of one program.
 - :class:`ArtifactCache` — the server-side LRU, content-addressed on
-  ``(program sha, machine, stepper)``, with hit/miss/eviction/build
-  counters flowing into a :class:`~repro.telemetry.metrics.MetricsRegistry`.
+  the program sha, with hit/miss/eviction/build counters flowing into
+  a :class:`~repro.telemetry.metrics.MetricsRegistry`.
 - :func:`resolve_program` — the worker-side entry: specs carry the
   blob over the existing pickle channel; each worker hydrates a given
-  program once and serves repeats from its own ``_HYDRATED`` table.
+  program once and serves repeats from its own LRU of hydrated
+  programs, bounded at the cache's default capacity.
 """
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..syntax.ast import Expr
+from ..compiler.bytecode import gen3_code
+from ..compiler.frontend import Source, prepare_program, program_sha
+from ..syntax.ast import Expr, Lambda, walk
 
 #: Artifact pickles are process-to-process within one host, never
 #: persisted across versions — always use the newest protocol.
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Bump when the blob layout changes; hydration rejects other versions.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+
+#: Programs an :class:`ArtifactCache` keeps by default, and the bound
+#: on each worker's hydrated programs.
+DEFAULT_CAPACITY = 64
 
 
-def program_sha(source: str) -> str:
-    """The content address of a program: sha256 of its stripped source."""
-    return hashlib.sha256(source.strip().encode("utf-8")).hexdigest()
-
-
-def build_artifact(program: Expr) -> bytes:
-    """Lower *program* fully (prepass + gen-3) and pickle the tree with
-    the per-program slices of every compiler side cache."""
-    from ..compiler.bytecode import export_gen3
-    from ..compiler.prepass import export_prepass
-
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "program": program,
-        "prepass": export_prepass(program),
-        "gen3": export_gen3(program),
-    }
+def build_artifact(program: Source) -> bytes:
+    """Compile *program* fully — the front end, then gen-3 code for
+    every lambda, so hydrated workers never compile — and pickle it."""
+    program = prepare_program(program)
+    for node in walk(program):
+        if node.__class__ is Lambda:
+            gen3_code(node)
+    payload = {"version": ARTIFACT_VERSION, "program": program}
     return pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
 
 
 def hydrate_artifact(blob: bytes) -> Expr:
-    """Unpickle an artifact and install its tables in this process's
-    compiler caches; returns the hydrated program tree, ready to inject
-    into any machine without re-lowering."""
-    from ..compiler.bytecode import install_gen3
-    from ..compiler.prepass import install_prepass
+    """Unpickle an artifact; returns the compiled program, ready to
+    inject into any machine without re-lowering.
 
+    *blob* must come from :func:`build_artifact` in this server, over
+    its own worker pipe: ``pickle.loads`` runs whatever a blob says,
+    so one from a client, a file or another host is code execution."""
     payload = pickle.loads(blob)
     version = payload.get("version")
     if version != ARTIFACT_VERSION:
         raise ValueError(f"unsupported artifact version: {version!r}")
-    program = payload["program"]
-    install_prepass(program, payload["prepass"])
-    install_gen3(program, payload["gen3"])
-    return program
+    return payload["program"]
 
 
 class ArtifactCache:
-    """Server-side LRU of built artifacts.
+    """Server-side LRU of built artifacts, keyed by program sha.  The
+    blob depends on nothing else: machines share one compiled
+    program."""
 
-    Keys are ``(program sha, machine, stepper)``.  The blob itself is
-    machine- and stepper-independent today (plans and codes are interned
-    per program and shared across the pack), but the key keeps the cache
-    honest if a variant-specialized lowering ever lands — and it means
-    an invalidation can be scoped per variant.
-    """
-
-    def __init__(self, capacity: int = 64, metrics=None):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, metrics=None):
         if capacity < 1:
             raise ValueError("artifact cache capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[str, str, str], bytes]" = \
-            OrderedDict()
+        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._counters: Dict[str, int] = {
             "hits": 0, "misses": 0, "evictions": 0, "builds": 0,
         }
@@ -108,53 +88,41 @@ class ArtifactCache:
         if self._metrics is not None:
             self._metrics.counter("artifact_cache", event=event).inc(amount)
 
-    def lookup(self, sha: str, machine: str, stepper: str) -> Optional[bytes]:
-        """The cached blob for a key, or None; a hit refreshes LRU order."""
-        key = (sha, machine, stepper)
-        blob = self._entries.get(key)
+    def lookup(self, sha: str) -> Optional[bytes]:
+        """The cached blob for *sha*, or None; a hit refreshes LRU order."""
+        blob = self._entries.get(sha)
         if blob is None:
             self._count("misses")
             return None
-        self._entries.move_to_end(key)
+        self._entries.move_to_end(sha)
         self._count("hits")
         return blob
 
-    def put(self, sha: str, machine: str, stepper: str, blob: bytes) -> None:
-        key = (sha, machine, stepper)
-        self._entries[key] = blob
-        self._entries.move_to_end(key)
+    def put(self, sha: str, blob: bytes) -> None:
+        self._entries[sha] = blob
+        self._entries.move_to_end(sha)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._count("evictions")
 
-    def get_or_build(self, sha: str, machine: str, stepper: str,
-                     build: Callable[[], bytes]) -> bytes:
-        """The cached blob, or *build* one and cache it.  *build* may
-        raise (e.g. program validation fails); nothing is cached then."""
-        blob = self.lookup(sha, machine, stepper)
+    def get_or_build(self, sha: str, *args) -> bytes:
+        """The cached blob for *sha*, or build one with the last
+        argument, a callable, and cache it.  Arguments between the two
+        (the machine and stepper of older callers) are ignored.  The
+        build may raise (e.g. program validation fails); nothing is
+        cached then."""
+        blob = self.lookup(sha)
         if blob is None:
-            blob = build()
+            blob = args[-1]()
             self._count("builds")
-            self.put(sha, machine, stepper, blob)
+            self.put(sha, blob)
         return blob
-
-    def invalidate(self, sha: Optional[str] = None) -> int:
-        """Drop every entry for program *sha* (all variants), or all
-        entries when *sha* is None; returns the number dropped."""
-        if sha is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            return dropped
-        stale = [key for key in self._entries if key[0] == sha]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Tuple[str, str, str]) -> bool:
-        return key in self._entries
+    def __contains__(self, sha: str) -> bool:
+        return sha in self._entries
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot plus current size (the BENCH/`/metrics`
@@ -167,23 +135,27 @@ class ArtifactCache:
 
 # -- worker side -----------------------------------------------------------
 
-#: sha -> hydrated program tree, per worker process: the first job for
-#: a program pays one unpickle+install; repeats skip even that.
-_HYDRATED: Dict[str, Expr] = {}
+#: sha -> hydrated program, per worker process, least recently used
+#: first: the first job for a program pays one unpickle; repeats skip
+#: even that.
+_HYDRATED: "OrderedDict[str, Expr]" = OrderedDict()
 
 
 def resolve_program(spec: dict):
     """The program to run for a job spec: the hydrated artifact when
     the spec carries one (``artifact`` bytes + ``program_sha``), else
-    the source text (the cold path — ``run`` re-lowers it)."""
+    the source text (the cold path — ``run`` compiles it)."""
     blob = spec.get("artifact")
     if blob is None:
         return spec["program"]
     sha = spec.get("program_sha") or program_sha(spec["program"])
     program = _HYDRATED.get(sha)
     if program is None:
-        program = hydrate_artifact(blob)
-        _HYDRATED[sha] = program
+        program = _HYDRATED[sha] = hydrate_artifact(blob)
+        if len(_HYDRATED) > DEFAULT_CAPACITY:
+            _HYDRATED.popitem(last=False)
+    else:
+        _HYDRATED.move_to_end(sha)
     return program
 
 

@@ -41,12 +41,10 @@ import json
 import threading
 from typing import Optional
 
+from ..compiler.frontend import prepare_input, program_sha
 from ..harness.sweep import WorkerPool
-from ..machine.primitives import primitive_names
-from ..space.consumption import prepare_input, prepare_program
-from ..syntax.validate import validate
 from ..telemetry.metrics import MetricsRegistry
-from .artifacts import ArtifactCache, build_artifact, program_sha
+from .artifacts import DEFAULT_CAPACITY, ArtifactCache, build_artifact
 from .protocol import validate_submit, validate_submit_batch
 from .quota import resolve_budget, run_service_batch, run_service_job
 from .scheduler import PredictiveScheduler, SweepHistory
@@ -83,7 +81,7 @@ class ReproServer:
         max_retries: int = 1,
         job_timeout: Optional[float] = None,
         history=None,
-        artifact_capacity: int = 64,
+        artifact_capacity: int = DEFAULT_CAPACITY,
     ):
         self.host = host
         self.port = port
@@ -374,28 +372,19 @@ class ReproServer:
             })
 
     def _prepare_spec(self, spec: dict) -> None:
-        """Parse/expand/scope-check before admission — through the
-        artifact cache: a cold program is lowered once
+        """Compile before admission — through the artifact cache: a
+        cold program goes through the front end once
         (:func:`~repro.serving.artifacts.build_artifact`) and the blob
-        cached under its content address; a warm one skips parse,
+        is cached under its content address; a warm one skips parse,
         validation, and lowering entirely.  The blob rides the spec to
         the worker.  A malformed program is the submitter's 400, never
         a worker's error receipt."""
-        names = primitive_names()
         sha = program_sha(spec["program"])
         spec["program_sha"] = sha
-
-        def build() -> bytes:
-            program = prepare_program(spec["program"])
-            validate(program, names)
-            return build_artifact(program)
-
         spec["artifact"] = self.artifacts.get_or_build(
-            sha, spec["machine"], spec["stepper"], build
+            sha, lambda: build_artifact(spec["program"])
         )
-        argument = prepare_input(spec["argument"])
-        if argument is not None:
-            validate(argument, names)
+        prepare_input(spec["argument"])
 
     async def _handle_submit(self, writer, body: bytes) -> None:
         try:

@@ -14,30 +14,13 @@ computations used in the proofs of Theorems 19 and 24 (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple
 
+from ..compiler.frontend import Source, prepare_input, prepare_program
 from ..machine.answer import answer_string
 from ..machine.policy import Policy
 from ..machine.variants import REFERENCE_MACHINES, make_machine
-from ..syntax.ast import Expr
-from ..syntax.expander import expand_expression, expand_program
 from .meter import DEFAULT_CHECKPOINT_EVERY, DEFAULT_STEP_LIMIT, run_metered
-
-Source = Union[str, Expr]
-
-
-def prepare_program(source: Source) -> Expr:
-    """Expand program source text (defines + expressions) to Core Scheme."""
-    if isinstance(source, Expr):
-        return source
-    return expand_program(source)
-
-
-def prepare_input(source: Optional[Source]) -> Optional[Expr]:
-    """Expand an input expression to Core Scheme."""
-    if source is None or isinstance(source, Expr):
-        return source
-    return expand_expression(source)
 
 
 @dataclass

@@ -14,6 +14,15 @@ AST nodes use *identity* equality (``eq=False``) so that two textually
 identical subexpressions at different positions remain distinct; the
 tail-expression analysis and the call-site statistics of Figure 2
 depend on this.
+
+Nodes are frozen, but every pass that derives data from a node keeps
+it on that node (:func:`derive`), the way
+:func:`functools.cached_property` does: free-variable sets, call plans,
+lexical addresses, quote values, compiled code, blame labels.  The
+derived data therefore lives exactly as long as its tree, and pickling
+the tree carries it.  The class attributes declared below are the
+"not derived yet" defaults of the ones the stepper reads on every
+step.
 """
 
 from __future__ import annotations
@@ -26,14 +35,20 @@ from ..reader.datum import Char, Symbol, datum_to_string
 #: Constants that may appear under ``quote`` in validated programs.
 #: Section 12 forbids compound constants (vectors, strings, nonempty
 #: lists) because programs and inputs must not share storage.  The
-#: empty list and strings are accepted by the expander but flagged by
-#: the strict validator.
+#: empty list is an immediate value; strings pass the validator's
+#: default rule (they are immutable here) and fail its strict one.
 Constant = Union[bool, int, Symbol, Char, str, tuple]
 
 
 @dataclass(frozen=True, eq=False)
 class Expr:
     """Base class for Core Scheme expressions."""
+
+    #: FV(E), interned (:mod:`repro.syntax.free_vars`).
+    fv = None
+    #: True on a root the prepass has lowered
+    #: (:func:`repro.compiler.prepass.annotate`).
+    annotated = False
 
     def subexpressions(self) -> Tuple["Expr", ...]:
         return ()
@@ -45,12 +60,19 @@ class Quote(Expr):
 
     value: Constant
 
+    #: The interned runtime value (:func:`repro.compiler.prepass.quote_value`).
+    const = None
+
 
 @dataclass(frozen=True, eq=False)
 class Var(Expr):
     """A variable reference ``I``."""
 
     name: str
+
+    #: The gen-2 lexical address, or None for a named lookup
+    #: (:func:`repro.compiler.prepass.annotate`).
+    addr = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +97,9 @@ class If(Expr):
     test: Expr
     consequent: Expr
     alternative: Expr
+
+    #: The fused test's plan (:func:`repro.compiler.prepass.if_test_plan`).
+    test_plan = None
 
     def subexpressions(self) -> Tuple[Expr, ...]:
         return (self.test, self.consequent, self.alternative)
@@ -102,6 +127,9 @@ class Call(Expr):
 
     exprs: Tuple[Expr, ...] = field(default_factory=tuple)
 
+    #: The left-to-right CallPlan (:func:`repro.compiler.prepass.call_plan`).
+    identity_plan = None
+
     def __post_init__(self):
         if not self.exprs:
             raise ValueError("a call needs at least an operator")
@@ -116,6 +144,16 @@ class Call(Expr):
 
     def subexpressions(self) -> Tuple[Expr, ...]:
         return self.exprs
+
+
+def derive(node: Expr, name: str, value):
+    """Cache *value* on *node* as its derived attribute *name* and
+    return it.  Nodes are frozen, so this goes through
+    ``object.__setattr__`` (never ``node.__dict__``, which would turn
+    the node's inline attribute values into a dict and slow every later
+    read)."""
+    object.__setattr__(node, name, value)
+    return value
 
 
 def walk(expr: Expr) -> Iterator[Expr]:

@@ -9,8 +9,11 @@ ASTs built by the expander never contain locations, so the validator
 checks the two remaining conditions:
 
 - every quoted constant is atomic (booleans, exact integers, symbols,
-  characters; the empty list and strings are rejected in strict mode);
+  characters, the empty list, and — except in strict mode — strings);
 - every free variable is bound in the supplied global environment.
+
+The default is the one rule every entry point applies through the
+front end (:mod:`repro.compiler.frontend`).
 """
 
 from __future__ import annotations
@@ -30,14 +33,14 @@ _ATOMIC = (bool, int, Symbol, Char)
 
 
 def validate(
-    expr: Expr, global_names: Iterable[str], strict: bool = True
+    expr: Expr, global_names: Iterable[str], strict: bool = False
 ) -> Expr:
     """Check that *expr* is a valid Program/Input expression.
 
-    Returns *expr* so the call composes with pipelines.  ``strict``
-    additionally rejects string constants and the empty list, matching
-    the letter of section 12; non-strict mode permits them (they are
-    immutable here, so sharing is harmless) for convenience programs.
+    Returns *expr* so the call composes with pipelines.  String
+    constants are allowed: strings are immutable here (there is no
+    ``string-set!``), so sharing one is harmless.  ``strict``
+    additionally rejects them, matching the letter of section 12.
     """
     bound = frozenset(global_names)
     unbound = sorted(free_vars(expr) - bound)

@@ -61,21 +61,19 @@ from ..machine.continuation import CallK, Push, chain
 from ..machine.values import Closure, Escape
 from ..space.flat import value_space
 from ..space.linked import value_structural
-from ..syntax.ast import core_to_string
-
-#: Rendered node labels, cached per AST node (nodes hash by identity).
-_NODE_LABELS: Dict[object, str] = {}
+from ..syntax.ast import core_to_string, derive
 
 NODE_LABEL_LIMIT = 48
 
 
 def node_label(expr, limit: int = NODE_LABEL_LIMIT) -> str:
-    """A compact external-syntax label for an AST node."""
-    label = _NODE_LABELS.get(expr)
+    """A compact external-syntax label for an AST node, cached on the
+    node."""
+    label = getattr(expr, "label", None)
     if label is None:
         text = core_to_string(expr)
         label = text if len(text) <= limit else text[: limit - 3] + "..."
-        _NODE_LABELS[expr] = label
+        derive(expr, "label", label)
     return label
 
 
@@ -677,7 +675,7 @@ def trace_run(
     # meter/harness stack (which imports telemetry lazily in turn).
     from ..machine.answer import answer_string
     from ..machine.variants import make_stepper
-    from ..space.consumption import prepare_input, prepare_program
+    from ..compiler.frontend import prepare_input, prepare_program
     from ..space.meter import DEFAULT_STEP_LIMIT, run_metered
     from .bus import TraceBus
     from .metrics import MetricsRegistry

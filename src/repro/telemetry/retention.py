@@ -782,7 +782,7 @@ def retention_run(
     attached; returns ``(MeterResult, RetentionProfiler)``.  This is
     what ``repro analyze --retention`` drives."""
     from ..machine.variants import make_stepper
-    from ..space.consumption import prepare_input, prepare_program
+    from ..compiler.frontend import prepare_input, prepare_program
     from ..space.meter import DEFAULT_STEP_LIMIT, run_metered
 
     machine = make_stepper(machine_name, stepper)

@@ -1,8 +1,9 @@
 """The artifact cache: (de)hydrated runs are fingerprint-identical to
-cold runs across every machine and both accountings, pickled plans and
-codes drop their process-bound halves, the canonical singletons survive
-the pickle channel by identity, and the server-side LRU evicts and
-invalidates correctly.
+cold runs across every machine and both accountings, a pickled compiled
+program drops the process-bound halves of its plans and codes, the
+canonical singletons survive the pickle channel by identity, the
+server-side LRU keys on the program sha alone and evicts correctly, and
+each worker's hydrated programs stay within the cache's bound.
 """
 
 import pickle
@@ -15,6 +16,7 @@ from repro.harness.runner import run
 from repro.machine.values import EOF, FALSE, NIL, TRUE, UNDEFINED, UNSPECIFIED
 from repro.machine.variants import ALL_MACHINES
 from repro.programs.separators import GC_VS_TAIL, STACK_VS_GC
+from repro.serving import artifacts
 from repro.serving.artifacts import (
     ArtifactCache,
     build_artifact,
@@ -86,23 +88,36 @@ def test_call_plan_pickle_drops_beta_cache():
     assert copy.suffix_fvs == plan.suffix_fvs
 
 
-def test_gen3_code_pickle_drops_generated_fns():
-    from repro.compiler.bytecode import export_gen3
-    from repro.syntax.ast import Lambda, walk
+def test_compiled_program_pickle_drops_fns_and_beta_cache():
+    """The program carries its plans and codes through pickle, minus
+    their process-bound halves: ``Code.fns`` and ``CallPlan.beta_cache``
+    hold generated functions."""
+    from repro.compiler.bytecode import gen3_code
+    from repro.syntax.ast import Call, Lambda, walk
 
     program = prepare_program(PROGRAMS["loop"])
-    tables = export_gen3(program)
     lam = next(n for n in walk(program) if n.__class__ is Lambda)
-    code = tables["codes"][lam]
+    code = gen3_code(lam)
     assert code is not None
+    plan = next(n for n in walk(program) if n.__class__ is Call).identity_plan
     code.fns["sentinel"] = lambda: None
+    plan.beta_cache = ("sentinel", None, {"unpicklable": lambda: None})
     try:
-        copy = pickle.loads(pickle.dumps(code))
+        copy = pickle.loads(pickle.dumps(program))
     finally:
         code.fns.clear()
-    assert copy.fns == {}
-    assert copy.nregs == code.nregs
-    assert len(copy.instrs) == len(code.instrs)
+        plan.beta_cache = None
+    assert copy.annotated
+    copied = [n for n in walk(copy)]
+    for original, node in zip(walk(program), copied):
+        if node.__class__ is Call:
+            assert node.identity_plan.site is node
+            assert node.identity_plan.beta_cache is None
+            assert node.identity_plan.order == original.identity_plan.order
+        elif node.__class__ is Lambda and getattr(original, "code", None):
+            assert node.code.lam is node
+            assert node.code.fns == {}
+            assert len(node.code.instrs) == len(original.code.instrs)
 
 
 # -- fingerprint identity ----------------------------------------------
@@ -173,6 +188,24 @@ def test_resolve_program_hydrates_once_per_sha():
     clear_hydrated()
 
 
+def test_hydrated_programs_stay_within_the_cache_bound():
+    """A worker resolving more distinct artifacts than the artifact
+    cache holds keeps only the most recently used ones."""
+    clear_hydrated()
+    bound = artifacts.DEFAULT_CAPACITY
+    sources = [f"(define (f n) (+ n {k}))" for k in range(bound + 3)]
+    for source in sources:
+        resolve_program({
+            "program": source,
+            "program_sha": program_sha(source),
+            "artifact": build_artifact(source),
+        })
+    assert len(artifacts._HYDRATED) == bound
+    assert program_sha(sources[0]) not in artifacts._HYDRATED
+    assert program_sha(sources[-1]) in artifacts._HYDRATED
+    clear_hydrated()
+
+
 def test_artifact_version_gate():
     payload = pickle.loads(_blob("loop"))
     payload["version"] = 999
@@ -186,14 +219,13 @@ def test_artifact_version_gate():
 def test_cache_hit_miss_and_build_counters():
     metrics = MetricsRegistry()
     cache = ArtifactCache(capacity=4, metrics=metrics)
-    blob = cache.get_or_build("sha1", "tail", "annotated", lambda: b"x")
+    blob = cache.get_or_build("sha1", lambda: b"x")
     assert blob == b"x"
-    assert cache.get_or_build("sha1", "tail", "annotated",
-                              lambda: b"never") == b"x"
-    assert cache.lookup("sha1", "gc", "annotated") is None
+    assert cache.get_or_build("sha1", lambda: b"never") == b"x"
+    assert cache.lookup("sha2") is None
     stats = cache.stats()
     assert stats["hits"] == 1
-    assert stats["misses"] == 2  # the build's probe + the gc-variant miss
+    assert stats["misses"] == 2  # the build's probe + the sha2 miss
     assert stats["builds"] == 1
     assert stats["entries"] == 1
     assert metrics.counter("artifact_cache", event="hits").value == 1
@@ -202,27 +234,26 @@ def test_cache_hit_miss_and_build_counters():
 
 def test_cache_evicts_least_recently_used():
     cache = ArtifactCache(capacity=2)
-    cache.put("a", "tail", "annotated", b"a")
-    cache.put("b", "tail", "annotated", b"b")
-    assert cache.lookup("a", "tail", "annotated") == b"a"  # refresh a
-    cache.put("c", "tail", "annotated", b"c")  # evicts b, not a
-    assert ("b", "tail", "annotated") not in cache
-    assert cache.lookup("a", "tail", "annotated") == b"a"
-    assert cache.lookup("c", "tail", "annotated") == b"c"
+    cache.put("a", b"a")
+    cache.put("b", b"b")
+    assert cache.lookup("a") == b"a"  # refresh a
+    cache.put("c", b"c")  # evicts b, not a
+    assert "b" not in cache
+    assert cache.lookup("a") == b"a"
+    assert cache.lookup("c") == b"c"
     assert cache.stats()["evictions"] == 1
     assert len(cache) == 2
 
 
-def test_cache_invalidate_by_sha_and_wholesale():
-    cache = ArtifactCache(capacity=8)
-    cache.put("a", "tail", "annotated", b"1")
-    cache.put("a", "gc", "annotated", b"2")
-    cache.put("b", "tail", "annotated", b"3")
-    assert cache.invalidate("a") == 2
-    assert cache.lookup("a", "tail", "annotated") is None
-    assert cache.lookup("b", "tail", "annotated") == b"3"
-    assert cache.invalidate() == 1
-    assert len(cache) == 0
+def test_cache_keys_on_the_sha_alone():
+    """One program submitted for two machines builds once; the
+    positional (sha, machine, stepper, build) call still works."""
+    cache = ArtifactCache(capacity=4)
+    assert cache.get_or_build("a", "tail", "annotated", lambda: b"1") == b"1"
+    assert cache.get_or_build("a", "gc", "gen2", lambda: b"2") == b"1"
+    assert cache.get_or_build("a", lambda: b"3") == b"1"
+    assert cache.stats()["builds"] == 1
+    assert len(cache) == 1
 
 
 def test_cache_failed_build_caches_nothing():
@@ -232,7 +263,7 @@ def test_cache_failed_build_caches_nothing():
         raise ValueError("malformed")
 
     with pytest.raises(ValueError):
-        cache.get_or_build("bad", "tail", "annotated", boom)
+        cache.get_or_build("bad", boom)
     assert len(cache) == 0
     assert cache.stats()["builds"] == 0
 

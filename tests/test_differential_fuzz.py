@@ -39,7 +39,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.prepass import clear_prepass_caches
 from repro.machine.answer import answer_string
 from repro.machine.errors import StuckError
 from repro.machine.variants import ALL_MACHINES, make_stepper
@@ -271,10 +270,8 @@ def assert_observationally_equivalent(source: str, argument: str = ARGUMENT):
 @given(random_bodies)
 @settings(max_examples=20, deadline=None)
 def test_random_programs_observationally_equivalent(body):
-    # Fresh prepass tables per example: the fuzz programs must not be
-    # able to poison speculation state for one another (and a stale
-    # plan cache would hide plan-construction bugs).
-    clear_prepass_caches()
+    # Each example is a fresh parse, so its plans start clean: one fuzz
+    # program cannot poison another's speculation state.
     assert_observationally_equivalent(wrap(body))
 
 
@@ -283,7 +280,6 @@ def test_random_programs_observationally_equivalent(body):
 def test_random_programs_engine_matrix_equivalent(body):
     """The engine axis: reference/delta x exact/sampled agree on
     answer, steps, sup, and collected — numbers, not just answers."""
-    clear_prepass_caches()
     assert_engine_matrix_equivalent(wrap(body))
 
 
@@ -295,7 +291,6 @@ def test_random_programs_compiled_tiers_match_seed_step_count(
     """Beyond the answer: the compiled steppers take *exactly* as many
     transitions as the seed stepper — fusion and loop reconstruction
     batch steps, they never remove them."""
-    clear_prepass_caches()
     program_expr = prepare_program(wrap(body))
     argument_expr = prepare_input(ARGUMENT)
 

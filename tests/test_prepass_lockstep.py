@@ -25,10 +25,8 @@ from hypothesis import strategies as st
 from repro.compiler.prepass import (
     annotate,
     call_plan,
-    clear_prepass_caches,
     plan_count,
     quote_value,
-    var_addr,
 )
 from repro.machine.config import State
 from repro.machine.continuation import Assign, Push, ReturnStack, Select
@@ -47,6 +45,7 @@ from repro.programs.separators import SEPARATORS
 from repro.space.consumption import prepare_input, prepare_program
 from repro.space.meter import run_metered
 from repro.syntax.ast import Call, Quote, Var
+from repro.syntax.expander import expand_program
 from repro.syntax.free_vars import free_vars
 
 ALL_MACHINE_NAMES = tuple(sorted(ALL_MACHINES))
@@ -62,7 +61,8 @@ def test_seed_steppers_cover_all_machines():
 
 
 def _parse(source):
-    return prepare_program(source)
+    # Expanded, not compiled: these snippets call free names like f.
+    return expand_program(source)
 
 
 def test_call_plan_is_interned_per_site_and_order():
@@ -106,7 +106,9 @@ def test_annotate_warms_identity_plans():
     expr = _parse("((lambda (x) (if x (f x '1) (g x))) '2)")
     before = plan_count()
     annotate(expr)
-    assert plan_count() >= before  # sites interned (idempotent on rerun)
+    assert plan_count() == before + 3  # one identity plan per call site
+    annotate(expr)
+    assert plan_count() == before + 3  # lowered once per tree
     for node in _walk_calls(expr):
         assert call_plan(node, identity_permutation(len(node.exprs))) is \
             call_plan(node, identity_permutation(len(node.exprs)))
@@ -508,7 +510,6 @@ def _batched_lockstep(machine_name, source, argument=None,
     if argument is not None:
         program = Call((program, argument))
         argument = None
-    clear_prepass_caches()
     seed = make_seed_stepper(machine_name)
     state = seed.inject(program, argument)
     trace = [_fingerprint(state)]
@@ -561,36 +562,34 @@ def _vars_by_name(expr):
 
 
 def test_var_addr_slots_paths_and_depth1_discriminant():
-    clear_prepass_caches()
     expr = _parse("(lambda (x) (lambda (y z) (+ x z)))")
     annotate(expr)
     inner = expr.body
     by_name = _vars_by_name(expr)
     # z: bound one level up -- slot 1, a one-frame path, and the
     # binding lambda's own params tuple as the inline discriminant.
-    slot, path, fast = var_addr(by_name["z"][0])
+    slot, path, fast = by_name["z"][0].addr
     assert slot == 1
     assert path == (inner.params,)
     assert fast is inner.params
     # x: bound two levels up -- the discriminant is False (an ``is``
     # check against a frame's params tuple can never match False).
-    slot, path, fast = var_addr(by_name["x"][0])
+    slot, path, fast = by_name["x"][0].addr
     assert slot == 0
     assert path == (inner.params, expr.params)
     assert fast is False
     # +: free (global) -- no lexical address, named lookup.
-    assert var_addr(by_name["+"][0]) is None
+    assert by_name["+"][0].addr is None
 
 
 def test_var_addr_excludes_set_mutated_names():
-    clear_prepass_caches()
     expr = _parse("(lambda (x y) (begin (set! x y) (+ x y)))")
     annotate(expr)
     by_name = _vars_by_name(expr)
     # The whole-program over-approximation: every occurrence of a
     # set!-target name keeps the named (store-visible) lookup.
-    assert all(var_addr(node) is None for node in by_name["x"])
-    assert all(var_addr(node) is not None for node in by_name["y"])
+    assert all(node.addr is None for node in by_name["x"])
+    assert all(node.addr is not None for node in by_name["y"])
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +606,6 @@ def test_quickened_lookup_matches_named_lookup(body, machine_name):
     exactly the location the named lookup finds."""
     from repro.machine.machine import _quick_location
 
-    clear_prepass_caches()
     program = prepare_program(
         f"(define (f n) (let ((a n) (b 1)) {body}))"
     )
@@ -620,7 +618,7 @@ def test_quickened_lookup_matches_named_lookup(body, machine_name):
             break
         control = state.control
         if not state.is_value and isinstance(control, Var):
-            addr = var_addr(control)
+            addr = control.addr
             if addr is not None:
                 slot, path, fast = addr
                 env = state.env

@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -33,6 +35,7 @@ from repro.harness.sweep import (
     run_cell,
     run_grid,
 )
+from repro.programs.corpus import load_program
 from repro.programs.separators import GC_VS_TAIL, STACK_VS_GC
 from repro.serving.protocol import (
     SUBMIT_DEFAULTS,
@@ -459,21 +462,30 @@ def _serve(**kwargs):
 
 
 def test_serve_smoke_submit_poll_matches_runner(tmp_path):
+    string_ops = load_program("string-ops")
+    inputs = (
+        (GC_VS_TAIL, "64", "gc"),
+        # String constants pass the one validation rule on every path.
+        (string_ops.source, string_ops.default_input, "sfs"),
+    )
     with _serve(spool_dir=str(tmp_path)) as handle:
-        status, body = _post(f"{handle.url}/submit", {
-            "program": GC_VS_TAIL, "argument": "64", "machine": "gc",
-        })
-        assert status == 202, body
-        snapshot = _poll(handle.url, body["job"])
-        assert snapshot["status"] == "done"
-        receipt = validate_result(snapshot["result"])
-        expected = run(
-            GC_VS_TAIL, "64", machine="gc", meter="sampled",
-            fixed_precision=True,
-        )
-        assert receipt["sup_space"] == expected.sup_space
-        assert receipt["consumption"] == expected.consumption
-        assert receipt["answer"] == expected.answer
+        for program, argument, machine in inputs:
+            status, body = _post(f"{handle.url}/submit", {
+                "program": program, "argument": argument,
+                "machine": machine,
+            })
+            assert status == 202, body
+            snapshot = _poll(handle.url, body["job"])
+            assert snapshot["status"] == "done"
+            receipt = validate_result(snapshot["result"])
+            expected = run(
+                program, argument, machine=machine, meter="sampled",
+                fixed_precision=True,
+            )
+            assert receipt["answer"] == expected.answer
+            assert receipt["steps"] == expected.steps
+            assert receipt["sup_space"] == expected.sup_space
+            assert receipt["consumption"] == expected.consumption
         # The spool replays the same stream the endpoint served.
         with urllib.request.urlopen(
             f"{handle.url}/jobs/{body['job']}/stream", timeout=60
@@ -754,20 +766,87 @@ def test_server_self_learns_history_from_results(tmp_path):
 
 def test_metrics_endpoint_reports_cache_and_scheduler(tmp_path):
     with _serve(spool_dir=str(tmp_path), workers=1) as handle:
-        for _ in range(2):
+        for machine in ("gc", "gc", "tail"):
             status, body = _post(f"{handle.url}/submit", {
-                "program": GC_VS_TAIL, "argument": "8", "machine": "gc",
+                "program": GC_VS_TAIL, "argument": "8", "machine": machine,
             })
             assert status == 202
             assert _poll(handle.url, body["job"])["status"] == "done"
         status, metrics = _get(f"{handle.url}/metrics")
         assert status == 200
-        assert metrics["cache"]["hits"] >= 1
-        assert metrics["cache"]["misses"] >= 1
-        assert metrics["cache"]["entries"] >= 1
+        # One program on two machines: one artifact, built once.
+        assert metrics["cache"]["builds"] == 1
+        assert metrics["cache"]["hits"] == 2
+        assert metrics["cache"]["misses"] == 1
+        assert metrics["cache"]["entries"] == 1
         assert metrics["scheduler"]["history_points"] >= 1
         assert any(key.startswith("artifact_cache")
                    for key in metrics["counters"])
+
+
+# -- shutdown ------------------------------------------------------------
+
+
+def _children(pid):
+    """Live child pids of *pid* (zombies count as gone)."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            found.add(int(entry))
+    return found
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_serve_sigterm_stops_its_pool_workers():
+    """SIGTERM stops `repro serve` the way Ctrl-C does: the pool is
+    shut down, and no worker outlives the server."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+        text=True,
+    )
+    workers = set()
+    try:
+        assert "serving on" in server.stdout.readline()
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline:
+            workers = _children(server.pid)
+            time.sleep(0.05)
+        assert len(workers) == 2, workers
+        server.send_signal(signal.SIGTERM)
+        server.wait(timeout=30)
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, [
+                pid for pid in workers if _alive(pid)
+            ]
+            time.sleep(0.05)
+    finally:
+        for pid in [server.pid, *workers]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        server.wait(timeout=30)
+        server.stdout.close()
 
 
 # -- exit codes: one source of truth -----------------------------------
