@@ -6,7 +6,11 @@ step rate regressed below ``threshold`` (default 0.9) times the
 recorded figure, or when any machine's gen-3 corpus-weighted
 gen3/gen2 ratio fell below ``threshold`` times the recorded ratio
 (the gen3/gen2 quotient is measured within one session, so it is
-hardware-independent by construction).
+hardware-independent by construction), or when any cell's cold
+ratio ``cold_over_gen2`` — the first run of a fresh parse under the
+default stepper over the same under gen-2, a paired in-run ratio —
+falls below ``COLD_FLOOR``: compile cost cannot hide behind a
+warm-up.
 
 Two comparison modes:
 
@@ -36,6 +40,9 @@ import json
 import sys
 
 DEFAULT_THRESHOLD = 0.9
+
+#: Minimum cold default-stepper/gen-2 rate ratio of every gen-3 cell.
+COLD_FLOOR = 0.75
 
 
 def load_payload(path: str) -> dict:
@@ -74,6 +81,28 @@ def check_gen3(baseline: dict, current: dict, threshold: float) -> list:
             f"vs baseline {before:8.3f}x ({quotient:.2f}x, "
             f"threshold {threshold:.2f}x)"
         )
+    return failures
+
+
+def check_cold(current: dict) -> list:
+    """Gate the cold column: every measured gen-3 cell's
+    ``cold_over_gen2`` must reach ``COLD_FLOOR``.  A cell without the
+    column fails: the gate cannot price what was not measured."""
+    measured = (current.get("gen3") or {}).get("machines") or {}
+    failures = []
+    for name in sorted(measured):
+        for workload, cell in sorted(measured[name]["cells"].items()):
+            ratio = cell.get("cold_over_gen2")
+            if ratio is None or ratio < COLD_FLOOR:
+                failures.append(f"cold/{name}/{workload}")
+                status = "FAIL"
+            else:
+                status = "ok  "
+            print(
+                f"{status} cold/{name:7s} {workload:26s} "
+                f"{ratio if ratio is not None else 'missing'} x gen2 "
+                f"(floor {COLD_FLOOR:.2f}x)"
+            )
     return failures
 
 
@@ -124,13 +153,18 @@ def main(argv=None) -> int:
     failures.extend(
         check_gen3(baseline_payload, current_payload, args.threshold)
     )
+    failures.extend(check_cold(current_payload))
     if failures:
         print(
             f"step-rate regression: {', '.join(failures)} below "
-            f"{args.threshold}x the recorded baseline"
+            f"{args.threshold}x the recorded baseline or the "
+            f"{COLD_FLOOR}x cold floor"
         )
         return 1
-    print(f"step rates within {args.threshold}x of the recorded baseline")
+    print(
+        f"step rates within {args.threshold}x of the recorded baseline, "
+        f"cold ratios at or above {COLD_FLOOR}x"
+    )
     return 0
 
 

@@ -685,7 +685,10 @@ def test_bench_step_rate_gen3(step_rate_log):
             "headline over the flagship cells (tail/fib, "
             "sfs/find-leftmost), floor per machine over the corpus; "
             "measured by benchmarks/gen3_step_rate.py in a fresh "
-            "shallow-stack subprocess"
+            "shallow-stack subprocess; each cell's cold_over_gen2 is "
+            "the median per-pair rate ratio of a fresh parse's first "
+            "run, default stepper over gen3=False (gated by "
+            "benchmarks/check_step_rate.py)"
         ),
         "corpus_target": GEN3_CORPUS_TARGET,
         "floor": GEN3_FLOOR,

@@ -812,10 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--step-limit", type=int, default=5_000_000)
     run_parser.add_argument(
         "--stepper", default="annotated", choices=STEPPERS,
-        help="transition function: the full live tier stack "
-        "(annotated), the compiled gen-3 tier named explicitly (gen3), "
-        "the superinstruction stepper with gen-3 off (gen2), or the "
-        "preserved seed stepper (seed) — identical semantics",
+        help="transition function: gen-2 until code is hot, then its "
+        "generated gen-3 code (annotated); generated code from the "
+        "first entry (gen3); gen-2 only, never generating code (gen2); "
+        "or the preserved seed stepper (seed) — identical semantics",
     )
     run_parser.add_argument(
         "--gc-interval", type=int, default=1,
@@ -1001,7 +1001,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Figure 8 (linked) accounting")
     trace_parser.add_argument("--fixed-precision", action="store_true")
     trace_parser.add_argument(
-        "--stepper", default="annotated", choices=STEPPERS
+        "--stepper", default="annotated", choices=STEPPERS,
+        help="transition function (see run --help); a traced run steps "
+        "one transition at a time, so gen-3 code never runs here",
     )
     trace_parser.add_argument("--engine", default="delta", choices=ENGINES)
     trace_parser.add_argument("--gc-interval", type=int, default=1)

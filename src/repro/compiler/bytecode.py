@@ -4,22 +4,30 @@ The gen-2 tier (``prepass.py`` + the fused run loop) still re-enters
 the CESK transition dispatcher for every body expression: each call
 site re-derives its environment bookkeeping, and a self-tail call
 rebuilds the whole ``reduce -> eval* -> apply`` cycle through the
-generic loop.  This module compiles each hot ``Lambda`` body **once**
-into a flat tuple of register instructions executed by a threaded
-interpreter loop (``machine.machine._run_code``):
+generic loop.  This module lowers a ``Lambda`` body **once** into a
+flat tuple of register instructions, the input of the per-variant
+code generator (:mod:`repro.compiler.pycodegen`), which turns a hot
+code into one Python function:
 
 - operand runs become *slot* lists read straight from registers,
   interned constants, or environment bindings;
 - a tail call whose operator turns out, at run time, to be the
-  lambda being executed becomes a direct back-edge: the interpreter
-  commits the seed's apply effects (argument allocation, environment
-  extension, the variant's frame continuation) and jumps to
-  instruction 0 of the same code object — a Python ``while`` loop in
-  place of Push/CallK continuation traffic;
+  lambda being executed becomes a direct back-edge: the generated
+  function commits the seed's apply effects (argument allocation,
+  environment extension, the variant's frame continuation) and jumps
+  back to instruction 0 of the same code object — a Python ``while``
+  loop in place of Push/CallK continuation traffic;
 - non-tail calls of compiled closures descend into the callee's code
-  in the same interpreter (bounded Python recursion), and direct
-  lambda applications in tail position (``let``) are inlined into the
-  caller's code (``EA_DIRECT``).
+  (bounded Python recursion), and direct lambda applications in tail
+  position (``let``) are inlined into the caller's code
+  (``EA_DIRECT``).
+
+**Tiering** (DESIGN.md §7.2): a code runs on the gen-2 loop until it
+is hot.  ``Code.heat`` counts its entries up to the tier-up threshold
+(gen-2's apply sites and ``machine.machine._enter_code`` count them);
+the entry past the threshold builds the function, and every colder
+one runs on gen-2 from the callee's entry configuration.  Code that is never hot
+is lowered here but never turned into Python source.
 
 **Exactness contract** (DESIGN.md §7.2): compiled execution is *pure
 batching* of seed transitions.  Every instruction carries enough
@@ -30,17 +38,18 @@ variant's declared kind), and the environment register is derivable
 from the frame environment plus a static context descriptor (the
 ``_saved_env`` monotone-restriction argument).  Anything the bytecode
 cannot express compiles to a *deopt* instruction that hands the
-pending expression to the generic loop in exactly the configuration
-the seed would be in.  Speculative operator classifications
-(``EA_PRIM``/``EA_KNOWN``/``EA_SELF``) are guarded at run time; a
-failed guard materializes the call continuation and exits — the
-generic — exact — rules then apply whatever the operator really is.
+pending expression to the gen-2 loop in exactly the configuration the
+seed would be in.  Speculative operator classifications are guarded
+at run time; a failed guard materializes the call continuation and
+exits — the generic, exact rules then apply whatever the operator
+really is.
 
 Like the prepass, everything here is **derived, never authoritative**:
-a lambda's code is a pure function of the immutable AST, compiled on
+a lambda's code is a pure function of the immutable AST, lowered on
 first entry and kept on the ``Lambda`` node itself
 (:func:`repro.syntax.ast.derive`), so it lives and dies with the
-program and pickles with it.
+program and pickles with it — minus its process-bound half, the
+generated functions and the entry count.
 """
 
 from __future__ import annotations
@@ -90,7 +99,7 @@ _INLINE_DEPTH = 8
 class Code:
     """One compiled lambda body."""
 
-    __slots__ = ("lam", "nregs", "instrs", "fns")
+    __slots__ = ("lam", "nregs", "instrs", "fns", "heat")
 
     #: Codes built in this process (:func:`code_count`).
     built = 0
@@ -100,9 +109,12 @@ class Code:
         self.lam = lam
         self.nregs = nregs
         self.instrs = instrs
-        # Machine class -> generated Python function (tier 3b, see
+        # Machine class -> generated Python function (see
         # compiler/pycodegen.py), or None when generation declined.
         self.fns = {}
+        # Entries counted up to the tier-up threshold: the clock that
+        # decides when the generated function is built.
+        self.heat = 0
 
     def __repr__(self) -> str:
         return (
@@ -111,13 +123,15 @@ class Code:
         )
 
     def __getstate__(self):
-        # fns holds tier-3b generated Python functions (unpicklable);
-        # pycodegen regenerates them lazily in the receiving process.
+        # fns holds generated Python functions (unpicklable) and heat
+        # counts this process's entries: the receiving process starts
+        # the code cold and tiers it up on its own entries.
         return (self.lam, self.nregs, self.instrs)
 
     def __setstate__(self, state):
         self.lam, self.nregs, self.instrs = state
         self.fns = {}
+        self.heat = 0
 
 
 def gen3_code(lam: Lambda) -> Optional[Code]:
@@ -164,12 +178,12 @@ def _compile_lambda(lam: Lambda) -> Optional[Code]:
     scope = {name: i for i, name in enumerate(lam.params)}
     _emit_tail(em, lam.body, scope, (None, None), 0)
     # Every lambda compiles, even a bare value body: an uncompiled
-    # callee would force a full interpreter exit at every call that
+    # callee would force an exit to the gen-2 loop at every call that
     # reaches it (the trampoline shape — a one-call body re-dispatching
     # a tail loop — is exactly the case that must stay in-code for the
     # cross-code tail transfer to reconstruct mutual loops).  The one
     # exception is a body the emitter deopts on immediately — entering
-    # the interpreter would do nothing but bounce back out.
+    # its code would do nothing but bounce back out.
     if em.instrs[0][0] == OP_DEOPT:
         return None
     return Code(lam, em.nregs, tuple(em.instrs))

@@ -1,19 +1,18 @@
-"""Gen-3 tier 3b: per-variant Python code generation.
+"""Gen-3: per-variant Python code generation for hot code.
 
-The bytecode interpreter (``machine.machine._run_code``) removes the
-generic dispatcher from the hot path but still pays per-instruction
-costs: tuple unpacking, slot-tag switches, and machine-flag branches
-that are constant for any given variant.  This module translates a
-compiled :class:`~repro.compiler.bytecode.Code` object into **one
-generated Python function per machine variant** — the reconstructed
-self-tail loop literally becomes a Python ``while`` loop whose
-registers are Python locals and whose back-edge is ``continue``.
+This module translates a compiled :class:`~repro.compiler.bytecode.Code`
+object into **one generated Python function per machine variant** —
+the reconstructed self-tail loop literally becomes a Python ``while``
+loop whose registers are Python locals and whose back-edge is
+``continue``.  Building one costs a ``compile`` call, so
+``machine.machine._enter_code`` builds it only once the code is hot;
+until then the code runs on the gen-2 loop (DESIGN.md §7.2).
 
-Exactness: the generated source is a *partial evaluation* of
-``_run_code`` over (instructions, variant flags).  Every machine-flag
-branch (``d_env``, select restriction, closure restriction, frame
-mode) folds at generation time, and every instruction is emitted in
-two forms behind a one-shot budget guard:
+Exactness: the generated source is the code's instructions partially
+evaluated over the variant's flags, replaying the seed's transitions.
+Every machine-flag branch (``d_env``, select restriction, closure
+restriction, frame mode) folds at generation time, and every
+instruction is emitted in two forms behind a one-shot budget guard:
 
 - a **fast body**, taken when the remaining step budget provably
   covers the instruction's whole static transition cost — boundary
@@ -21,22 +20,26 @@ two forms behind a one-shot budget guard:
   ``steps += n`` (sound because ``steps`` is observable only at
   boundary returns and final answers, never at a raise: errors
   propagate out of the meter without recording a count);
-- a **careful body** that replicates the interpreter's per-transition
-  boundary checks bit for bit, taken near a batch boundary.
+- a **careful body** with a boundary check before every transition,
+  taken near a batch boundary, so any budget, down to one step, is
+  taken exactly.
 
 Dynamically-costed work (the nested beta superinstruction) runs under
 a *reduced* budget inside the fast body so the static tail of the
 instruction stays affordable; a decline under the reduced budget exits
-to the generic loop at an exact seed configuration — batching
+to the gen-2 loop at an exact seed configuration — batching
 boundaries are a performance choice, never a semantic one (DESIGN.md
 §7.2).  Anything the generator does not recognize declines
-(``build_fn`` returns None) and the code object runs on the bytecode
-interpreter instead.
+(``build_fn`` returns None) and the code keeps running on gen-2.
 
-Cross-code tail calls return a ``_TRANSFER`` marker to the driver
-(``machine.machine._enter_code``) which re-dispatches to the target
-code's generated function — a trampoline, so mutual tail loops consume
-no Python stack.
+Cross-code tail calls return a ``_TRANSFER`` marker to
+``_enter_code``, which re-dispatches to the target code's generated
+function — a trampoline, so mutual tail loops consume no Python
+stack.  Non-tail
+calls of compiled closures descend into the callee's function, up to
+``_MAX_DESCENT`` Python frames deep; a deeper call exits to the gen-2
+loop, which re-enters the callee at depth 0, so the Python stack stays
+bounded while in-language recursion is not.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ from .bytecode import (
     S_REG,
     S_STR,
 )
+
+#: Bound on nested descents into compiled callees (one Python frame
+#: each); the generated guard exits to the gen-2 loop past it.
+_MAX_DESCENT = 60
 
 #: First element of a generated function's return tuple when the
 #: activation tail-called into another compiled code object: the driver
@@ -288,7 +295,12 @@ class _Gen:
         return base if plan.suffixes[j] else "EMPTY_ENV"
 
     def ctx_expr(self, ctx) -> str:
-        """``_ctx_env(machine, base, ctx)`` folded."""
+        """The seed environment register at a code point with static
+        context *ctx* = ``(opd, bfv)``: the saved environment of operand
+        position *opd* (or the frame environment), restricted to the
+        branch free-variable set *bfv* on machines declaring the I_sfs
+        branch restriction — exact by the monotone-restriction argument
+        of ``_saved_env``."""
         opd, bfv = ctx
         e = "base" if opd is None else self.saved_expr(opd[0], opd[1])
         if bfv is not None and self.sel_fv:
@@ -306,8 +318,9 @@ class _Gen:
         )
 
     def pos_env_expr(self, plan, i: int, ctx) -> str:
-        """The environment register at evaluation position *i* (the
-        interpreter's abort penv/held rule)."""
+        """The environment register at evaluation position *i*: the
+        seed's register at a boundary before (or holding the value of)
+        that position."""
         if i == 0:
             return self.ctx_expr(ctx)
         return self.saved_expr(plan, i - 1)
@@ -525,7 +538,7 @@ class _Gen:
             return
         # EA_TAIL / EA_VALUE: branches that proceed past the call set
         # _ok; everything else exits via the materialized call
-        # continuation, exactly as the interpreter's guard-failure path.
+        # continuation for the generic rules to apply.
         if fast and acc:
             w(ind, f"steps += {acc}")
         w(ind, "_ok = False")
@@ -668,7 +681,8 @@ class _Gen:
         # keyed by lambda identity and Code objects are interned per
         # lambda for the process lifetime.
         sc = self.cn([None, None])
-        w(ind, f"{lead} {opv}.__class__ is Closure and depth < 60:")
+        w(ind, f"{lead} {opv}.__class__ is Closure "
+               f"and depth < {_MAX_DESCENT}:")
         i3 = ind + 1
         w(i3, f"lam2 = {opv}.lam")
         w(i3, f"if len(lam2.params) == {nargs}:")
@@ -705,8 +719,9 @@ class _Gen:
             w(i5 + 1, f"child = {trc}(lam2, {el}, kont)")
             child = "child"
         # Call the callee's generated function directly when it exists
-        # (the overwhelmingly common steady state); _enter_code handles
-        # first-build, declines, and small remaining budgets.
+        # (the overwhelmingly common steady state); _enter_code counts
+        # a cold callee's entry, builds it once hot, and hands a cold
+        # or declined callee back to gen-2 at its entry configuration.
         w(i5, f"fn2 = code2.fns.get({cls})")
         w(i5, "if fn2 is not None:")
         w(i5 + 1, "out = fn2(machine, store, _t, _nb, "
@@ -727,7 +742,8 @@ class _Gen:
     # -- operand slots -----------------------------------------------------
 
     def _slot_careful(self, ind: int, plan, slot, i: int, ctx) -> None:
-        """One operand slot with the interpreter's boundary checks."""
+        """One operand slot with a boundary check before each
+        transition."""
         w = self.w
         stag = slot[0]
         w(ind, "if steps >= limit:")
@@ -792,7 +808,7 @@ class _Gen:
         # dynamic beta; a decline under it is an exact exit, and the
         # generic loop re-fuses with its own budget — batching
         # granularity, not semantics.  At least 1 is always reserved so
-        # the fused cost leaves the interpreter's post-slot
+        # the fused cost leaves the careful body's post-slot
         # value-boundary check unreachable.
         self.beta_call(i2, pn, ntuple, f"limit - steps - {max(rest, 1)}")
         w(i2, "if fused is _NO_FUSE:")
@@ -847,8 +863,8 @@ class _Gen:
                     "steps, False)")
 
     def _nested_careful(self, ind: int, plan, slot, i: int, ctx) -> None:
-        """An all-simple nested call near a batch boundary: the
-        interpreter's generic dispatch, checks and all."""
+        """An all-simple nested call near a batch boundary: the gen-2
+        loop's generic dispatch, checks and all."""
         w = self.w
         inner = slot[1]
         pn = self.cn(inner)

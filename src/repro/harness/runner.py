@@ -81,14 +81,17 @@ def run(
     rejects string constants too, per the letter of section 12.
 
     ``stepper`` selects the transition function: ``"annotated"`` (the
-    compiled-once live stepper with the full tier stack), ``"gen3"``
-    (the same, naming the compiled tier explicitly), ``"gen2"`` (the
-    superinstruction stepper with the gen-3 tier off), or ``"seed"``
-    (the preserved seed stepper of
-    :mod:`repro.machine.reference_step`).  All compute identical
-    answers, step counts, and space numbers — the lockstep suite holds
-    them equal — so this knob exists for differential testing and
-    before/after benchmarking, not for semantics.
+    live stepper: gen-2 superinstructions, with a code's generated
+    gen-3 function built once the code is hot), ``"gen3"`` (every
+    code's generated function built on its first entry), ``"gen2"``
+    (the superinstruction stepper, never generating code), or
+    ``"seed"`` (the preserved seed stepper of
+    :mod:`repro.machine.reference_step`).  Metered runs step one
+    transition at a time, so only unmetered runs reach gen-3 code.
+    All compute identical answers, step counts, and space numbers —
+    the lockstep suite holds them equal — so this knob exists for
+    differential testing and before/after benchmarking, not for
+    semantics.
 
     ``budget`` caps the Definition 23 consumption on metered runs: the
     run raises :class:`repro.space.meter.QuotaExceeded` (a structured

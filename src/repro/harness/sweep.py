@@ -143,7 +143,7 @@ def run_cell(cell: SweepCell) -> SweepOutcome:
     if cell.blame_every > 0:
         from ..telemetry.blame import BlameProfiler
 
-        blame = BlameProfiler(every=cell.blame_every)
+        blame = BlameProfiler(every=cell.blame_every, incremental=True)
     retention = None
     if cell.retention_sample > 0:
         from ..telemetry.retention import RetentionProfiler

@@ -550,10 +550,13 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
                 if machine._gen3:
                     code = gen3_code(lam)
                     if code is not None:
-                        return _enter_code(
-                            machine, store, code, args, body_env,
-                            parent, entry, steps, limit,
-                        )[:5]
+                        heat = code.heat
+                        if heat >= machine._tier_up:
+                            return _enter_code(
+                                machine, store, code, args, body_env,
+                                parent, entry, steps, limit,
+                            )[:5]
+                        code.heat = heat + 1  # cold: stay on gen-2
                 return (lam.body, False, body_env, parent, steps)
             if (
                 ocls is Primop
@@ -591,523 +594,52 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
         )
 
 
-#: Bound on in-interpreter descent into known callees (EA_KNOWN): each
-#: level is one Python frame, and a deeper recursion exits to the
-#: generic loop, which re-enters the callee's code at depth 0 — the
-#: Python stack stays bounded while in-language recursion is unbounded.
-_VM_MAX_DEPTH = 60
-
-
-def _ctx_env(machine, base, ctx):
-    """The seed environment register at a compiled-code point, rebuilt
-    from the frame environment *base* and the static context *ctx* —
-    ``(opd, bfv)`` where *opd* is an (plan, j) operand position (the
-    register is that frame's saved environment) and *bfv* an interned
-    branch free-variable set (a fused select restricted to it on
-    machines declaring the I_sfs branch restriction).  Compositions are
-    exact by the same monotone-restriction argument as ``_saved_env``:
-    each successive set is a subset of the one it composes over."""
-    opd = ctx[0]
-    env = base if opd is None else _saved_env(machine, base, opd[0], opd[1])
-    bfv = ctx[1]
-    if bfv is not None and machine._select_env_fv:
-        env = env.restrict(bfv)
-    return env
-
-
-def _run_code(machine, store, code, args, base, kont, entry_kont,
-              steps, limit, depth=0):
-    """Execute compiled bytecode (:mod:`repro.compiler.bytecode`) for
-    one activation whose argument frame is already committed (the apply
-    transition itself was counted by the caller).
-
-    Returns ``(control, is_value, env, kont, steps, returned)``.  With
-    *returned* False the first five elements are an exact seed
-    configuration at a batch boundary (or a point the generic loop must
-    take over); the caller resumes the generic loop from it.  With
-    *returned* True the activation ran to its return: *control* is the
-    value, *env* the environment register after the final frame pop,
-    *kont* is *entry_kont*, and ``steps < limit`` — an ``EA_KNOWN``
-    caller continues in its own code.
-
-    Exactness: pure batching.  Every instruction replays the seed's
-    transitions — same counts, same store effects in the same order,
-    same error raises — and every exit materializes the configuration
-    the per-step rules would be in, with the environment register
-    rebuilt via :func:`_ctx_env`/:func:`_saved_env` and the
-    continuation register always the real continuation (frame
-    continuations are built per the variant's declared kind at every
-    application, self-tail back-edges included).
-    """
-    instrs = code.instrs
-    d_env = machine._default_call_env and machine._default_push_env
-    d_select = machine._default_select_env
-    closure_fv = machine._closure_env_fv
-    fuse_beta = machine._fuse_beta
-    primop_apply = machine._primop_apply
-    mode = machine._gen3_mode
-    trc = machine.gen3_tagged
-    bindings = base._bindings
-    cells_get = store._cells.get
-    regs = [None] * code.nregs
-    regs[:len(args)] = args
-    val_env = base
-    pc = 0
-    while True:
-        ins = instrs[pc]
-        op = ins[0]
-        if op == 0:  # OP_CALL
-            _, plan, resume, i0, slots, vreg, ea, ea_a, ea_b, ctx = ins
-            if resume >= 0:
-                vals = regs[vreg]
-                value = regs[resume]
-                if steps >= limit:
-                    # Boundary before the advance: the operand's value
-                    # meets the real push frame.
-                    return (value, True, val_env, kont, steps, False)
-                steps += 1  # the advance step
-                vals.append(value)
-                kont = kont.parent
-                i = i0 + 1
-            else:
-                if steps >= limit:
-                    return (
-                        plan.site, False, _ctx_env(machine, base, ctx),
-                        kont, steps, False,
-                    )
-                steps += 1  # the call reduction
-                vals = []
-                i = 0
-            last = len(plan.pending)
-            abort = None
-            held_src = None
-            for slot in slots:
-                if steps >= limit:
-                    abort = 0  # boundary before evaluating position i
-                    break
-                stag = slot[0]
-                a = slot[1]
-                if stag == 0:  # S_REG
-                    value = regs[a]
-                elif stag == 1:  # S_CONST
-                    value = a
-                elif stag == 3:  # S_NAME
-                    location = bindings.get(a)
-                    if location is None:
-                        raise UnboundVariableError(
-                            f"unbound variable: {a}"
-                        )
-                    value = cells_get(location)
-                    if value is None:
-                        raise UnboundVariableError(
-                            f"variable {a} refers to an unmapped location"
-                        )
-                    if value is UNDEFINED:
-                        raise UnboundVariableError(
-                            f"variable {a} read before initialization"
-                        )
-                elif stag == 2:  # S_STR
-                    value = quote_value(a)
-                elif stag == 5:  # S_LAMBDA
-                    closed = (
-                        base.restrict(free_vars(a)) if closure_fv else base
-                    )
-                    value = Closure(store.alloc(UNSPECIFIED), a, closed)
-                else:  # S_NESTED (an all-simple nested call)
-                    inner = a
-                    if not (
-                        inner.speculate
-                        and (fuse_beta or not inner.beta_only)
-                    ):
-                        abort = 0
-                        break
-                    fused = _nested_value(
-                        machine, store, inner, base, bindings, cells_get,
-                        limit - steps,
-                    )
-                    if fused is _NO_FUSE:
-                        inner.speculate = False
-                        abort = 0
-                        break
-                    if fused is _BETA_ONLY:
-                        inner.beta_only = True
-                        abort = 0
-                        break
-                    if fused is None:
-                        abort = 0
-                        break
-                    value, cost, held_src = fused
-                    steps += cost
-                    vals.append(value)
-                    if steps >= limit:
-                        abort = 2  # value boundary, nested-call held env
-                        break
-                    steps += 1  # the advance (or complete) step
-                    i += 1
-                    continue
-                steps += 1  # the eval transition
-                vals.append(value)
-                if steps >= limit:
-                    abort = 1  # value boundary
-                    break
-                steps += 1  # the advance (or complete) step
-                i += 1
-            if abort is not None:
-                pushk = Push(
-                    plan.suffixes[i],
-                    tuple(vals if abort == 0 else vals[:-1]),
-                    plan.order,
-                    base if d_env else _saved_env(machine, base, plan, i),
-                    kont, plan.site, plan,
-                )
-                if abort == 0:
-                    expr = plan.first if i == 0 else plan.pending[i - 1]
-                    penv = (
-                        _ctx_env(machine, base, ctx) if i == 0
-                        else base if d_env
-                        else _saved_env(machine, base, plan, i - 1)
-                    )
-                    return (expr, False, penv, pushk, steps, False)
-                if abort == 2:
-                    inner = plan.nested[i]
-                    if held_src is not None:
-                        held = (
-                            held_src[0] if d_env else _saved_env(
-                                machine, held_src[0], held_src[1],
-                                len(held_src[1].pending),
-                            )
-                        )
-                    else:
-                        held = (
-                            base if d_env else
-                            _saved_env(
-                                machine, base, inner, len(inner.pending)
-                            )
-                        )
-                else:
-                    held = (
-                        _ctx_env(machine, base, ctx) if i == 0
-                        else base if d_env
-                        else _saved_env(machine, base, plan, i - 1)
-                    )
-                return (vals[-1], True, held, pushk, steps, False)
-            # All positions evaluated (identity order: vals are in
-            # original positions) and the complete step counted: the
-            # end action applies the call.
-            if ea == 0:  # EA_PUSH — park under the real push frame
-                kont = Push(
-                    plan.suffixes[ea_a], tuple(vals), plan.order,
-                    base if d_env else _saved_env(machine, base, plan, ea_a),
-                    kont, plan.site, plan,
-                )
-                regs[vreg] = vals
-                pc += 1
-                continue
-            operator = vals[0]
-            ocls = operator.__class__
-            env_last = (
-                base if d_env else _saved_env(machine, base, plan, last)
-            )
-            if steps < limit:
-                if ea == 2 and ocls is Closure:  # EA_TAIL
-                    lam2 = operator.lam
-                    if lam2 is code.lam:
-                        code2 = code
-                    else:
-                        # A tail call into *another* compiled lambda
-                        # transfers within this activation — the
-                        # reconstruction of mutual tail loops (the
-                        # trampoline/continuation idiom).  Python-stack
-                        # depth does not grow: a transfer is a jump.
-                        code2 = gen3_code(lam2)
-                    if (
-                        code2 is not None
-                        and len(lam2.params) == len(vals) - 1
-                    ):
-                        # The reconstructed loop back-edge: the seed's
-                        # apply effects, then jump to instruction 0.
-                        steps += 1  # the application step
-                        cargs = tuple(vals[1:])
-                        locations = store.alloc_many(cargs)
-                        base = operator.env.extend(
-                            lam2.params, locations
-                        )
-                        bindings = base._bindings
-                        if mode == 1:
-                            kont = Return(env_last, kont)
-                        elif mode == 3:
-                            kont = ReturnStack(locations, env_last, kont)
-                        elif mode == 2:
-                            if not (
-                                isinstance(kont, trc)
-                                and kont.code is lam2
-                            ):
-                                kont = trc(lam2, env_last, kont)
-                            # else: a simple self tail call reuses it
-                        if code2 is not code:
-                            code = code2
-                            instrs = code2.instrs
-                            regs = [None] * code2.nregs
-                        regs[:len(cargs)] = cargs
-                        pc = 0
-                        continue
-                    # An uncompilable or wrong-arity tail call exits
-                    # via the call continuation: the generic — exact —
-                    # rules apply it (arity errors raise there with the
-                    # seed's text).
-                if (
-                    ocls is Primop
-                    and primop_apply
-                    and not operator.controls
-                ):
-                    arity = operator.arity
-                    if arity is not None:
-                        low, high = arity
-                        n = len(vals) - 1
-                        if n < low or (high is not None and n > high):
-                            raise ArityError(
-                                f"{operator.name} expects "
-                                f"{_arity_text(low, high)} arguments, "
-                                f"got {n}"
-                            )
-                    steps += 1  # the application step
-                    result = operator.proc(machine, store, tuple(vals[1:]))
-                    if steps >= limit:
-                        return (result, True, env_last, kont, steps, False)
-                    regs[ea_a] = result
-                    val_env = env_last
-                    pc += 1
-                    continue
-                if (
-                    ea == 1  # EA_VALUE: non-tail — descend in-code
-                    and ocls is Closure
-                    and depth < _VM_MAX_DEPTH
-                ):
-                    lam2 = operator.lam
-                    if len(lam2.params) == len(vals) - 1:
-                        code2 = gen3_code(lam2)
-                        if code2 is not None:
-                            steps += 1  # the application step
-                            cargs = tuple(vals[1:])
-                            locations = store.alloc_many(cargs)
-                            body_env = operator.env.extend(
-                                lam2.params, locations
-                            )
-                            if mode == 0:
-                                child = kont
-                            elif mode == 1:
-                                child = Return(env_last, kont)
-                            elif mode == 3:
-                                child = ReturnStack(
-                                    locations, env_last, kont
-                                )
-                            else:  # mode 2: the tagged-return rule
-                                if (
-                                    isinstance(kont, trc)
-                                    and kont.code is lam2
-                                ):
-                                    child = kont
-                                else:
-                                    child = trc(lam2, env_last, kont)
-                            out = _enter_code(
-                                machine, store, code2, cargs, body_env,
-                                child, kont, steps, limit, depth + 1,
-                            )
-                            if not out[5]:
-                                return out  # boundary / generic exit
-                            regs[ea_a] = out[0]
-                            val_env = out[2]
-                            steps = out[4]
-                            pc += 1
-                            continue
-                if ea == 3:  # EA_DIRECT — an inlined let application
-                    steps += 1  # the application step
-                    cargs = tuple(vals[1:])
-                    locations = store.alloc_many(cargs)
-                    base = operator.env.extend(ea_b.params, locations)
-                    bindings = base._bindings
-                    if mode == 1:
-                        kont = Return(env_last, kont)
-                    elif mode == 3:
-                        kont = ReturnStack(locations, env_last, kont)
-                    elif mode == 2:
-                        if not (
-                            isinstance(kont, trc) and kont.code is ea_b
-                        ):
-                            kont = trc(ea_b, env_last, kont)
-                    for k in range(len(cargs)):
-                        regs[ea_a + k] = cargs[k]
-                    pc += 1
-                    continue
-            # Guard failure or batch boundary at the application step:
-            # materialize the call continuation; the generic — exact —
-            # rules apply whatever the operator really is.
-            return (
-                operator, True, env_last,
-                CallK(tuple(vals[1:]), kont, plan.site),
-                steps, False,
-            )
-        elif op == 1:  # OP_IF
-            _, node, tspec, else_pc, sel_fvs, ctx = ins
-            if steps >= limit:
-                return (
-                    node, False, _ctx_env(machine, base, ctx),
-                    kont, steps, False,
-                )
-            steps += 1  # the if reduction
-            stag = tspec[0]
-            value = _NO_FUSE
-            if stag == 4:  # S_NESTED test
-                inner = tspec[1]
-                if inner.speculate and (fuse_beta or not inner.beta_only):
-                    fused = _nested_value(
-                        machine, store, inner, base, bindings, cells_get,
-                        limit - steps - 1,
-                    )
-                    if fused is _NO_FUSE:
-                        inner.speculate = False
-                    elif fused is _BETA_ONLY:
-                        inner.beta_only = True
-                    elif fused is not None:
-                        value, cost, _held = fused
-                        steps += cost + 1  # + the select pop
-            elif steps + 2 <= limit:
-                a = tspec[1]
-                if stag == 0:  # S_REG
-                    value = regs[a]
-                elif stag == 1:  # S_CONST
-                    value = a
-                elif stag == 2:  # S_STR
-                    value = quote_value(a)
-                else:  # S_NAME
-                    location = bindings.get(a)
-                    if location is None:
-                        raise UnboundVariableError(
-                            f"unbound variable: {a}"
-                        )
-                    value = cells_get(location)
-                    if value is None:
-                        raise UnboundVariableError(
-                            f"variable {a} refers to an unmapped location"
-                        )
-                    if value is UNDEFINED:
-                        raise UnboundVariableError(
-                            f"variable {a} read before initialization"
-                        )
-                if value is not _NO_FUSE:
-                    steps += 2  # the test eval and the select pop
-            if value is _NO_FUSE:
-                # Boundary or declined speculation: build the real
-                # select frame and let the generic loop take the test.
-                cenv = _ctx_env(machine, base, ctx)
-                saved = cenv if d_select else cenv.restrict(sel_fvs)
-                return (
-                    node.test, False, cenv,
-                    Select(
-                        node.consequent, node.alternative, saved, kont
-                    ),
-                    steps, False,
-                )
-            # The branch restriction is static: downstream contexts
-            # carry the branch free-variable set.
-            pc = pc + 1 if is_true(value) else else_pc
-            continue
-        elif op == 2:  # OP_RET
-            _, spec, expr, ctx = ins
-            stag = spec[0]
-            if stag == 6:  # S_DONE: the value of a completed call
-                value = regs[spec[1]]
-                env_cur = val_env
-            else:
-                if steps >= limit:
-                    return (
-                        expr, False, _ctx_env(machine, base, ctx),
-                        kont, steps, False,
-                    )
-                a = spec[1]
-                if stag == 0:
-                    value = regs[a]
-                elif stag == 1:
-                    value = a
-                elif stag == 2:
-                    value = quote_value(a)
-                elif stag == 5:
-                    closed = (
-                        base.restrict(free_vars(a)) if closure_fv else base
-                    )
-                    value = Closure(store.alloc(UNSPECIFIED), a, closed)
-                else:  # S_NAME
-                    location = bindings.get(a)
-                    if location is None:
-                        raise UnboundVariableError(
-                            f"unbound variable: {a}"
-                        )
-                    value = cells_get(location)
-                    if value is None:
-                        raise UnboundVariableError(
-                            f"variable {a} refers to an unmapped location"
-                        )
-                    if value is UNDEFINED:
-                        raise UnboundVariableError(
-                            f"variable {a} read before initialization"
-                        )
-                steps += 1  # the eval transition
-                env_cur = _ctx_env(machine, base, ctx)
-            # Pop the frames this activation accumulated (one seed
-            # transition each; I_stack pops delete the frame cells).
-            while kont is not entry_kont:
-                if steps >= limit:
-                    return (value, True, env_cur, kont, steps, False)
-                steps += 1
-                if kont.__class__ is ReturnStack:
-                    machine._delete_frame(store, value, kont)
-                env_cur = kont.env
-                kont = kont.parent
-            if depth and steps < limit:
-                return (value, True, env_cur, kont, steps, True)
-            return (value, True, env_cur, kont, steps, False)
-        else:  # OP_DEOPT: hand the expression to the generic loop
-            _, expr, ctx = ins
-            return (
-                expr, False, _ctx_env(machine, base, ctx),
-                kont, steps, False,
-            )
-
-
-#: Minimum remaining step budget before a generated function (tier 3b)
-#: is built or entered.  Small batches — the lockstep tests' limits of
-#: 1..13 — run on the bytecode interpreter, which handles boundaries a
-#: few steps apart without the per-entry cost of a generated prologue.
-_GEN3_FN_HEADROOM = 64
+#: Entries a compiled code runs on the gen-2 loop before its generated
+#: function is built: building one costs about 3 ms of ``compile``,
+#: which pays back only in code that keeps being entered.  Chosen by
+#: measurement (DESIGN.md §7.2 has the figures for every value tried).
+#: A machine built with ``gen3=True`` uses 0 instead: every code is
+#: built on its first entry.
+_TIER_UP_THRESHOLD = 1000
 
 
 def _enter_code(machine, store, code, args, base, kont, entry_kont,
                 steps, limit, depth=0):
-    """Run *code*: the generated per-variant function when one exists
-    (building it on first use), else the bytecode interpreter.
+    """Enter *code* for one activation whose apply step the caller has
+    already taken (argument frame *base* committed, frame continuation
+    *kont* built per the variant's kind, *entry_kont* the continuation
+    the activation returns to).
 
-    Returns the same 6-tuple as ``_run_code``.  Generated functions
-    signal cross-code tail transfer with a ``_TRANSFER`` marker; this
-    driver trampolines to the target code's function so mutual tail
-    loops consume no Python stack.
+    Returns ``(control, is_value, env, kont, steps, returned)``.  With
+    *returned* False the first five elements are an exact seed
+    configuration at a batch boundary, or a point the gen-2 loop must
+    take over; the caller resumes from it.  With *returned* True the
+    activation ran to its return inside a descent (*depth* > 0):
+    *control* is the value, *env* the environment register after the
+    final frame pop, *kont* is *entry_kont*, and ``steps < limit``.
+
+    Hot code runs its generated per-variant function, built here on
+    its first hot entry; a generated function signals a cross-code
+    tail call with a ``_TRANSFER`` marker, which this function
+    trampolines, so mutual tail loops consume no Python stack.  A cold
+    entry is counted in ``code.heat`` (the gen-2 apply sites count
+    their own cold entries inline and call here only for hot code);
+    it, and any entry of code whose generation declined, hands back
+    the callee's entry configuration ``(lam.body, False, base,
+    kont)``: exactly where the seed is after the apply step, so the
+    entry is a batch boundary like any deopt.
     """
     cls = machine.__class__
-    fns = code.fns
-    fn = fns.get(cls)
-    if fn is None:
-        if cls in fns or limit - steps < _GEN3_FN_HEADROOM:
-            return _run_code(
-                machine, store, code, args, base, kont, entry_kont,
-                steps, limit, depth,
-            )
-        fn = build_fn(code, machine)
-        fns[cls] = fn
-        if fn is None:
-            return _run_code(
-                machine, store, code, args, base, kont, entry_kont,
-                steps, limit, depth,
-            )
     while True:
+        fn = code.fns.get(cls)
+        if fn is None:
+            heat = code.heat
+            if heat < machine._tier_up:
+                code.heat = heat + 1
+            elif cls not in code.fns:  # None there: generation declined
+                fn = code.fns[cls] = build_fn(code, machine)
+            if fn is None:
+                return (code.lam.body, False, base, kont, steps, False)
         out = fn(
             machine, store, args, base, kont, entry_kont, steps, limit,
             depth,
@@ -1115,19 +647,6 @@ def _enter_code(machine, store, code, args, base, kont, entry_kont,
         if out[0] is not _TRANSFER:
             return out
         _, code, args, base, kont, steps = out
-        fns = code.fns
-        fn = fns.get(cls)
-        if fn is None:
-            if cls not in fns and limit - steps >= _GEN3_FN_HEADROOM:
-                fn = build_fn(code, machine)
-                fns[cls] = fn
-            if fn is None:
-                # The interpreter finishes the transferred activation
-                # (and performs any further transfers internally).
-                return _run_code(
-                    machine, store, code, args, base, kont, entry_kont,
-                    steps, limit, depth,
-                )
 
 
 def _finish_transfer(machine, store, out, entry_kont, limit, depth):
@@ -1202,6 +721,7 @@ class Machine:
         "_plan0",
         "_primop_apply",
         "_gen3",
+        "_tier_up",
         "_gen3_mode",
         "_track_refs",
         "trace",
@@ -1255,7 +775,7 @@ class Machine:
     track_refs = False
 
     #: Declared shape of a custom closure application *for the gen-3
-    #: bytecode tier*: ``"tagged-self-reuse"`` promises the override is
+    #: compiled tier*: ``"tagged-self-reuse"`` promises the override is
     #: exactly the Bigloo-style rule (reuse the continuation when it is
     #: a TaggedReturn for the same lambda at the same arity, else push
     #: a fresh TaggedReturn), so the compiled loop can replicate it.
@@ -1362,14 +882,16 @@ class Machine:
             not self._default_call_frame and frame_kind == "return"
         )
         self._plan0 = gen2 and lefttoright
-        # Gen-3 bytecode tier (DESIGN.md §7.2).  The compiled loop
+        # Gen-3 compiled tier (DESIGN.md §7.2).  The generated code
         # replicates the seed's apply/frame/pop effects directly, so it
         # must know which of the four frame disciplines the variant
         # uses: 0 = I_tail family (the continuation is unchanged by
         # application), 1 = declared I_gc Return, 2 = the declared
         # Bigloo tagged-return-with-reuse rule, 3 = declared I_stack
         # ReturnStack (pops delete the frame).  Anything undeclared
-        # leaves the tier off for that variant.
+        # leaves the tier off for that variant.  ``gen3=None`` tiers a
+        # code up after ``_TIER_UP_THRESHOLD`` entries on gen-2;
+        # ``gen3=True`` builds it on its first entry.
         mode = None
         if self._default_apply:
             if self._default_call_frame:
@@ -1398,6 +920,7 @@ class Machine:
             and self._fuse_if_call
             and mode is not None
         )
+        self._tier_up = 0 if gen3 is True else _TIER_UP_THRESHOLD
         self._track_refs = bool(cls.track_refs)
         #: Telemetry sink (a ``repro.telemetry.bus.TraceBus``) or None.
         #: The only cost when unset is one ``is None`` check per batch.
@@ -1530,6 +1053,7 @@ class Machine:
         gen3 = self._gen3
         gen3_mode2 = gen3 and self._gen3_mode == 2
         gen3_trc = type(self).gen3_tagged
+        tier_up = self._tier_up
         steps = 0
         while steps < limit:
             steps += 1
@@ -1620,14 +1144,18 @@ class Machine:
                             if gen3:
                                 code = gen3_code(lam)
                                 if code is not None:
-                                    (
-                                        control, is_value, env, kont,
-                                        steps, _r,
-                                    ) = _enter_code(
-                                        self, store, code, args, body_env,
-                                        parent, entry, steps, limit,
-                                    )
-                                    continue
+                                    heat = code.heat
+                                    if heat >= tier_up:
+                                        (
+                                            control, is_value, env, kont,
+                                            steps, _r,
+                                        ) = _enter_code(
+                                            self, store, code, args,
+                                            body_env, parent, entry, steps,
+                                            limit,
+                                        )
+                                        continue
+                                    code.heat = heat + 1  # cold
                             control = lam.body
                             is_value = False
                             env = body_env
@@ -1672,12 +1200,20 @@ class Machine:
                                 child, entry = parent, parent.parent
                             else:
                                 child, entry = trc(lam, env, parent), parent
-                            control, is_value, env, kont, steps, _r = (
-                                _enter_code(
-                                    self, store, code, args, body_env,
-                                    child, entry, steps, limit,
+                            heat = code.heat
+                            if heat >= tier_up:
+                                control, is_value, env, kont, steps, _r = (
+                                    _enter_code(
+                                        self, store, code, args, body_env,
+                                        child, entry, steps, limit,
+                                    )
                                 )
-                            )
+                                continue
+                            code.heat = heat + 1  # cold
+                            control = lam.body
+                            is_value = False
+                            env = body_env
+                            kont = child
                             continue
                     # Escapes, control primops, overridden application
                     # (Bigloo), and the not-a-procedure error: take the

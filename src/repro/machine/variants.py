@@ -343,11 +343,12 @@ STEPPERS = ("annotated", "gen3", "gen2", "seed")
 def make_stepper(name: str, stepper: str = "annotated", policy=None):
     """Instantiate *name*'s engine under a stepper selection.
 
-    ``"annotated"`` is the live stepper with the full tier stack (the
-    gen-3 compiled tier engages where the variant is eligible);
-    ``"gen3"`` says the same thing explicitly (differential runs name
-    the tier they mean); ``"gen2"`` turns the gen-3 tier off, leaving
-    the gen-2 superinstruction stepper; ``"seed"`` is the preserved
+    ``"annotated"`` is the live stepper: code runs on the gen-2
+    superinstruction loop until it is hot, then on its generated gen-3
+    function, where the variant is eligible (DESIGN.md §7.2);
+    ``"gen3"`` builds every code's generated function on its first
+    entry, so differential runs exercise generated code whatever its
+    heat; ``"gen2"`` never generates code; ``"seed"`` is the preserved
     seed stepper of :mod:`repro.machine.reference_step`.  All four
     compute identical answers, step counts, and space numbers — the
     lockstep and differential-fuzz suites hold them equal — so this

@@ -26,8 +26,8 @@ Layout:
   the worker-side job entries (single and batched), progress/kill
   receipt shaping.
 - :mod:`repro.serving.artifacts` — the content-addressed compiled-
-  program cache: prepass + gen-3 lowering pickled once per program
-  and shipped to workers, so repeat submissions skip lowering.
+  program cache: the front end's lowered program pickled once per
+  program and shipped to workers, so repeat submissions skip lowering.
 - :mod:`repro.serving.scheduler` — predictive quota scheduling:
   growth-class fits over recorded sweep history, admit-if-it-will-fit
   with ``deferred`` receipts for runs predicted to bust their budget.

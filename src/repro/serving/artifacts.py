@@ -1,12 +1,13 @@
 """Content-addressed compiled-program artifacts for `repro serve`.
 
 A compiled program owns everything derived from it — call plans,
-lexical addresses, quote values and gen-3 code all live on its own
-nodes (:mod:`repro.compiler.frontend`) — so an artifact is just the
-compiled program pickled.  Pickle keeps the sharing within a blob, and
+lexical addresses and quote values all live on its own nodes
+(:mod:`repro.compiler.frontend`) — so an artifact is just the compiled
+program pickled.  Pickle keeps the sharing within a blob, and
 unpickling hands a worker a fully lowered program: parse, expansion,
-validation, address resolution, plan interning and bytecode
-compilation all skipped.
+validation, address resolution and plan interning all skipped.  Gen-3
+code is left out: every served job is metered, and the meter steps
+with ``Machine.step``, which never enters compiled code.
 
 Three layers:
 
@@ -27,9 +28,8 @@ import pickle
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from ..compiler.bytecode import gen3_code
 from ..compiler.frontend import Source, prepare_program, program_sha
-from ..syntax.ast import Expr, Lambda, walk
+from ..syntax.ast import Expr
 
 #: Artifact pickles are process-to-process within one host, never
 #: persisted across versions — always use the newest protocol.
@@ -44,12 +44,9 @@ DEFAULT_CAPACITY = 64
 
 
 def build_artifact(program: Source) -> bytes:
-    """Compile *program* fully — the front end, then gen-3 code for
-    every lambda, so hydrated workers never compile — and pickle it."""
+    """Run *program* through the front end, so hydrated workers never
+    parse or lower it, and pickle it."""
     program = prepare_program(program)
-    for node in walk(program):
-        if node.__class__ is Lambda:
-            gen3_code(node)
     payload = {"version": ARTIFACT_VERSION, "program": program}
     return pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
 

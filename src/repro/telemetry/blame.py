@@ -683,7 +683,9 @@ def trace_run(
     machine = make_stepper(machine_name, stepper)
     bus = TraceBus(capacity=capacity, sample=sample, sink=sink, retain=retain)
     metrics = MetricsRegistry()
-    blame = BlameProfiler(every=blame_every, series_capacity=series_capacity)
+    blame = BlameProfiler(
+        every=blame_every, series_capacity=series_capacity, incremental=True
+    )
     retention = None
     if retention_every > 0:
         from .retention import RetentionProfiler

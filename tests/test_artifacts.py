@@ -1,6 +1,7 @@
 """The artifact cache: (de)hydrated runs are fingerprint-identical to
 cold runs across every machine and both accountings, a pickled compiled
-program drops the process-bound halves of its plans and codes, the
+program drops the process-bound halves of its plans and codes, an
+artifact carries no gen-3 code, the
 canonical singletons survive the pickle channel by identity, the
 server-side LRU keys on the program sha alone and evicts correctly, and
 each worker's hydrated programs stay within the cache's bound.
@@ -91,7 +92,8 @@ def test_call_plan_pickle_drops_beta_cache():
 def test_compiled_program_pickle_drops_fns_and_beta_cache():
     """The program carries its plans and codes through pickle, minus
     their process-bound halves: ``Code.fns`` and ``CallPlan.beta_cache``
-    hold generated functions."""
+    hold generated functions, and ``Code.heat`` counts this process's
+    entries toward tier-up."""
     from repro.compiler.bytecode import gen3_code
     from repro.syntax.ast import Call, Lambda, walk
 
@@ -101,11 +103,13 @@ def test_compiled_program_pickle_drops_fns_and_beta_cache():
     assert code is not None
     plan = next(n for n in walk(program) if n.__class__ is Call).identity_plan
     code.fns["sentinel"] = lambda: None
+    code.heat = 7
     plan.beta_cache = ("sentinel", None, {"unpicklable": lambda: None})
     try:
         copy = pickle.loads(pickle.dumps(program))
     finally:
         code.fns.clear()
+        code.heat = 0
         plan.beta_cache = None
     assert copy.annotated
     copied = [n for n in walk(copy)]
@@ -117,7 +121,20 @@ def test_compiled_program_pickle_drops_fns_and_beta_cache():
         elif node.__class__ is Lambda and getattr(original, "code", None):
             assert node.code.lam is node
             assert node.code.fns == {}
+            assert node.code.heat == 0
             assert len(node.code.instrs) == len(original.code.instrs)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_built_artifact_carries_no_gen3_code(name):
+    """Every served job is metered, and the meter never enters gen-3
+    code, so an artifact leaves every lambda unlowered."""
+    from repro.syntax.ast import Lambda, walk
+
+    program = hydrate_artifact(_blob(name))
+    lambdas = [n for n in walk(program) if n.__class__ is Lambda]
+    assert lambdas
+    assert not any(hasattr(node, "code") for node in lambdas)
 
 
 # -- fingerprint identity ----------------------------------------------

@@ -285,6 +285,36 @@ def test_blame_by_class_is_an_exact_regrouping():
     assert all("@" not in key for key in classed)
 
 
+@pytest.mark.parametrize("linked", (False, True), ids=("flat", "linked"))
+def test_trace_run_blames_incrementally_and_matches_the_walk(linked):
+    """``repro trace`` samples the meter's incremental decomposition
+    instead of re-walking the configuration, and every table it reports
+    equals that of a profiler walking each sampled configuration on the
+    same run."""
+    from repro.space.consumption import prepare_input
+    from repro.space.meter import run_metered
+
+    session = trace_run("gc", BUILD, "12", linked=linked)
+    inc = session.blame
+    assert inc.incremental_samples > 0
+    walked = BlameProfiler()
+    result = run_metered(
+        make_machine("gc"), prepare_program(BUILD), prepare_input("12"),
+        linked=linked, gc_interval=1, blame=walked,
+    )
+    assert walked.incremental_samples == 0
+    assert (result.steps, result.sup_space) == (
+        session.result.steps, session.result.sup_space
+    )
+    assert (inc.sampled, inc.peak_space, inc.peak_step, inc.at_peak) == (
+        walked.sampled, walked.peak_space, walked.peak_step,
+        walked.at_peak,
+    )
+    assert inc.totals == walked.totals
+    assert inc.history == walked.history
+    assert inc.series().as_dict() == walked.series().as_dict()
+
+
 def test_trace_run_records_blame_instruments():
     session = trace_run("gc", LOOP, "15")
     dump = session.metrics.as_dict()

@@ -45,6 +45,8 @@ from repro.machine.variants import ALL_MACHINES, make_stepper
 from repro.space.consumption import prepare_input, prepare_program
 from repro.space.meter import ENGINES, METERS, run_metered, run_to_final
 
+from test_prepass_lockstep import generated_fns
+
 ALL_MACHINE_NAMES = tuple(sorted(ALL_MACHINES))
 
 #: Terminating fuel: every generated program is structurally
@@ -168,12 +170,16 @@ def matrix_answers(source: str, argument: str = ARGUMENT) -> dict:
     answers = {}
     for name in ALL_MACHINE_NAMES:
         for stepper in MATRIX_STEPPERS:
+            machine = make_stepper(name, stepper)
             answers[(name, stepper, "unmetered", "-")] = observe(
                 lambda: answer_string(run_to_final(
-                    make_stepper(name, stepper), program_expr, argument_expr,
+                    machine, program_expr, argument_expr,
                     step_limit=FUEL,
                 )[0])
             )
+            if stepper == "gen3":
+                # The gen-3 column really ran generated code.
+                assert generated_fns(program_expr, machine), name
             for engine in ("delta", "reference"):
                 for accounting in ("S", "U"):
                     answers[(name, stepper, engine, accounting)] = observe(
@@ -307,6 +313,7 @@ def test_random_programs_compiled_tiers_match_seed_step_count(
 
     seed = outcome("seed")
     assert outcome("gen3") == seed
+    assert generated_fns(program_expr, make_stepper(machine_name, "gen3"))
     assert outcome("gen2") == seed
 
 

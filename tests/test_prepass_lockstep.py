@@ -503,41 +503,75 @@ GEN2_PROGRAMS = {
 GEN2_LIMITS = (1, 2, 3, 5, 8, 13)
 
 
-def _batched_lockstep(machine_name, source, argument=None,
-                      limits=GEN2_LIMITS, stepper="annotated"):
-    program = prepare_program(source)
-    argument = prepare_input(argument)
-    if argument is not None:
-        program = Call((program, argument))
-        argument = None
+def _seed_trace(machine_name, program):
+    """The seed stepper's fingerprint at every step of *program*."""
     seed = make_seed_stepper(machine_name)
-    state = seed.inject(program, argument)
+    state = seed.inject(program)
     trace = [_fingerprint(state)]
     for _ in range(LOCKSTEP_LIMIT):
         state = seed.step(state)
         trace.append(_fingerprint(state))
         if state.is_final:
-            break
-    else:
-        raise AssertionError(f"no final configuration in {LOCKSTEP_LIMIT}")
+            return trace
+    raise AssertionError(f"no final configuration in {LOCKSTEP_LIMIT}")
+
+
+def _closed_program(source, argument=None):
+    program = prepare_program(source)
+    argument = prepare_input(argument)
+    return program if argument is None else Call((program, argument))
+
+
+def _run_batched(machine, program, trace, limit, after_first=None):
+    """Drive *machine* through *program* in batches of *limit*, holding
+    every batch boundary to the seed's fingerprint at the same count;
+    *after_first* is called once the first batch is done."""
+    total = len(trace) - 1
+    state = machine.inject(program)
+    done = 0
+    while done < total:
+        state, taken = machine.run_steps(state, limit)
+        done += taken
+        if done < total:
+            # A non-final batch must use its full budget: a fused
+            # transition may never over- or under-count steps.
+            assert taken == limit, (machine, limit, done)
+        assert _fingerprint(state) == trace[done], (machine, limit, done)
+        if after_first is not None:
+            after_first()
+            after_first = None
+    assert done == total
+    assert state.is_final
+
+
+def _batched_lockstep(machine_name, source, argument=None,
+                      limits=GEN2_LIMITS, stepper="annotated"):
+    program = _closed_program(source, argument)
+    trace = _seed_trace(machine_name, program)
     total = len(trace) - 1
     for limit in (*limits, total):
         machine = make_stepper(machine_name, stepper)
-        state = machine.inject(program, argument)
-        done = 0
-        while done < total:
-            state, taken = machine.run_steps(state, limit)
-            done += taken
-            if done < total:
-                # A non-final batch must use its full budget: a fused
-                # transition may never over- or under-count steps.
-                assert taken == limit, (machine_name, limit, done)
-            assert _fingerprint(state) == trace[done], (
-                machine_name, limit, done,
-            )
-        assert done == total
-        assert state.is_final
+        _run_batched(machine, program, trace, limit)
+    if stepper == "gen3":
+        # The compiled tier really ran: a later threshold change must
+        # not quietly turn these into gen-2 tests.
+        assert generated_fns(program, machine), machine_name
     return total
+
+
+def generated_fns(program, machine):
+    """The generated functions built for *machine*'s class on the
+    lambdas of *program*."""
+    from repro.syntax.ast import Lambda, walk
+
+    cls = type(machine)
+    found = []
+    for node in walk(program):
+        if node.__class__ is Lambda:
+            code = getattr(node, "code", None)
+            if code is not None and code.fns.get(cls) is not None:
+                found.append(code.fns[cls])
+    return found
 
 
 @pytest.mark.parametrize("name", sorted(GEN2_PROGRAMS), ids=str)
@@ -643,12 +677,12 @@ def test_quickened_lookup_matches_named_lookup(body, machine_name):
 # The gen-3 tier compiles lambda bodies to register bytecode and
 # reconstructs self-tail cycles as direct loops; like the gen-2 pass
 # it only fires inside run_steps.  These tests drive run_steps with
-# the gen-3 tier named explicitly at every batch size 1..13 (and the
-# whole run), against the seed stepper's exact per-step fingerprints —
-# which carry the store's flat AND linked space numbers at both
-# precisions, so every batch boundary checks both accountings.  The
-# generated-function headroom is forced to 0 so the compiled tier
-# engages even when a batch budget is tiny.
+# the gen-3 tier named explicitly (every code built on its first
+# entry) at every batch size 1..13 (and the whole run), against the
+# seed stepper's exact per-step fingerprints — which carry the store's
+# flat AND linked space numbers at both precisions, so every batch
+# boundary checks both accountings.  The generated functions take any
+# budget, down to one step, exactly.
 
 #: One program per edge of the bytecode pass / loop reconstruction.
 GEN3_PROGRAMS = {
@@ -715,20 +749,59 @@ GEN3_PROGRAMS = {
 GEN3_LIMITS = tuple(range(1, 14))
 
 
-@pytest.fixture
-def _gen3_zero_headroom(monkeypatch):
-    import repro.machine.machine as machine_mod
-
-    monkeypatch.setattr(machine_mod, "_GEN3_FN_HEADROOM", 0)
-
-
 @pytest.mark.parametrize("name", sorted(GEN3_PROGRAMS), ids=str)
 @pytest.mark.parametrize("machine_name", ALL_MACHINE_NAMES)
-def test_gen3_batched_lockstep(machine_name, name, _gen3_zero_headroom):
+def test_gen3_batched_lockstep(machine_name, name):
     _batched_lockstep(
         machine_name, GEN3_PROGRAMS[name],
         limits=GEN3_LIMITS, stepper="gen3",
     )
+
+
+#: A loop entered well past the first batch and more often than the
+#: lowered threshold below, so the default stepper tiers it up mid-run.
+TIER_UP_PROGRAM = """
+    (define (loop n acc)
+      (if (zero? n) acc (loop (- n 1) (+ acc n))))
+    (define (main n) (loop n (* (+ n 1) (- n 1))))
+    (main 12)
+    """
+
+
+@pytest.mark.parametrize("machine_name", ALL_MACHINE_NAMES)
+def test_default_stepper_tiers_up_mid_run(machine_name, monkeypatch):
+    """The default stepper runs cold code on gen-2 and builds a code's
+    generated function on the entry that makes it hot.  With the
+    threshold lowered to 3 the loop crosses it inside the run: no
+    function after the first batch, one at the end, and every batch
+    boundary of sizes 1..13 — the cold entries handed back to gen-2
+    and the entry that builds included — on the seed's fingerprint."""
+    import repro.machine.machine as machine_mod
+
+    monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", 3)
+    for limit in GEN3_LIMITS:
+        program = _closed_program(TIER_UP_PROGRAM)  # every run starts cold
+        trace = _seed_trace(machine_name, program)
+        machine = make_stepper(machine_name)
+
+        def cold_after_first_batch():
+            assert not generated_fns(program, machine), (machine, limit)
+
+        _run_batched(machine, program, trace, limit, cold_after_first_batch)
+        assert generated_fns(program, machine), (machine, limit)
+
+
+def test_cold_run_builds_no_generated_function():
+    """A short corpus program at its default input never gets hot, so
+    a cold ``run`` generates no Python code for any lambda."""
+    from repro.harness.runner import run
+    from repro.programs.corpus import load_program
+
+    fib = load_program("fib")
+    for machine_name in ALL_MACHINE_NAMES:
+        program = prepare_program(fib.source)
+        run(program, fib.default_input, machine=machine_name)
+        assert not generated_fns(program, make_stepper(machine_name))
 
 
 def test_gen3_loops_actually_reconstruct():
@@ -783,10 +856,8 @@ def _space_profile(machine_name, stepper, program, argument):
 @settings(max_examples=40, deadline=None)
 def test_gen3_loop_vs_noloop_on_random_programs(body, machine_name):
     """A random body inside a self-tail loop: the gen-3 run (loops
-    reconstructed, headroom 0) and the gen-2 run (gen-3 off) agree on
-    answer, step count, sup space, and peak step."""
-    import repro.machine.machine as machine_mod
-
+    reconstructed) and the gen-2 run (gen-3 off) agree on answer, step
+    count, sup space, and peak step."""
     program = prepare_program(
         "(define (loop i acc)"
         "  (if (zero? i) (length acc)"
@@ -794,11 +865,7 @@ def test_gen3_loop_vs_noloop_on_random_programs(body, machine_name):
         "(define (f n) (loop n '()))"
     )
     argument = prepare_input("4")
-    old = machine_mod._GEN3_FN_HEADROOM
-    machine_mod._GEN3_FN_HEADROOM = 0
-    try:
-        with_loops = _space_profile(machine_name, "gen3", program, argument)
-        without = _space_profile(machine_name, "gen2", program, argument)
-    finally:
-        machine_mod._GEN3_FN_HEADROOM = old
+    with_loops = _space_profile(machine_name, "gen3", program, argument)
+    assert generated_fns(program, make_stepper(machine_name, "gen3"))
+    without = _space_profile(machine_name, "gen2", program, argument)
     assert with_loops == without, machine_name

@@ -149,6 +149,32 @@ def test_aggregate_series_merges_the_grid():
     assert sum(merged.totals().values()) == sum(merged.spaces)
 
 
+def test_blame_cells_merge_to_the_walked_table():
+    """Sweep's blame cells profile incrementally; the merged table is
+    the one profilers walking each sampled configuration give on the
+    same cells."""
+    from repro.space.consumption import measure
+    from repro.telemetry.blame import BlameProfiler, BlameSeries
+
+    cells = traced_cells(trace_sample=0, blame_every=2)
+    merged = aggregate_series(run_grid(cells))
+    expected = []
+    for cell in cells:
+        profiler = BlameProfiler(every=cell.blame_every)
+        measure(
+            cell.machine, cell.program, cell.argument,
+            linked=cell.linked, fixed_precision=cell.fixed_precision,
+            engine=cell.engine, meter=cell.meter,
+            checkpoint_every=cell.checkpoint_every,
+            gc_interval=cell.gc_interval, step_limit=cell.step_limit,
+            blame=profiler,
+        )
+        assert profiler.incremental_samples == 0
+        expected.append(profiler.series())
+    assert merged.as_dict() == BlameSeries.merge(expected).as_dict()
+    assert merged.totals() == BlameSeries.merge(expected).totals()
+
+
 def test_parallel_traced_grid_matches_serial():
     from repro.telemetry.bus import replay
 
