@@ -16,6 +16,7 @@ memoized-U_X acceptance number.  A session fixture collects every
 steps/second figure into ``benchmarks/results/BENCH_throughput.json``.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -25,8 +26,8 @@ import time
 import pytest
 
 from conftest import write_bench_summary
+from fused_step_rate import step_rate_entry
 
-from repro.machine.reference_step import make_seed_stepper
 from repro.machine.variants import make_machine
 from repro.programs.corpus import load_program
 from repro.programs.examples import find_leftmost_program
@@ -390,7 +391,6 @@ def test_bench_cache_warm_vs_cold(throughput_log):
 # (after), identical transitions verified per measurement.
 # ---------------------------------------------------------------------------
 
-STEP_RATE_ROUNDS = 5
 STEP_RATE_ARGUMENT = prepare_input("13")
 
 FIND_LEFTMOST = prepare_program(find_leftmost_program("right"))
@@ -415,68 +415,19 @@ def step_rate_log():
     write_bench_summary(STEP_RATE_JSON, log)
 
 
-def _best_step_rate(factory, name, program, argument):
-    """Best-of-N steps/second for one stepper on one workload."""
-    best = 0.0
-    steps = None
-    answer = None
-    for _ in range(STEP_RATE_ROUNDS):
-        stepper = factory(name)
-        start = time.perf_counter()
-        final, taken = run_to_final(stepper, program, argument)
-        elapsed = time.perf_counter() - start
-        best = max(best, taken / elapsed)
-        steps, answer = taken, repr(final.value)
-    return best, steps, answer
-
-
 def _gen1(name):
     """The PR 2 fused stepper: annotations and the batched run loop,
     but none of the gen-2 superinstructions."""
     return make_machine(name, gen2=False)
 
 
-def _gen2_only(name):
-    """The gen-2 superinstruction stepper with the gen-3 register
-    bytecode tier off."""
-    return make_machine(name, gen3=False)
-
-
-def _step_rate_entry(name, workload, program, argument):
-    before, seed_steps, seed_answer = _best_step_rate(
-        make_seed_stepper, name, program, argument
-    )
-    gen1, gen1_steps, gen1_answer = _best_step_rate(
-        _gen1, name, program, argument
-    )
-    gen2, gen2_steps, gen2_answer = _best_step_rate(
-        _gen2_only, name, program, argument
-    )
-    after, steps, answer = _best_step_rate(
-        make_machine, name, program, argument
-    )
-    # All four steppers must run the identical computation.
-    assert (steps, answer) == (gen1_steps, gen1_answer) == \
-        (gen2_steps, gen2_answer) == (seed_steps, seed_answer)
-    return {
-        "workload": workload,
-        "transitions": steps,
-        "before_steps_per_second": round(before, 1),
-        "gen1_steps_per_second": round(gen1, 1),
-        "gen2_steps_per_second": round(gen2, 1),
-        "after_steps_per_second": round(after, 1),
-        "speedup": round(after / before, 2),
-        "gen2_over_gen1": round(gen2 / gen1, 2),
-        "gen3_over_gen2": round(after / gen2, 2),
-    }
-
-
 @pytest.mark.step_rate
 @pytest.mark.parametrize("name", MACHINES)
 def test_bench_step_rate(step_rate_log, name):
-    """Before/after step rate for every machine on fib(13); the
-    annotated stepper must never be slower than the seed."""
-    entry = _step_rate_entry(name, "fib(13)", PROGRAM, STEP_RATE_ARGUMENT)
+    """Before/after step rate for every machine on fib(13), measured in
+    the worker subprocess (see :func:`_worker`); the annotated stepper
+    must never be slower than the seed."""
+    entry = _worker("fused_step_rate.py")[name]
     step_rate_log["machines"][name] = entry
     assert entry["speedup"] > 1.0, entry
 
@@ -485,7 +436,7 @@ def test_bench_step_rate(step_rate_log, name):
 def test_bench_step_rate_sfs_find_leftmost(step_rate_log):
     """Acceptance: >= 3x steps/second on I_sfs running the section 4
     find-leftmost example over a right-spine tree of 256 leaves."""
-    entry = _step_rate_entry(
+    entry = step_rate_entry(
         "sfs", "find-leftmost(right, 256)",
         FIND_LEFTMOST, FIND_LEFTMOST_ARGUMENT,
     )
@@ -497,7 +448,7 @@ def test_bench_step_rate_sfs_find_leftmost(step_rate_log):
 @pytest.mark.step_rate
 def test_bench_step_rate_tail_fib(step_rate_log):
     """Acceptance: >= 1.5x steps/second on I_tail throughput (fib)."""
-    entry = _step_rate_entry("tail", "fib(13)", PROGRAM, STEP_RATE_ARGUMENT)
+    entry = step_rate_entry("tail", "fib(13)", PROGRAM, STEP_RATE_ARGUMENT)
     entry["target"] = TAIL_FIB_TARGET
     step_rate_log["acceptance"]["tail_fib"] = entry
     assert entry["speedup"] >= TAIL_FIB_TARGET, entry
@@ -636,19 +587,20 @@ GEN3_FLAGSHIPS = GEN2_FLAGSHIPS
 STACK_UNMETERED_TARGET = 1_000_000.0
 
 
-def _gen3_worker_machines():
-    """Measure the gen2/gen3 cells in a fresh subprocess
-    (``benchmarks/gen3_step_rate.py``).  The gen-3 tier descends into
-    generated Python functions for non-tail calls, so its throughput
-    depends on the *base* call depth: CPython 3.11 allocates frames on
-    a chunked data stack, and at the ~30-40 frame depth of a pytest
-    session the run's recursion oscillates across a chunk boundary,
-    paying the chunk alloc/free slow path on every call (~30% on the
-    generated code; the flat gen-2 loop is immune).  Real drivers —
-    the CLI, the harness — run at shallow depth, so the gate measures
-    from a fresh process's shallow stack, like them.  See the worker's
-    docstring for the interleaved-pair methodology."""
-    script = os.path.join(os.path.dirname(__file__), "gen3_step_rate.py")
+@functools.lru_cache(maxsize=None)
+def _worker(script):
+    """Run a measurement worker (``benchmarks/gen3_step_rate.py`` or
+    ``benchmarks/fused_step_rate.py``) in a fresh subprocess, once per
+    session.  Generated code descends into Python functions for
+    non-tail calls, so its throughput depends on the *base* call depth:
+    CPython 3.11 allocates frames on a chunked data stack, and at the
+    ~30-40 frame depth of a pytest session the run's recursion can
+    oscillate across a chunk boundary, paying the chunk alloc/free slow
+    path on every call (the flat gen-2 loop is immune).  Real drivers —
+    the CLI, the harness — run at shallow depth, so the gates measure
+    from a fresh process's shallow stack, like them.  See the workers'
+    docstrings for the methodology."""
+    script = os.path.join(os.path.dirname(__file__), script)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(script)), "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -667,7 +619,7 @@ def test_bench_step_rate_gen3(step_rate_log):
     """Acceptance for the gen-3 tier: the flagship corpus-weighted
     speedup over the gen-2 stepper reaches GEN3_CORPUS_TARGET, and no
     machine's own corpus-weighted rate regresses below GEN3_FLOOR."""
-    machines = _gen3_worker_machines()
+    machines = _worker("gen3_step_rate.py")
     for entry in machines.values():
         cells = entry["cells"]
         entry["corpus_weighted"] = round(
@@ -707,14 +659,14 @@ def test_bench_step_rate_gen3(step_rate_log):
 @pytest.mark.step_rate
 def test_bench_step_rate_stack_absolute(step_rate_log):
     """Acceptance: the stack machine clears one million unmetered
-    steps/second on fib(13) with the full tier stack."""
-    best, steps, answer = _best_step_rate(
-        make_machine, "stack", PROGRAM, STEP_RATE_ARGUMENT
-    )
+    steps/second on fib(13) with the full tier stack (the default
+    stepper's best-of-5 rate, measured in the worker subprocess)."""
+    entry = _worker("fused_step_rate.py")["stack"]
+    best = entry["after_steps_per_second"]
     step_rate_log["acceptance"]["stack_unmetered"] = {
         "workload": "fib(13)",
-        "transitions": steps,
-        "steps_per_second": round(best, 1),
+        "transitions": entry["transitions"],
+        "steps_per_second": best,
         "target": STACK_UNMETERED_TARGET,
     }
     assert best >= STACK_UNMETERED_TARGET, best

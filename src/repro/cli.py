@@ -181,10 +181,13 @@ def _cmd_meter_audit(args: argparse.Namespace) -> int:
         else:
             source, argument = _read_source(name), None
         for mode in METERS:
+            # Linked accounting runs every layer of the engine: the
+            # reference counts and the binding ledger.
             result = measure(
                 args.machine,
                 source,
                 argument,
+                linked=True,
                 meter=mode,
                 step_limit=2_000_000,
             )
@@ -196,6 +199,8 @@ def _cmd_meter_audit(args: argparse.Namespace) -> int:
                 stats.get("collections", 0),
                 stats.get("trials", 0),
                 stats.get("canonical_fallbacks", 0),
+                stats.get("root_updates", 0),
+                stats.get("ledger_updates", 0),
                 stats.get("trips", "-"),
                 stats.get("checkpoints", "-"),
                 stats.get("certified", "-"),
@@ -203,12 +208,13 @@ def _cmd_meter_audit(args: argparse.Namespace) -> int:
     print(render_table(
         [
             "program", "meter", "steps", "collect", "trials", "fallback",
-            "trips", "checkpts", "cert",
+            "roots", "ledger", "trips", "checkpts", "cert",
         ],
         rows,
         title=(
-            f"delta meter audit [{args.machine}] — collections, cycle "
-            "trials and canonical fallbacks, exact vs sampled"
+            f"delta meter audit [{args.machine}] — linked accounting: "
+            "collections, cycle trials, canonical fallbacks, root and "
+            "ledger updates, exact vs sampled"
         ),
     ))
     return 0
@@ -867,9 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser.add_argument(
         "--meter-audit", action="store_true",
         help="run the delta metering engine under both meters over "
-        "corpus programs (or the given files) and report its "
-        "collections, cycle trials, canonical fallbacks, and the "
-        "sampled meter's trips, checkpoints and certification",
+        "corpus programs (or the given files), linked accounting, and "
+        "report its collections, cycle trials, canonical fallbacks, "
+        "root and ledger updates, and the sampled meter's trips, "
+        "checkpoints and certification",
     )
     analyze_parser.add_argument(
         "--machine", default="gc", choices=sorted(ALL_MACHINES),

@@ -42,15 +42,23 @@ from .values import Location, Value
 class Kont:
     """Base class for continuations."""
 
-    # ``_ceiling`` is a lazily-filled cache (left unset by every
-    # constructor: an unset slot raises AttributeError, which the sole
-    # consumer catches): the largest store location rooted by this
-    # frame or any ancestor, used by the I_stack frame-pop fast path
-    # together with the monotonic-location invariant.  Continuations
-    # are immutable and locations are never reused, so the cached value
-    # can never go stale.
+    # ``_ceiling`` and ``_compact`` are lazily-filled caches (left
+    # unset by every constructor: an unset slot raises AttributeError,
+    # which their sole consumers catch).  ``_ceiling`` is the largest
+    # store location rooted by this frame or any ancestor, used by the
+    # I_stack frame-pop fast path together with the monotonic-location
+    # invariant.  ``_compact`` is True once MTA compaction has found no
+    # two consecutive Return frames from this frame down to halt.
+    # Continuations are immutable and locations are never reused, so
+    # neither cached value can go stale.
     __slots__ = (
-        "parent", "env", "_flat_space", "_linked_space", "depth", "_ceiling",
+        "parent",
+        "env",
+        "_flat_space",
+        "_linked_space",
+        "depth",
+        "_ceiling",
+        "_compact",
     )
 
     parent: Optional["Kont"]

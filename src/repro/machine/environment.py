@@ -111,8 +111,8 @@ class Environment:
 
     def location_tuple(self) -> Tuple[Location, ...]:
         """The range as a tuple *with multiplicity* (one entry per
-        binding), cached — the incremental meter diffs root sets by
-        counting each binding's location separately."""
+        binding), cached — the incremental meter counts one root
+        reference per binding when the environment enters the roots."""
         if self._location_tuple is None:
             self._location_tuple = tuple(self._bindings.values())
         return self._location_tuple

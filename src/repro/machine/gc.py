@@ -187,10 +187,15 @@ class RefTracker:
 
     A location's count is the number of references to it from (a) the
     values held in store cells — the *heap* references, maintained by
-    the store mutation hooks — and (b) the configuration roots — the
-    register environment's range (with multiplicity), each continuation
-    frame's direct locations and parked values, and the accumulator —
-    maintained by the meter's per-step diffs.  The total is zero
+    the store mutation hooks — and (b) the configuration's *rooted
+    objects*, each counted once however many root holders share it:
+    every distinct environment held by the register or a continuation
+    frame, every distinct location-holding value held by the
+    accumulator or parked in a frame, and each ``return:(A, rho,
+    kappa)`` frame's deletion set A.  The meter keeps the per-object
+    holder counts and calls :meth:`add_roots` / :meth:`drop_roots` only
+    when an object enters or leaves the roots (deferred reference
+    counting of roots, after Deutsch & Bobrow).  The total is zero
     exactly when the location is unreferenced, which for an acyclic
     store implies every garbage location is reached by the
     zero-candidate cascade.  Root counts are additionally kept in a
@@ -245,6 +250,7 @@ class RefTracker:
             "collections": 0,
             "trials": 0,
             "trial_nodes": 0,
+            "root_updates": 0,
         }
 
     # -- reference-count primitives ----------------------------------------
@@ -260,40 +266,42 @@ class RefTracker:
         elif self.anchors and self.root_rc.get(location, 0) == 0:
             self.suspects.add(location)
 
-    def inc_root(self, location: Location) -> None:
-        self.rc[location] = self.rc.get(location, 0) + 1
-        self.root_rc[location] = self.root_rc.get(location, 0) + 1
+    def add_roots(self, locations: Tuple[Location, ...]) -> None:
+        """Count one root reference to each of *locations*: a rooted
+        object (environment, value, deletion set) entered the roots."""
+        self.stats["root_updates"] += len(locations)
+        rc, root_rc = self.rc, self.root_rc
+        for location in locations:
+            rc[location] = rc.get(location, 0) + 1
+            root_rc[location] = root_rc.get(location, 0) + 1
         if self.unrooted_anchors:
-            self.unrooted_anchors.discard(location)
+            self.unrooted_anchors.difference_update(locations)
 
-    def dec_root(self, location: Location) -> None:
-        count = self.rc[location] - 1
-        self.rc[location] = count
-        roots = self.root_rc[location] - 1
-        if roots:
-            self.root_rc[location] = roots
-        else:
-            del self.root_rc[location]
+    def drop_roots(self, locations: Tuple[Location, ...]) -> None:
+        """Undo :meth:`add_roots` for an object leaving the roots."""
+        self.stats["root_updates"] += len(locations)
+        rc, root_rc = self.rc, self.root_rc
+        for location in locations:
+            count = rc[location] - 1
+            rc[location] = count
+            roots = root_rc[location] - 1
+            if roots:
+                root_rc[location] = roots
+                continue
+            del root_rc[location]
             if count == 0:
                 self.zeros.add(location)
             elif self.anchors:
                 self.suspects.add(location)
                 if location in self.anchors:
                     self.unrooted_anchors.add(location)
-            return
-        if count == 0:
-            self.zeros.add(location)
 
-    def inc_value_root(self, value: Value) -> None:
-        """Count the references held directly by a root-held *value*."""
+    def add_value_roots(self, value: Value) -> None:
+        """Count the references held directly by a value entering the
+        roots."""
         if isinstance(value, Escape):
             self.saw_escape = True
-        for location in value.locations():
-            self.inc_root(location)
-
-    def dec_value_root(self, value: Value) -> None:
-        for location in value.locations():
-            self.dec_root(location)
+        self.add_roots(value.locations())
 
     def _dec_value_heap(self, value: Value) -> None:
         for location in value.locations():
@@ -516,53 +524,39 @@ class RefTracker:
     def expected_counts(
         self,
         store: Store,
-        root_values: Iterable[Value] = (),
-        root_env: Optional[Environment] = None,
-        root_kont: Optional[Kont] = None,
+        rooted: Iterable[Tuple[Location, ...]],
     ) -> Tuple[Dict[Location, int], Dict[Location, int]]:
         """Recompute (total, root-only) counts from scratch
-        (checkpoint_spaces-style audit).  Only valid while no escape
-        has been seen."""
+        (checkpoint_spaces-style audit): one heap reference per
+        location mentioned by each store cell, and one root reference
+        per location of each entry of *rooted* — the locations of each
+        distinct rooted object, and each deletion set, listed once.
+        Only valid while no escape has been seen."""
         counts: Dict[Location, int] = {location: 0 for location in store.locations()}
         roots: Dict[Location, int] = {}
-
-        def add_root(location: Location) -> None:
-            counts[location] = counts.get(location, 0) + 1
-            roots[location] = roots.get(location, 0) + 1
-
         for _location, value in store.items():
             for reference in value.locations():
                 counts[reference] = counts.get(reference, 0) + 1
-        for value in root_values:
-            for reference in value.locations():
-                add_root(reference)
-        if root_env is not None:
-            for location in root_env.location_tuple():
-                add_root(location)
-        if root_kont is not None:
-            for frame in chain(root_kont):
-                for location in frame.direct_locations():
-                    add_root(location)
-                for value in frame.direct_values():
-                    for reference in value.locations():
-                        add_root(reference)
+        for locations in rooted:
+            for location in locations:
+                counts[location] = counts.get(location, 0) + 1
+                roots[location] = roots.get(location, 0) + 1
         return counts, roots
 
     def audit(
         self,
         store: Store,
+        rooted: Iterable[Tuple[Location, ...]],
         root_values: Iterable[Value] = (),
         root_env: Optional[Environment] = None,
         root_kont: Optional[Kont] = None,
     ) -> None:
         """Raise AssertionError when the maintained counts, root
-        counts, or anchors disagree with a from-scratch recount, or
-        when the store still holds a location unreachable from the
-        given roots (i.e. the last reclaim failed to apply the GC rule
-        exhaustively)."""
-        expected, expected_roots = self.expected_counts(
-            store, root_values, root_env, root_kont
-        )
+        counts, or anchors disagree with a from-scratch recount over
+        *rooted* (see :meth:`expected_counts`), or when the store still
+        holds a location unreachable from the given roots (i.e. the
+        last reclaim failed to apply the GC rule exhaustively)."""
+        expected, expected_roots = self.expected_counts(store, rooted)
         actual = {loc: n for loc, n in self.rc.items() if n or loc in store}
         expected = {loc: n for loc, n in expected.items() if n or loc in store}
         if actual != expected:

@@ -26,7 +26,15 @@ from ..syntax.free_vars import (
     name_set,
 )
 from .config import State
-from .continuation import Kont, Return, ReturnStack
+from .continuation import (
+    Assign,
+    CallK,
+    Kont,
+    Push,
+    Return,
+    ReturnStack,
+    Select,
+)
 from .environment import EMPTY_ENV, Environment
 from .machine import Machine
 from .values import Closure, Location
@@ -266,21 +274,44 @@ class MtaMachine(GcMachine):
 
     def compact(self, state):
         """Collapse runs of consecutive Return frames in the register
-        continuation (called by the meter alongside the GC rule)."""
+        continuation (called by the meter alongside the GC rule).
+
+        A chain with no two consecutive Return frames is *compact*, and
+        so is every suffix of it.  Each frame caches that fact about its
+        own chain the first time a walk proves it (``Kont._compact``;
+        frames are immutable), so the walk stops at the first frame
+        already known compact: a step that collapses nothing costs
+        O(frames pushed since the last compaction).  A collapse rebuilds
+        the whole chain onto halt, as the seed stepper does, so the new
+        chain shares no frame with the old one (an escape may still hold
+        the old chain, and linked accounting counts each frame object
+        once)."""
+        fresh = []
+        kont = state.kont
+        while not getattr(kont, "_compact", False):
+            parent = kont.parent
+            if parent is None:
+                break  # halt
+            if type(kont) is Return and type(parent) is Return:
+                return self._collapse(state)
+            fresh.append(kont)
+            kont = parent
+        for frame in fresh:
+            frame._compact = True
+        return state
+
+    def _collapse(self, state):
         frames = []
         kont = state.kont
-        changed = False
         while kont.parent is not None:
-            if type(kont) is Return and type(kont.parent) is Return:
-                changed = True  # skip: the parent return supersedes it
-            else:
+            # Skip a return whose parent return supersedes it.
+            if type(kont) is not Return or type(kont.parent) is not Return:
                 frames.append(kont)
             kont = kont.parent
-        if not changed:
-            return state
         rebuilt = kont  # halt
         for frame in reversed(frames):
             rebuilt = _rebuild_frame(frame, rebuilt)
+            rebuilt._compact = True
         return State(
             state.control, state.is_value, state.env, rebuilt, state.store
         )
@@ -288,8 +319,6 @@ class MtaMachine(GcMachine):
 
 def _rebuild_frame(frame: Kont, parent: Kont) -> Kont:
     """Copy *frame* onto a new parent (continuations are immutable)."""
-    from .continuation import Assign, CallK, Push, ReturnStack, Select
-
     if type(frame) is Return:
         return Return(frame.env, parent)
     if type(frame) is Select:

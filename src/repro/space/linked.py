@@ -179,17 +179,25 @@ class BindingLedger:
     :class:`repro.telemetry.blame.IncrementalBlame`) notified on every
     0↔1 transition of a pair's count, i.e. exactly when the pair
     enters or leaves the *distinct* set — the per-identifier
-    ``binding:<name>`` blame term is the per-name slice of that set."""
+    ``binding:<name>`` blame term is the per-name slice of that set.
 
-    __slots__ = ("_counts", "distinct", "saw_escape", "blame")
+    A pair's count is the number of contributing *objects*: each
+    distinct environment rooted by the register or a continuation frame
+    (the meter registers a shared environment once, however many
+    holders share it), the accumulator's closure, and each stored
+    closure.  ``updates`` counts pair-count changes (work telemetry)."""
+
+    __slots__ = ("_counts", "distinct", "saw_escape", "blame", "updates")
 
     def __init__(self):
         self._counts: Dict[Tuple[str, int], int] = {}
         self.distinct = 0
         self.saw_escape = False
         self.blame = None
+        self.updates = 0
 
     def add_graph(self, graph) -> None:
+        self.updates += len(graph)
         counts = self._counts
         for binding in graph:
             count = counts.get(binding, 0)
@@ -200,6 +208,7 @@ class BindingLedger:
                     self.blame.bind_delta(binding[0], 1)
 
     def remove_graph(self, graph) -> None:
+        self.updates += len(graph)
         counts = self._counts
         for binding in graph:
             count = counts[binding] - 1
@@ -237,25 +246,47 @@ class BindingLedger:
 
     # -- integrity audit ----------------------------------------------------
 
-    def audit(self, configuration: Union[State, Final]) -> None:
+    def audit(self, configuration: Union[State, Final], root_envs) -> None:
         """Raise AssertionError when ``distinct`` disagrees with the
-        oracle tally of the same configuration."""
+        oracle tally of the same configuration, or when a pair's count
+        disagrees with a from-scratch recount over *root_envs* (the
+        distinct environments the register and frames hold), the
+        accumulator's closure and the stored closures."""
         tally = _LinkedTally(fixed_precision=False)
+        graphs = [env.graph() for env in root_envs]
         if isinstance(configuration, Final):
             tally.add_value(configuration.value)
+            if isinstance(configuration.value, Closure):
+                graphs.append(configuration.value.env.graph())
         else:
             tally.add_env(configuration.env)
             for frame in chain(configuration.kont):
                 tally.add_env(frame.env)
             if configuration.is_value:
                 tally.add_value(configuration.control)
+                if isinstance(configuration.control, Closure):
+                    graphs.append(configuration.control.env.graph())
         for _location, value in configuration.store.items():
             if isinstance(value, Closure):
                 tally.add_env(value.env)
+                graphs.append(value.env.graph())
         if len(tally.bindings) != self.distinct:
             missing = tally.bindings - set(self._counts)
             extra = set(self._counts) - tally.bindings
             raise AssertionError(
                 f"binding ledger drift: oracle={len(tally.bindings)} "
                 f"ledger={self.distinct} missing={missing} extra={extra}"
+            )
+        expected: Dict[Tuple[str, int], int] = {}
+        for graph in graphs:
+            for binding in graph:
+                expected[binding] = expected.get(binding, 0) + 1
+        if expected != self._counts:
+            diff = {
+                binding: (expected.get(binding), self._counts.get(binding))
+                for binding in set(expected) | set(self._counts)
+                if expected.get(binding) != self._counts.get(binding)
+            }
+            raise AssertionError(
+                f"binding-count drift (expected, actual): {diff}"
             )

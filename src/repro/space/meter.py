@@ -19,7 +19,10 @@ GC rule and measure space for it:
   counts fed by the store's mutation hooks and by per-step
   configuration diffs) so each application of the GC rule is a
   decrement cascade over the references the step dropped, O(delta)
-  instead of O(live heap); and, under linked accounting, a
+  instead of O(live heap).  Roots are counted per object: the engine
+  counts the holders of each rooted environment and value, and moves
+  the per-location counts only when an object enters or leaves the
+  roots (:class:`DeltaMeter`).  Under linked accounting it also keeps a
   :class:`~repro.space.linked.BindingLedger` plus the cached
   ``Kont.linked_space`` / ``Store.linked_structural`` totals so each
   U_X measurement is O(1) instead of a configuration re-walk.  Cycle
@@ -60,11 +63,11 @@ from functools import partial
 from typing import List, Optional, Tuple, Union
 
 from ..machine.config import Configuration, Final, State
-from ..machine.continuation import Kont
+from ..machine.continuation import Kont, ReturnStack, chain
 from ..machine.errors import StepLimitExceeded
 from ..machine.gc import RefTracker, collect, collect_final
 from ..machine.machine import Machine
-from ..machine.values import Value
+from ..machine.values import Closure, Escape, Pair, Value, Vector
 from ..syntax.ast import Expr, ast_size
 from .flat import configuration_space, value_space
 from .linked import BindingLedger, configuration_space_linked, value_structural
@@ -264,6 +267,38 @@ class ReferenceMeter:
             store.tracker = None
 
 
+#: Value types whose objects hold locations directly: the only values
+#: that root anything while the accumulator holds them or a frame parks
+#: them.
+_ROOTING_VALUES = frozenset((Closure, Escape, Pair, Vector))
+
+
+def _root_holders(configuration: Configuration) -> Tuple[dict, list]:
+    """Count, from scratch, the root holders of each rooted object —
+    the table :class:`DeltaMeter` maintains: one per register or frame
+    holding an environment, one per accumulator or parked slot holding
+    a location-holding value.  Also returns each ``return:(A, rho,
+    kappa)`` frame's deletion set A, which is rooted per frame."""
+    held: dict = {}
+    deletion_sets = []
+    if isinstance(configuration, Final):
+        values = [configuration.value]
+    else:
+        values = [configuration.control] if configuration.is_value else []
+        if configuration.env is not None:
+            held[configuration.env] = 1
+        for frame in chain(configuration.kont):
+            if frame.env is not None:
+                held[frame.env] = held.get(frame.env, 0) + 1
+            values.extend(frame.direct_values())
+            if isinstance(frame, ReturnStack):
+                deletion_sets.append(frame.frame)
+    for value in values:
+        if type(value) in _ROOTING_VALUES:
+            held[value] = held.get(value, 0) + 1
+    return held, deletion_sets
+
+
 class DeltaMeter:
     """The incremental engine: refcount delta-GC + memoized U_X.
 
@@ -272,6 +307,18 @@ class DeltaMeter:
     tracker and (under linked accounting) the binding ledger, and
     tracks the configuration's root components — register environment,
     continuation, accumulator — by diffing them across steps.
+
+    Roots are counted per object, not per location.  ``_held`` maps
+    each rooted object to its number of holders: an environment to the
+    register and frames holding it, a location-holding value to the
+    accumulator and frame slots holding it.  The tracker's per-location
+    root counts and the ledger's binding pairs move only when an
+    object's holder count crosses 0↔1, and a transition holds every new
+    root before releasing any old one, so an object that only moves
+    between holders (the register environment saved in a pushed frame,
+    a value parked from the accumulator, the frames MTA compaction
+    rebuilds) costs one table update, not one per location.  A
+    ``ReturnStack``'s deletion set A is rooted per frame.
     """
 
     __slots__ = (
@@ -283,10 +330,12 @@ class DeltaMeter:
         "blame_inc",
         "prov",
         "fallback",
+        "_tracking",
         "_fallback_measure",
         "_env",
         "_kont",
         "_acc",
+        "_held",
         "_store",
         "bus",
         "canonical_fallbacks",
@@ -311,6 +360,9 @@ class DeltaMeter:
         #: counts stop modelling reachability.
         self.prov = None
         self.fallback = False
+        #: Whether :meth:`transition` has a sink to feed (set by
+        #: :meth:`prime`; cleared by the fallback).
+        self._tracking = True
         self.bus = None
         #: GC-rule applications where a cycle trial exceeded its budget
         #: and the canonical trace ran (telemetry).
@@ -322,6 +374,8 @@ class DeltaMeter:
         self._env = None
         self._kont: Optional[Kont] = None
         self._acc: Optional[Value] = None
+        #: Holder count per rooted object (see the class docstring).
+        self._held: dict = {}
         self._store = None
 
     # -- store tracker interface -------------------------------------------
@@ -355,108 +409,91 @@ class DeltaMeter:
         if self.prov is not None:
             self.prov.on_delete(location, value)
 
-    # -- root component bookkeeping ----------------------------------------
+    # -- root bookkeeping, per object --------------------------------------
+
+    def _hold_env(self, env) -> None:
+        held = self._held
+        count = held.get(env, 0)
+        held[env] = count + 1
+        if not count:
+            if self.tracker is not None:
+                self.tracker.add_roots(env.location_tuple())
+            if self.ledger is not None:
+                self.ledger.add_graph(env.graph())
+
+    def _release_env(self, env) -> None:
+        held = self._held
+        count = held[env] - 1
+        if count:
+            held[env] = count
+            return
+        del held[env]
+        if self.tracker is not None:
+            self.tracker.drop_roots(env.location_tuple())
+        if self.ledger is not None:
+            self.ledger.remove_graph(env.graph())
+
+    def _hold_value(self, value: Value) -> None:
+        held = self._held
+        count = held.get(value, 0)
+        held[value] = count + 1
+        if not count and self.tracker is not None:
+            self.tracker.add_value_roots(value)
+
+    def _release_value(self, value: Value) -> None:
+        held = self._held
+        count = held[value] - 1
+        if count:
+            held[value] = count
+            return
+        del held[value]
+        if self.tracker is not None:
+            self.tracker.drop_roots(value.locations())
 
     def _add_frame(self, frame: Kont) -> None:
-        tracker = self.tracker
-        if tracker is not None:
-            for location in frame.direct_locations():
-                tracker.inc_root(location)
-            for value in frame.direct_values():
-                tracker.inc_value_root(value)
-        ledger = self.ledger
-        if ledger is not None and frame.env is not None:
-            ledger.add_graph(frame.env.graph())
+        if frame.env is not None:
+            self._hold_env(frame.env)
+        for value in frame.direct_values():
+            if type(value) in _ROOTING_VALUES:
+                self._hold_value(value)
+        if self.tracker is not None and type(frame) is ReturnStack:
+            self.tracker.add_roots(frame.frame)
         if self.blame_inc is not None:
             self.blame_inc.frame_add(frame)
 
     def _remove_frame(self, frame: Kont) -> None:
-        tracker = self.tracker
-        if tracker is not None:
-            for location in frame.direct_locations():
-                tracker.dec_root(location)
-            for value in frame.direct_values():
-                tracker.dec_value_root(value)
-        ledger = self.ledger
-        if ledger is not None and frame.env is not None:
-            ledger.remove_graph(frame.env.graph())
+        if frame.env is not None:
+            self._release_env(frame.env)
+        for value in frame.direct_values():
+            if type(value) in _ROOTING_VALUES:
+                self._release_value(value)
+        if self.tracker is not None and type(frame) is ReturnStack:
+            self.tracker.drop_roots(frame.frame)
         if self.blame_inc is not None:
             self.blame_inc.frame_remove(frame)
 
-    def _set_env(self, env) -> None:
-        if env is self._env:
-            return
-        tracker, ledger = self.tracker, self.ledger
-        old = self._env
-        if old is not None:
-            if tracker is not None:
-                for location in old.location_tuple():
-                    tracker.dec_root(location)
-            if ledger is not None:
-                ledger.remove_graph(old.graph())
-        if env is not None:
-            if tracker is not None:
-                for location in env.location_tuple():
-                    tracker.inc_root(location)
-            if ledger is not None:
-                ledger.add_graph(env.graph())
-        self._env = env
-        if self.blame_inc is not None and not self.linked:
-            self.blame_inc.set_env_size(0 if env is None else len(env))
-
-    def _set_acc(self, acc: Optional[Value]) -> None:
-        if acc is self._acc:
-            return
-        tracker, ledger = self.tracker, self.ledger
-        old = self._acc
-        if old is not None:
-            if tracker is not None:
-                tracker.dec_value_root(old)
-            if ledger is not None:
-                ledger.remove_value(old)
-        if acc is not None:
-            if tracker is not None:
-                tracker.inc_value_root(acc)
-            if ledger is not None:
-                ledger.add_value(acc)
-        self._acc = acc
-        if self.blame_inc is not None:
-            if old is not None:
-                self.blame_inc.acc_remove(old)
-            if acc is not None:
-                self.blame_inc.acc_add(acc)
-
-    def _set_kont(self, kont: Optional[Kont]) -> None:
-        old = self._kont
-        if kont is old:
-            return
-        # Immutable frames share their ancestry: walk both chains to
-        # the deepest common frame (O(divergence) via cached depths)
-        # and add/remove only the frames above it.
-        if kont is None:
-            frame = old
-            while frame is not None:
-                self._remove_frame(frame)
-                frame = frame.parent
-        elif old is None:
-            frame = kont
-            while frame is not None:
-                self._add_frame(frame)
-                frame = frame.parent
-        else:
-            a, b = old, kont
-            while a.depth > b.depth:
-                self._remove_frame(a)
-                a = a.parent
-            while b.depth > a.depth:
-                self._add_frame(b)
-                b = b.parent
-            while a is not b:
-                self._remove_frame(a)
-                self._add_frame(b)
-                a = a.parent
-                b = b.parent
-        self._kont = kont
+    def _add_frames(self, old: Optional[Kont], kont: Optional[Kont]) -> list:
+        """Hold the frames of *kont* above its deepest common frame
+        with *old* (immutable frames share their ancestry; cached
+        depths make the walk O(divergence)), and return *old*'s frames
+        above it, for the caller to release."""
+        dropped = []
+        old_depth = -1 if old is None else old.depth
+        depth = -1 if kont is None else kont.depth
+        while old_depth > depth:
+            dropped.append(old)
+            old = old.parent
+            old_depth -= 1
+        while depth > old_depth:
+            self._add_frame(kont)
+            kont = kont.parent
+            depth -= 1
+        while old is not kont:
+            dropped.append(old)
+            self._add_frame(kont)
+            old = old.parent
+            kont = kont.parent
+        return dropped
 
     def _polluted(self) -> bool:
         if self.tracker is not None and self.tracker.saw_escape:
@@ -482,6 +519,8 @@ class DeltaMeter:
         if self.blame_inc is not None:
             self.blame_inc.active = False
             self.blame_inc = None
+        self._tracking = False
+        self._held = {}
 
     # -- engine interface ----------------------------------------------------
 
@@ -502,33 +541,56 @@ class DeltaMeter:
         if self.blame_inc is not None:
             for _location, value in state.store.items():
                 self.blame_inc.store_add(value)
-        if (
+        self._tracking = (
             self.tracker is not None
             or self.ledger is not None
             or self.blame_inc is not None
-            or self.prov is not None
-        ):
+        )
+        if self._tracking or self.prov is not None:
             state.store.tracker = self
-        self._set_env(state.env)
-        self._set_kont(state.kont)
-        self._set_acc(state.control if state.is_value else None)
-        if self._polluted():
-            self._enter_fallback()
+        self.transition(state)
         return collected
 
     def transition(self, configuration: Configuration) -> None:
-        if self.fallback:
+        if not self._tracking:
             return
-        if isinstance(configuration, Final):
-            self._set_acc(configuration.value)
-            self._set_env(None)
-            self._set_kont(None)
+        if configuration.is_final:
+            acc, env, kont = configuration.value, None, None
         else:
-            self._set_acc(
-                configuration.control if configuration.is_value else None
-            )
-            self._set_env(configuration.env)
-            self._set_kont(configuration.kont)
+            acc = configuration.control if configuration.is_value else None
+            env, kont = configuration.env, configuration.kont
+        old_acc, old_env, old_kont = self._acc, self._env, self._kont
+        ledger, blame_inc = self.ledger, self.blame_inc
+        # Hold every new root before releasing any old one, so an object
+        # that only moves between holders never crosses zero.
+        if acc is not old_acc and acc is not None:
+            if type(acc) in _ROOTING_VALUES:
+                self._hold_value(acc)
+            if ledger is not None:
+                ledger.add_value(acc)
+            if blame_inc is not None:
+                blame_inc.acc_add(acc)
+        if env is not old_env and env is not None:
+            self._hold_env(env)
+        if kont is not old_kont:
+            for frame in self._add_frames(old_kont, kont):
+                self._remove_frame(frame)
+            self._kont = kont
+        if env is not old_env:
+            if old_env is not None:
+                self._release_env(old_env)
+            self._env = env
+            if blame_inc is not None and not self.linked:
+                blame_inc.set_env_size(0 if env is None else len(env))
+        if acc is not old_acc:
+            if old_acc is not None:
+                if type(old_acc) in _ROOTING_VALUES:
+                    self._release_value(old_acc)
+                if ledger is not None:
+                    ledger.remove_value(old_acc)
+                if blame_inc is not None:
+                    blame_inc.acc_remove(old_acc)
+            self._acc = acc
         if self._polluted():
             self._enter_fallback()
 
@@ -578,15 +640,30 @@ class DeltaMeter:
     # -- integrity audit ----------------------------------------------------
 
     def audit(self, configuration: Configuration) -> None:
-        """checkpoint_spaces-style integrity audit: recompute the
-        reference counts and the binding ledger from scratch and
-        compare (no-op once the engine has fallen back)."""
-        if self.fallback:
+        """checkpoint_spaces-style integrity audit: recount the root
+        holders, the reference counts and the binding ledger from
+        scratch and compare (no-op once the engine has fallen back, or
+        when it tracks nothing)."""
+        if not self._tracking:
             return
+        held, deletion_sets = _root_holders(configuration)
+        if held != self._held:
+            diff = {
+                repr(obj): (held.get(obj), self._held.get(obj))
+                for obj in set(held) | set(self._held)
+                if held.get(obj) != self._held.get(obj)
+            }
+            raise AssertionError(f"root-holder drift (expected, actual): {diff}")
         if self.tracker is not None:
+            rooted = [
+                obj.locations() if isinstance(obj, Value)
+                else obj.location_tuple()
+                for obj in held
+            ]
+            rooted.extend(deletion_sets)
             if isinstance(configuration, Final):
                 self.tracker.audit(
-                    configuration.store, (configuration.value,)
+                    configuration.store, rooted, (configuration.value,)
                 )
             else:
                 values = (
@@ -594,12 +671,14 @@ class DeltaMeter:
                 )
                 self.tracker.audit(
                     configuration.store,
+                    rooted,
                     values,
                     configuration.env,
                     configuration.kont,
                 )
         if self.ledger is not None:
-            self.ledger.audit(configuration)
+            root_envs = [obj for obj in held if not isinstance(obj, Value)]
+            self.ledger.audit(configuration, root_envs)
 
 
 def make_meter(
@@ -626,6 +705,9 @@ def _engine_stats(meter, engine: str, extra: dict) -> dict:
     if tracker is not None:
         stats.update(tracker.stats)
         stats["anchors"] = len(tracker.anchors)
+    ledger = getattr(meter, "ledger", None)
+    if ledger is not None:
+        stats["ledger_updates"] = ledger.updates
     stats.update(extra)
     return stats
 
@@ -875,8 +957,8 @@ def run_metered(
         mode = "sampled" if lazy else "exact"
         trips = checkpoints = 0
         suspects: List[Tuple[int, int]] = []
+        compacts = type(machine).compact is not Machine.compact
         if lazy:
-            compacts = type(machine).compact is not Machine.compact
             sync_loc = last_collect_loc = store._next_location
         while lazy:
             prev = state
@@ -1067,10 +1149,11 @@ def run_metered(
             if checkpoint_hook is not None and steps % checkpoint_every == 0:
                 checkpoint_hook(steps, program_size + sup_space)
             if uses_gc and steps % gc_interval == 0:
-                compacted = machine.compact(state)
-                if compacted is not state:
-                    transition(compacted)
-                    state = compacted
+                if compacts:
+                    compacted = machine.compact(state)
+                    if compacted is not state:
+                        transition(compacted)
+                        state = compacted
                 if gc_when == "always" or store.version != last_gc_version:
                     if metrics is not None:
                         words_before = store.space_bignum

@@ -192,7 +192,8 @@ class TestMeterAuditCommand:
         out = capsys.readouterr().out
         assert "delta meter audit [gc]" in out
         for column in ("program", "meter", "steps", "collect", "trials",
-                       "fallback", "trips", "checkpts", "cert"):
+                       "fallback", "roots", "ledger", "trips", "checkpts",
+                       "cert"):
             assert column in out
         # One exact row and one sampled row per program.
         assert sum(line.split()[1] == "exact"

@@ -24,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.machine.continuation import chain
+from repro.machine.environment import Environment
 from repro.machine.variants import ALL_MACHINES, make_machine
 from repro.programs.corpus import load_corpus, load_program
 from repro.programs.separators import (
@@ -240,6 +242,104 @@ def test_escape_triggers_permanent_fallback():
     assert meter.fallback
     assert meter.tracker is None and meter.ledger is None
     assert state.store.tracker is None
+
+
+# ---------------------------------------------------------------------------
+# Per-object root counts: work counters and the audit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("meter", ("exact", "sampled"))
+@pytest.mark.parametrize("machine_name", ("gc", "mta", "sfs"))
+def test_work_counters_are_deterministic(machine_name, meter):
+    """Root and ledger updates are work counts, not timings: two runs
+    of the same cell report the same figures."""
+    program = prepare_program(SEPARATORS_BY_NAME["gc-vs-tail"].source)
+    argument = prepare_input("16")
+    counts = []
+    for _ in range(2):
+        stats = run_metered(
+            make_machine(machine_name),
+            program,
+            argument,
+            linked=True,
+            fixed_precision=True,
+            meter=meter,
+        ).meter_stats
+        counts.append((stats["root_updates"], stats["ledger_updates"]))
+    assert counts[0] == counts[1]
+    assert min(counts[0]) > 0
+
+
+def test_shared_environment_is_rooted_once():
+    """An environment held by the register and by pushed frames counts
+    one root reference per location, not one per holder."""
+    program = prepare_program("(define (f x) (+ x (+ x (+ x 1)))) (f 2)")
+    machine = make_machine("gc")
+    meter = make_meter(machine)
+    state = machine.inject(program, None)
+    meter.prime(state)
+    try:
+        for _ in range(200):
+            state = machine.step(state)
+            meter.transition(state)
+            holders = sum(frame.env is state.env for frame in chain(state.kont))
+            if "x" in state.env and holders >= 2:
+                break
+        else:
+            pytest.fail("no step shares the register environment")
+        assert meter.tracker.root_rc[state.env.lookup("x")] == 1
+        meter.collect(state)
+        meter.audit(state)
+    finally:
+        meter.detach(state.store)
+
+
+def _plant_holders(meter):
+    env = next(obj for obj in meter._held if isinstance(obj, Environment))
+    meter._held[env] += 1
+
+
+def _plant_refcounts(meter):
+    location = next(loc for loc, n in meter.tracker.rc.items() if n)
+    meter.tracker.rc[location] += 1
+
+
+def _plant_root_counts(meter):
+    location = next(iter(meter.tracker.root_rc))
+    meter.tracker.root_rc[location] += 1
+
+
+def _plant_bindings(meter):
+    binding = next(iter(meter.ledger._counts))
+    meter.ledger._counts[binding] += 1
+
+
+@pytest.mark.parametrize(
+    "plant",
+    (_plant_holders, _plant_refcounts, _plant_root_counts, _plant_bindings),
+    ids=("holders", "refcounts", "root-counts", "bindings"),
+)
+def test_audit_catches_planted_drift(plant):
+    """Each table the audit recounts — the meter's per-object holder
+    counts, the tracker's total and root counts, the ledger's binding
+    counts — raises on a one-off drift."""
+    program = prepare_program(TRICKY_PROGRAMS["inner-define"])
+    machine = make_machine("gc")
+    meter = make_meter(machine, linked=True)
+    state = machine.inject(program, prepare_input("6"))
+    meter.prime(state)
+    try:
+        for _ in range(40):
+            state = machine.step(state)
+            meter.transition(state)
+            meter.collect(state)
+        meter.audit(state)
+        plant(meter)
+        with pytest.raises(AssertionError, match="drift"):
+            meter.audit(state)
+    finally:
+        meter.detach(state.store)
 
 
 # ---------------------------------------------------------------------------

@@ -118,5 +118,67 @@ class TestCompaction:
         state = State(TRUE, True, EMPTY_ENV, Halt(), Store())
         assert machine.compact(state) is state
 
+    def test_collapse_shares_no_frame_with_the_old_chain(self):
+        """A collapse rebuilds every frame above halt, as the seed
+        stepper does: an escape may still hold the old chain, and
+        linked accounting counts each frame object once, so sharing a
+        suffix would change U_mta (ctak)."""
+        from repro.machine.config import State
+        from repro.machine.continuation import Halt, Select, chain
+        from repro.machine.environment import EMPTY_ENV
+        from repro.machine.store import Store
+        from repro.machine.values import TRUE
+        from repro.syntax.ast import Quote
+
+        env = EMPTY_ENV.extend(("x",), (0,))
+        halt = Halt()
+        old = Return(env, Return(env, Select(
+            Quote(1), Quote(2), env, Return(env, halt)
+        )))
+        machine = MtaMachine()
+        state = State(TRUE, True, EMPTY_ENV, old, Store())
+        compacted = machine.compact(state)
+        assert compacted is not state
+        assert depth(compacted.kont) == depth(old) - 1
+        old_frames = {id(frame) for frame in chain(old)}
+        shared = [
+            frame for frame in chain(compacted.kont)
+            if id(frame) in old_frames
+        ]
+        assert shared == [halt]
+
+    def test_compacting_a_compact_continuation_returns_same_state(self):
+        from repro.machine.config import State
+        from repro.machine.continuation import Halt, Select
+        from repro.machine.environment import EMPTY_ENV
+        from repro.machine.store import Store
+        from repro.machine.values import TRUE
+        from repro.syntax.ast import Quote
+
+        env = EMPTY_ENV
+        machine = MtaMachine()
+        runs = Return(env, Return(env, Select(
+            Quote(1), Quote(2), env, Return(env, Halt())
+        )))
+        compacted = machine.compact(
+            State(TRUE, True, EMPTY_ENV, runs, Store())
+        )
+        assert machine.compact(compacted) is compacted
+        # Frames pushed on a compact chain are walked down to the first
+        # known-compact frame; a new run of returns still collapses.
+        pushed = State(
+            TRUE, True, EMPTY_ENV,
+            Select(Quote(1), Quote(2), env, compacted.kont),
+            compacted.store,
+        )
+        assert machine.compact(pushed) is pushed
+        tail_call = State(
+            TRUE, True, EMPTY_ENV, Return(env, compacted.kont),
+            compacted.store,
+        )
+        assert depth(machine.compact(tail_call).kont) == depth(
+            compacted.kont
+        )
+
     def test_registered(self):
         assert isinstance(make_machine("mta"), MtaMachine)
