@@ -2,7 +2,8 @@
 
 Compares a freshly generated ``BENCH_step_rate.json`` against the
 checked-in baseline and fails (exit 1) when any machine's fused-loop
-step rate regressed below ``threshold`` (default 0.9) times the
+step rate, or its gen-2 step rate (the default stepper with tier-up
+disabled), regressed below ``threshold`` (default 0.9) times the
 recorded figure, or when any machine's gen-3 corpus-weighted
 gen3/gen2 ratio fell below ``threshold`` times the recorded ratio
 (the gen3/gen2 quotient is measured within one session, so it is
@@ -15,8 +16,9 @@ warm-up.
 Two comparison modes:
 
 ``normalized`` (default)
-    Each machine's fused rate is divided by the *seed-stepper* rate
-    measured in the same session before comparing — the seed stepper
+    Each machine's fused and gen-2 rates are divided by the
+    *seed-stepper* rate measured in the same worker before comparing
+    — the seed stepper
     is the fixed verbatim Figure 5 loop, so the quotient cancels the
     absolute speed of the host.  This is the mode CI uses: the
     checked-in baseline was recorded on different hardware, but a
@@ -29,7 +31,8 @@ Two comparison modes:
 
 Usage::
 
-    python benchmarks/check_step_rate.py BASELINE.json CURRENT.json
+    python benchmarks/check_step_rate.py \
+        BASELINE.json benchmarks/results/BENCH_step_rate.json
     python benchmarks/check_step_rate.py --mode absolute old.json new.json
 """
 
@@ -106,11 +109,20 @@ def check_cold(current: dict) -> list:
     return failures
 
 
-def fused_figure(entry: dict, mode: str) -> float:
-    after = entry["after_steps_per_second"]
+#: The per-machine rates gated against the baseline: the default
+#: stepper (fused) and gen-2 alone, each over the same worker's seed
+#: rate in normalized mode.
+GATED_RATES = (
+    ("fused", "after_steps_per_second"),
+    ("gen2", "gen2_steps_per_second"),
+)
+
+
+def rate_figure(entry: dict, key: str, mode: str) -> float:
+    rate = entry[key]
     if mode == "absolute":
-        return after
-    return after / entry["before_steps_per_second"]
+        return rate
+    return rate / entry["before_steps_per_second"]
 
 
 def main(argv=None) -> int:
@@ -139,17 +151,19 @@ def main(argv=None) -> int:
             failures.append(name)
             print(f"FAIL {name}: missing from the current run")
             continue
-        recorded = fused_figure(baseline[name], args.mode)
-        measured = fused_figure(current[name], args.mode)
-        quotient = measured / recorded
-        status = "ok  " if quotient >= args.threshold else "FAIL"
-        if quotient < args.threshold:
-            failures.append(name)
-        print(
-            f"{status} {name:7s} fused {measured:12.1f} {unit} "
-            f"vs baseline {recorded:12.1f} ({quotient:.2f}x, "
-            f"threshold {args.threshold:.2f}x)"
-        )
+        for label, key in GATED_RATES:
+            recorded = rate_figure(baseline[name], key, args.mode)
+            measured = rate_figure(current[name], key, args.mode)
+            quotient = measured / recorded
+            status = "ok  " if quotient >= args.threshold else "FAIL"
+            if quotient < args.threshold:
+                failures.append(name if label == "fused" else
+                                f"{label}/{name}")
+            print(
+                f"{status} {name:7s} {label:5s} {measured:12.1f} {unit} "
+                f"vs baseline {recorded:12.1f} ({quotient:.2f}x, "
+                f"threshold {args.threshold:.2f}x)"
+            )
     failures.extend(
         check_gen3(baseline_payload, current_payload, args.threshold)
     )

@@ -13,26 +13,22 @@ import os
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_bench_summary(name: str, log: dict) -> None:
-    """Write one BENCH_*.json summary to both of its homes: under
-    ``benchmarks/results/`` (the citable artifact) and at the repo root
-    (the at-a-glance summary).
+    """Write one BENCH_*.json summary under ``benchmarks/results/``.
 
     Deterministic and atomic: keys are sorted so reruns with identical
-    numbers produce byte-identical files, and each file is staged to a
+    numbers produce byte-identical files, and the file is staged to a
     temp path and renamed into place so a reader (or an interrupted
     bench session) never sees a torn summary."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    for directory in (RESULTS_DIR, REPO_ROOT):
-        target = os.path.join(directory, name)
-        staging = f"{target}.tmp.{os.getpid()}"
-        with open(staging, "w") as handle:
-            json.dump(log, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(staging, target)
+    target = os.path.join(RESULTS_DIR, name)
+    staging = f"{target}.tmp.{os.getpid()}"
+    with open(staging, "w") as handle:
+        json.dump(log, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    os.replace(staging, target)
 
 
 class ArtifactWriter:

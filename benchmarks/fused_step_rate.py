@@ -1,10 +1,11 @@
 """Fused step-rate measurement worker.
 
 Measures, for every machine on fib(13), the best-of-``ROUNDS`` step
-rate of the seed stepper, gen-1, gen-2 and the default stepper — the
-fused figure ``check_step_rate.py`` gates, and the stack machine's
-absolute one-million-steps/second gate — and prints the result as
-JSON.  Run as a script (the bench suite invokes it in a subprocess)::
+rate of the seed stepper, gen-2 (the default stepper with tier-up
+disabled) and the default stepper — the fused and gen-2 figures
+``check_step_rate.py`` gates, each over the same worker's seed rate,
+and the stack machine's absolute one-million-steps/second gate — and
+prints the result as JSON.  Run as a script (the bench suite invokes it in a subprocess)::
 
     PYTHONPATH=src python benchmarks/fused_step_rate.py
 
@@ -49,32 +50,27 @@ def best_step_rate(factory, name, program, argument, rounds=ROUNDS):
 
 
 def step_rate_entry(name, workload, program, argument):
-    """Seed, gen-1, gen-2 and default-stepper rates of one cell; the
-    four steppers must run the identical computation."""
+    """Seed, gen-2 and default-stepper rates of one cell; the three
+    steppers must run the identical computation."""
     from repro.machine.reference_step import make_seed_stepper
     from repro.machine.variants import make_machine
 
-    def gen1(machine):
-        # The fused stepper without the gen-2 superinstructions.
-        return make_machine(machine, gen2=False)
-
     def gen2(machine):
-        return make_machine(machine, gen3=False)
+        stepper = make_machine(machine)
+        stepper._tier_up = sys.maxsize  # never tier up: gen-2 alone
+        return stepper
 
     before, seed_run = best_step_rate(make_seed_stepper, name, program, argument)
-    rate1, gen1_run = best_step_rate(gen1, name, program, argument)
     rate2, gen2_run = best_step_rate(gen2, name, program, argument)
     after, run = best_step_rate(make_machine, name, program, argument)
-    assert run == gen1_run == gen2_run == seed_run, (name, workload)
+    assert run == gen2_run == seed_run, (name, workload)
     return {
         "workload": workload,
         "transitions": run[0],
         "before_steps_per_second": round(before, 1),
-        "gen1_steps_per_second": round(rate1, 1),
         "gen2_steps_per_second": round(rate2, 1),
         "after_steps_per_second": round(after, 1),
         "speedup": round(after / before, 2),
-        "gen2_over_gen1": round(rate2 / rate1, 2),
         "gen3_over_gen2": round(after / rate2, 2),
     }
 

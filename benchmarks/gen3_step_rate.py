@@ -27,7 +27,7 @@ that a quotient of two independent bests would keep.
 Methodology, cold (``cold_over_gen2``): the warm figures hide what
 building generated code costs, so per cell ``COLD_PAIRS`` pairs time
 the *first* run of a fresh parse under the default stepper (which
-tiers code up on heat) and under ``gen3=False``, back to back,
+tiers code up on heat) and under gen-2 alone, back to back,
 alternating which goes first; the recorded figure is the median
 per-pair rate ratio.  A ratio of two runs in one process, so the
 host's speed cancels.
@@ -53,12 +53,15 @@ def measure_cells(name, workloads, rounds=ROUNDS):
     cells = {}
     for workload, program, argument in workloads:
         for gen3 in (False, True):
-            kwargs = {} if gen3 else {"gen3": False}
-            run_to_final(make_machine(name, **kwargs), program, argument)
+            machine = make_machine(name)
+            if not gen3:
+                machine._tier_up = sys.maxsize  # never tier up: gen-2
+            run_to_final(machine, program, argument)
         best2 = best3 = best_ratio = 0.0
         run2 = run3 = None
         for _ in range(rounds):
-            machine = make_machine(name, gen3=False)
+            machine = make_machine(name)
+            machine._tier_up = sys.maxsize
             start = time.process_time()
             final, steps = run_to_final(machine, program, argument)
             rate2 = steps / (time.process_time() - start)
@@ -84,7 +87,7 @@ def measure_cells(name, workloads, rounds=ROUNDS):
 
 def measure_cold(name, sources, pairs=COLD_PAIRS):
     """The median per-pair cold rate ratio (default stepper over
-    ``gen3=False``) of each workload, every run on a fresh parse."""
+    gen-2 alone) of each workload, every run on a fresh parse."""
     from repro.machine.variants import make_machine
     from repro.space.consumption import prepare_input, prepare_program
     from repro.space.meter import run_to_final
@@ -92,7 +95,9 @@ def measure_cold(name, sources, pairs=COLD_PAIRS):
     def first_run(source, argument, gen3):
         program = prepare_program(source)
         argument = prepare_input(argument)
-        machine = make_machine(name, gen3=gen3)
+        machine = make_machine(name)
+        if gen3 is False:
+            machine._tier_up = sys.maxsize
         start = time.process_time()
         final, steps = run_to_final(machine, program, argument)
         elapsed = time.process_time() - start

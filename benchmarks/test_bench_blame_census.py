@@ -20,8 +20,8 @@ The paper-predicted shape is asserted on the separator programs:
   on the evlis/free separators — the space ``sfs`` reclaims is
   precisely bindings a safe-for-space machine does not retain.
 
-The summary lands in ``BENCH_blame_census.json`` (repo root and
-``benchmarks/results/``, schema checked by
+The summary lands in ``benchmarks/results/BENCH_blame_census.json``
+(schema checked by
 :func:`repro.telemetry.export.validate_blame_census`) and the rendered
 tables in ``benchmarks/results/blame_census.txt``.
 

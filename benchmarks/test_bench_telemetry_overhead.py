@@ -12,8 +12,8 @@ cross-session quotient into noise — see ``_baseline_rates``).
 
 The telemetry-*on* ratio is recorded for the record (it is allowed to
 be expensive — the traced path steps configuration-by-configuration),
-and the whole summary lands in ``BENCH_telemetry_overhead.json`` both
-under ``benchmarks/results/`` and at the repo root.
+and the whole summary lands in
+``benchmarks/results/BENCH_telemetry_overhead.json``.
 
 Run with::
 
@@ -22,12 +22,14 @@ Run with::
 
 import json
 import os
+import sys
 import time
 
 import pytest
 
 from conftest import write_bench_summary
 
+import repro.machine.machine as machine_mod
 from repro.machine.variants import make_machine
 from repro.programs.corpus import load_program
 from repro.space.consumption import prepare_input, prepare_program
@@ -96,7 +98,7 @@ def overhead_log():
 
 @pytest.mark.telemetry_overhead
 @pytest.mark.parametrize("name", MACHINES)
-def test_bench_telemetry_off_overhead(overhead_log, name):
+def test_bench_telemetry_off_overhead(overhead_log, name, monkeypatch):
     """Telemetry disabled (trace attribute None) keeps >= 90% of the
     recorded fused-loop step rate."""
     rates = _baseline_rates()
@@ -106,7 +108,9 @@ def test_bench_telemetry_off_overhead(overhead_log, name):
             "run); regenerate with pytest benchmarks -m step_rate"
         )
     baseline = rates[name]
-    machine = make_machine(name, gen3=False)  # see _baseline_rates
+    # The gen-2 stepper (see _baseline_rates): tier-up disabled.
+    monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", sys.maxsize)
+    machine = make_machine(name)
     assert machine.trace is None  # the tier-1 default
 
     def run_once():

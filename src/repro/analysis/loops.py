@@ -72,9 +72,9 @@ def _site_label(operator: Expr) -> Optional[str]:
 def loop_candidates(name: str, source: Source) -> Tuple[LoopCandidate, ...]:
     """All self-tail-loop candidates of one program, ranked.
 
-    Compiles each candidate exactly as the gen-3 machine does on
-    first entry, so the ``compiled``/``loop`` columns report the
-    decisions the stepper itself would make.
+    Lowers each candidate exactly as the machine does once its code
+    is hot, so the ``compiled``/``loop`` columns report the decisions
+    the stepper itself would make.
     """
     program = prepare_program(source)
     per_lambda: Dict[int, List] = {}
@@ -104,6 +104,7 @@ def loop_candidates(name: str, source: Source) -> Tuple[LoopCandidate, ...]:
                 label = site
                 break
         code = gen3_code(lam)
+        compiled = code.lower()
         calls = {cc.call for cc in sites}
         body = inside.get(key, sites)
         rows.append(
@@ -114,8 +115,8 @@ def loop_candidates(name: str, source: Source) -> Tuple[LoopCandidate, ...]:
                 self_tail_sites=len(sites),
                 tail_calls=sum(1 for cc in body if cc.is_tail),
                 calls=len(body),
-                compiled=code is not None,
-                has_loop=code is not None and any(
+                compiled=compiled,
+                has_loop=compiled and any(
                     instr[0] == OP_CALL and instr[6] == EA_TAIL
                     and instr[1].site in calls
                     for instr in code.instrs

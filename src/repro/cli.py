@@ -819,9 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--stepper", default="annotated", choices=STEPPERS,
         help="transition function: gen-2 until code is hot, then its "
-        "generated gen-3 code (annotated); generated code from the "
-        "first entry (gen3); gen-2 only, never generating code (gen2); "
-        "or the preserved seed stepper (seed) — identical semantics",
+        "generated gen-3 code (annotated), or the preserved seed "
+        "stepper (seed) — identical semantics",
     )
     run_parser.add_argument(
         "--gc-interval", type=int, default=1,

@@ -22,12 +22,13 @@ code into one Python function:
   position (``let``) are inlined into the caller's code
   (``EA_DIRECT``).
 
-**Tiering** (DESIGN.md §7.2): a code runs on the gen-2 loop until it
-is hot.  ``Code.heat`` counts its entries up to the tier-up threshold
-(gen-2's apply sites and ``machine.machine._enter_code`` count them);
-the entry past the threshold builds the function, and every colder
-one runs on gen-2 from the callee's entry configuration.  Code that is never hot
-is lowered here but never turned into Python source.
+**Tiering** (DESIGN.md §7.2): a lambda runs on the gen-2 loop until
+it is hot.  Its :class:`Code` record starts unlowered, and
+``Code.heat`` counts its entries up to the tier-up threshold (gen-2's
+apply sites and ``machine.machine._enter_code`` count them); the entry
+past the threshold lowers the body (:meth:`Code.lower`) and builds the
+function, and every colder one runs on gen-2 from the callee's entry
+configuration.  Code that is never hot is never lowered.
 
 **Exactness contract** (DESIGN.md §7.2): compiled execution is *pure
 batching* of seed transitions.  Every instruction carries enough
@@ -45,8 +46,8 @@ exits — the generic, exact rules then apply whatever the operator
 really is.
 
 Like the prepass, everything here is **derived, never authoritative**:
-a lambda's code is a pure function of the immutable AST, lowered on
-first entry and kept on the ``Lambda`` node itself
+a lambda's code is a pure function of the immutable AST, lowered once
+it is hot and kept on the ``Lambda`` node itself
 (:func:`repro.syntax.ast.derive`), so it lives and dies with the
 program and pickles with it — minus its process-bound half, the
 generated functions and the entry count.
@@ -95,31 +96,51 @@ EA_DIRECT = 3  # a: regstart, b: target Lambda — inline let application
 #: object up to this depth; deeper lets fall back to guarded exits).
 _INLINE_DEPTH = 8
 
+#: The entry count of a record whose body deopts at once: below any
+#: tier-up threshold for far longer than a run lasts, and still an int
+#: CPython compares on its fast path at the apply sites.
+_NEVER_HOT = -(1 << 29)
+
 
 class Code:
-    """One compiled lambda body."""
+    """One lambda's gen-3 record: its entry count, its lowered body
+    once hot, and its generated functions."""
 
     __slots__ = ("lam", "nregs", "instrs", "fns", "heat")
 
-    #: Codes built in this process (:func:`code_count`).
+    #: Bodies lowered in this process (:func:`code_count`).
     built = 0
 
-    def __init__(self, lam: Lambda, nregs: int, instrs: tuple):
-        Code.built += 1
+    def __init__(self, lam: Lambda):
         self.lam = lam
-        self.nregs = nregs
-        self.instrs = instrs
+        # The lowered body (:meth:`lower`); None until the code is hot.
+        self.nregs = 0
+        self.instrs = None
         # Machine class -> generated Python function (see
         # compiler/pycodegen.py), or None when generation declined.
         self.fns = {}
         # Entries counted up to the tier-up threshold: the clock that
-        # decides when the generated function is built.
+        # decides when the body is lowered and the function built.
         self.heat = 0
 
+    def lower(self) -> bool:
+        """Lower the body into register instructions, once; False when
+        the body deopts at once (entering it would do nothing but
+        bounce back out to the gen-2 loop), and then the record stops
+        getting hot, so its entries stay on gen-2 as cold ones."""
+        if self.instrs is None:
+            Code.built += 1
+            self.nregs, self.instrs = _lower_body(self.lam)
+        if self.instrs[0][0] == OP_DEOPT:
+            self.heat = _NEVER_HOT
+            return False
+        return True
+
     def __repr__(self) -> str:
+        size = "unlowered" if self.instrs is None else len(self.instrs)
         return (
             f"Code(params={self.lam.params}, nregs={self.nregs}, "
-            f"|instrs|={len(self.instrs)})"
+            f"|instrs|={size})"
         )
 
     def __getstate__(self):
@@ -134,23 +155,18 @@ class Code:
         self.heat = 0
 
 
-def gen3_code(lam: Lambda) -> Optional[Code]:
-    """The compiled code of *lam*, compiling on first probe; None when
-    the body is not worth (or not safely) compiling.  The result is
-    kept on the node, so the probe never re-compiles."""
-    try:
-        return lam.code
-    except AttributeError:
-        pass
-    # Pre-publish None: a self-referential compile sees "not compiled",
-    # not a loop.
-    derive(lam, "code", None)
-    return derive(lam, "code", _compile_lambda(lam))
+def gen3_code(lam: Lambda) -> Code:
+    """The gen-3 record of *lam*, created unlowered on first probe and
+    kept on the node (``lam.code``, None until then)."""
+    code = lam.code
+    if code is None:
+        code = derive(lam, "code", Code(lam))
+    return code
 
 
 def code_count() -> int:
-    """Number of :class:`Code` objects built in this process
-    (introspection: perfbench reads its growth per job)."""
+    """Number of lambda bodies lowered in this process (introspection:
+    perfbench reads its growth per job)."""
     return Code.built
 
 
@@ -173,20 +189,18 @@ class _Emitter:
         return r
 
 
-def _compile_lambda(lam: Lambda) -> Optional[Code]:
+def _lower_body(lam: Lambda) -> tuple:
+    """``(nregs, instrs)`` of *lam*'s body.  Every body lowers, even a
+    bare value: an unlowered callee would force an exit to the gen-2
+    loop at every call that reaches it (the trampoline shape — a
+    one-call body re-dispatching a tail loop — is exactly the case that
+    must stay in-code for the cross-code tail transfer to reconstruct
+    mutual loops).  A body the emitter deopts on immediately lowers
+    too; :meth:`Code.lower` reports it as not worth entering."""
     em = _Emitter(lam)
     scope = {name: i for i, name in enumerate(lam.params)}
     _emit_tail(em, lam.body, scope, (None, None), 0)
-    # Every lambda compiles, even a bare value body: an uncompiled
-    # callee would force an exit to the gen-2 loop at every call that
-    # reaches it (the trampoline shape — a one-call body re-dispatching
-    # a tail loop — is exactly the case that must stay in-code for the
-    # cross-code tail transfer to reconstruct mutual loops).  The one
-    # exception is a body the emitter deopts on immediately — entering
-    # its code would do nothing but bounce back out.
-    if em.instrs[0][0] == OP_DEOPT:
-        return None
-    return Code(lam, em.nregs, tuple(em.instrs))
+    return em.nregs, tuple(em.instrs)
 
 
 def _slot(em: _Emitter, plan, i: int, scope) -> Optional[tuple]:

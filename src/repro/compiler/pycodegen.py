@@ -117,7 +117,10 @@ def _globals():
 
 def build_fn(code, machine):
     """Generate the specialized function of *code* for *machine*'s
-    variant, or None when generation declines."""
+    variant, lowering the body first if it is not yet; None when
+    generation declines (a body that deopts at once included)."""
+    if not code.lower():
+        return None
     try:
         gen = _Gen(code, machine)
         src = gen.generate()
@@ -621,8 +624,7 @@ class _Gen:
             for k, src in enumerate(argxs):
                 w(i4, f"r{k} = {src}")
             w(i4, "continue")
-        w(i3, "code2 = gen3_code(lam2)")
-        w(i3, f"if code2 is not None and len(lam2.params) == {nargs}:")
+        w(i3, f"if len(lam2.params) == {nargs}:")
         i4 = i3 + 1
         w(i4, "steps += 1")
         if nargs == 1:
@@ -631,7 +633,7 @@ class _Gen:
             w(i4, "_t = ()")
         self.extend_alloc_lines(i4, "_nb", opv, "lam2.params", argxs)
         self.frame_lines(i4, "lam2", el, "locations")
-        w(i4, "return (_TRANSFER, code2, _t, _nb, kont, steps)")
+        w(i4, "return (_TRANSFER, gen3_code(lam2), _t, _nb, kont, steps)")
 
     def prim_call(self, ind: int, target: str, opv: str,
                   argxs, cargs: str) -> None:
@@ -675,10 +677,9 @@ class _Gen:
         nargs = len(argxs)
         cls = self.cn(self.machine.__class__)
         # Monomorphic site cache ``[lam, code]``: sites keep their
-        # callee, so the steady state replaces two dict probes
-        # (gen3_code, then fns.get via the cached-code branch) with one
-        # identity check.  A stale entry is impossible — the cell is
-        # keyed by lambda identity and Code objects are interned per
+        # callee, so the steady state replaces the gen3_code probe with
+        # one identity check.  A stale entry is impossible — the cell
+        # is keyed by lambda identity and Code records are interned per
         # lambda for the process lifetime.
         sc = self.cn([None, None])
         w(ind, f"{lead} {opv}.__class__ is Closure "
@@ -691,53 +692,50 @@ class _Gen:
         w(i4 + 1, f"code2 = {sc}[1]")
         w(i4, "else:")
         w(i4 + 1, "code2 = gen3_code(lam2)")
-        w(i4 + 1, "if code2 is not None:")
-        w(i4 + 2, f"{sc}[0] = lam2")
-        w(i4 + 2, f"{sc}[1] = code2")
-        w(i4, "if code2 is not None:")
-        i5 = i4 + 1
-        w(i5, "steps += 1")
+        w(i4 + 1, f"{sc}[0] = lam2")
+        w(i4 + 1, f"{sc}[1] = code2")
+        w(i4, "steps += 1")
         if nargs == 1:
-            w(i5, f"_t = {cargs}")
+            w(i4, f"_t = {cargs}")
         elif nargs == 0:
-            w(i5, "_t = ()")
-        self.extend_alloc_lines(i5, "_nb", opv, "lam2.params", argxs)
+            w(i4, "_t = ()")
+        self.extend_alloc_lines(i4, "_nb", opv, "lam2.params", argxs)
         mode = self.mode
         if mode == 0:
             child = "kont"
         elif mode == 1:
-            w(i5, f"child = Return({el}, kont)")
+            w(i4, f"child = Return({el}, kont)")
             child = "child"
         elif mode == 3:
-            w(i5, f"child = ReturnStack(locations, {el}, kont)")
+            w(i4, f"child = ReturnStack(locations, {el}, kont)")
             child = "child"
         else:
             trc = self.cn(self.machine.gen3_tagged)
-            w(i5, f"if isinstance(kont, {trc}) and kont.code is lam2:")
-            w(i5 + 1, "child = kont")
-            w(i5, "else:")
-            w(i5 + 1, f"child = {trc}(lam2, {el}, kont)")
+            w(i4, f"if isinstance(kont, {trc}) and kont.code is lam2:")
+            w(i4 + 1, "child = kont")
+            w(i4, "else:")
+            w(i4 + 1, f"child = {trc}(lam2, {el}, kont)")
             child = "child"
         # Call the callee's generated function directly when it exists
         # (the overwhelmingly common steady state); _enter_code counts
         # a cold callee's entry, builds it once hot, and hands a cold
         # or declined callee back to gen-2 at its entry configuration.
-        w(i5, f"fn2 = code2.fns.get({cls})")
-        w(i5, "if fn2 is not None:")
-        w(i5 + 1, "out = fn2(machine, store, _t, _nb, "
+        w(i4, f"fn2 = code2.fns.get({cls})")
+        w(i4, "if fn2 is not None:")
+        w(i4 + 1, "out = fn2(machine, store, _t, _nb, "
                   f"{child}, kont, steps, limit, depth + 1)")
-        w(i5 + 1, "if out[0] is _TRANSFER:")
-        w(i5 + 2, "out = _finish_transfer(machine, store, out, kont, "
+        w(i4 + 1, "if out[0] is _TRANSFER:")
+        w(i4 + 2, "out = _finish_transfer(machine, store, out, kont, "
                   "limit, depth + 1)")
-        w(i5, "else:")
-        w(i5 + 1, "out = _enter_code(machine, store, code2, _t, _nb, "
+        w(i4, "else:")
+        w(i4 + 1, "out = _enter_code(machine, store, code2, _t, _nb, "
                   f"{child}, kont, steps, limit, depth + 1)")
-        w(i5, "if not out[5]:")
-        w(i5 + 1, "return out")
-        w(i5, f"r{dst} = out[0]")
-        w(i5, "val_env = out[2]")
-        w(i5, "steps = out[4]")
-        w(i5, "_ok = True")
+        w(i4, "if not out[5]:")
+        w(i4 + 1, "return out")
+        w(i4, f"r{dst} = out[0]")
+        w(i4, "val_env = out[2]")
+        w(i4, "steps = out[4]")
+        w(i4, "_ok = True")
 
     # -- operand slots -----------------------------------------------------
 

@@ -81,17 +81,13 @@ def run(
     rejects string constants too, per the letter of section 12.
 
     ``stepper`` selects the transition function: ``"annotated"`` (the
-    live stepper: gen-2 superinstructions, with a code's generated
-    gen-3 function built once the code is hot), ``"gen3"`` (every
-    code's generated function built on its first entry), ``"gen2"``
-    (the superinstruction stepper, never generating code), or
-    ``"seed"`` (the preserved seed stepper of
-    :mod:`repro.machine.reference_step`).  Metered runs step one
-    transition at a time, so only unmetered runs reach gen-3 code.
-    All compute identical answers, step counts, and space numbers —
-    the lockstep suite holds them equal — so this knob exists for
-    differential testing and before/after benchmarking, not for
-    semantics.
+    live stepper: gen-2 superinstructions, with a lambda's generated
+    gen-3 function built once its code is hot) or ``"seed"`` (the
+    preserved seed stepper of :mod:`repro.machine.reference_step`).
+    Metered runs step one transition at a time, so only unmetered runs
+    reach gen-3 code.  Both compute identical answers, step counts, and
+    space numbers — the lockstep suite holds them equal — so this knob
+    exists for differential testing, not for semantics.
 
     ``budget`` caps the Definition 23 consumption on metered runs: the
     run raises :class:`repro.space.meter.QuotaExceeded` (a structured

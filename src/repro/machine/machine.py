@@ -34,19 +34,21 @@ this changes a single transition: the preserved seed stepper
 answers, step counts, Definition 21/23 space — by the lockstep
 differential suite.
 
-The second generation of the fused run loop (``gen2=True``, the
-default) adds the telemetry-guided superinstructions of DESIGN.md §7:
-quickened variable reads (a prepass lexical address checked against
-the runtime frame chain, falling back to named lookup whenever the
-chain was restricted or the name is ``set!``-mutable), inlined
-all-simple nested calls (the ``Push -> eval-operand -> CallK`` cycle
-of a ``(prim v ...)`` operand collapsed into one batched transition),
-and fused ``If`` tests (the transient select frame never built).  All
+The fused run loop adds the telemetry-guided superinstructions of
+DESIGN.md §7.1 (gen-2): quickened variable reads (a prepass lexical
+address checked against the runtime frame chain, falling back to
+named lookup whenever the chain was restricted or the name is
+``set!``-mutable), inlined all-simple nested calls (the ``Push ->
+eval-operand -> CallK`` cycle of a ``(prim v ...)`` operand collapsed
+into one batched transition), and fused ``If`` tests (the transient
+select frame never built).  All
 of it is still pure batching: every skipped continuation is transient
 — created and consumed strictly inside one ``run_steps`` batch — so
 step counts, store effects, answers, and the Figure 7/8 space of every
-configuration a driver can observe are unchanged.  ``gen2=False``
-reproduces the first-generation loop exactly (the benchmark baseline).
+configuration a driver can observe are unchanged.  Each applies
+wherever the variant's declared hook kinds allow it.  Code that is
+entered often enough runs on its generated gen-3 function instead
+(DESIGN.md §7.2).
 """
 
 from __future__ import annotations
@@ -352,17 +354,16 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
     nor (beyond a lookup) the environment, so the eval and advance
     steps can be counted without being individually materialized; the
     store effects (the lambda rule's tag allocation) happen in exactly
-    the seed order.  Under gen-2, a kind-4 operand — an all-simple
-    nested call — is additionally evaluated whole through
-    :func:`_nested_value` (``fuse_cost`` transitions, committed only
-    when they fit the budget and the speculated operator is a
-    non-control primop), and quickened Var operands read their lexical
-    address off the frame chain.  Returns the registers
-    ``(control, is_value, env, kont, steps)`` at the first point the
-    generic loop must resume: a compound subexpression (its push frame
-    is then built, content-identical to the seed's), the step budget
-    running out, or the completed call (unpermuted, with its call
-    continuation, ready for the application step).
+    the seed order.  A kind-4 operand — an all-simple nested call — is
+    evaluated whole through :func:`_nested_value` (``fuse_cost``
+    transitions, committed only when they fit the budget and the
+    speculated operator is a non-control primop), and quickened Var
+    operands read their lexical address off the frame chain.  Returns
+    the registers ``(control, is_value, env, kont, steps)`` at the
+    first point the generic loop must resume: a compound subexpression
+    (its push frame is then built, content-identical to the seed's),
+    the step budget running out, or the completed call (unpermuted,
+    with its call continuation, ready for the application step).
     """
     kinds = plan.kinds
     addrs = plan.addrs
@@ -376,7 +377,6 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
     fuse_beta = machine._fuse_beta
     d_env = machine._default_call_env and machine._default_push_env
     frame_return = machine._frame_return
-    quicken = machine._gen2
     closure_fv = machine._closure_env_fv
     bindings = base._bindings
     cells_get = store._cells.get
@@ -389,15 +389,12 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
             if kind == 1:  # Var
                 name = expr.name
                 location = None
-                if quicken:
-                    addr = addrs[i]
-                    if addr is not None:
-                        if base._frame_names is addr[2]:
-                            location = base._frame_locs[addr[0]]
-                        else:
-                            location = _quick_location(
-                                base, addr[0], addr[1]
-                            )
+                addr = addrs[i]
+                if addr is not None:
+                    if base._frame_names is addr[2]:
+                        location = base._frame_locs[addr[0]]
+                    else:
+                        location = _quick_location(base, addr[0], addr[1])
                 if location is None:
                     location = bindings.get(name)
                     if location is None:
@@ -548,15 +545,16 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
                             body_env._frame_locs, caller, parent
                         )
                 if machine._gen3:
-                    code = gen3_code(lam)
-                    if code is not None:
-                        heat = code.heat
-                        if heat >= machine._tier_up:
-                            return _enter_code(
-                                machine, store, code, args, body_env,
-                                parent, entry, steps, limit,
-                            )[:5]
-                        code.heat = heat + 1  # cold: stay on gen-2
+                    code = lam.code
+                    if code is None:
+                        code = gen3_code(lam)
+                    heat = code.heat
+                    if heat >= machine._tier_up:
+                        return _enter_code(
+                            machine, store, code, args, body_env,
+                            parent, entry, steps, limit,
+                        )[:5]
+                    code.heat = heat + 1  # cold: stay on gen-2
                 return (lam.body, False, body_env, parent, steps)
             if (
                 ocls is Primop
@@ -594,12 +592,11 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
         )
 
 
-#: Entries a compiled code runs on the gen-2 loop before its generated
-#: function is built: building one costs about 3 ms of ``compile``,
-#: which pays back only in code that keeps being entered.  Chosen by
-#: measurement (DESIGN.md §7.2 has the figures for every value tried).
-#: A machine built with ``gen3=True`` uses 0 instead: every code is
-#: built on its first entry.
+#: Entries a lambda runs on the gen-2 loop before its body is lowered
+#: and its generated function built: building one costs about 3 ms of
+#: ``compile``, which pays back only in code that keeps being entered.
+#: Chosen by measurement (DESIGN.md §7.2 has the figures for every
+#: value tried).  A machine reads it once, at construction.
 _TIER_UP_THRESHOLD = 1000
 
 
@@ -619,15 +616,16 @@ def _enter_code(machine, store, code, args, base, kont, entry_kont,
     final frame pop, *kont* is *entry_kont*, and ``steps < limit``.
 
     Hot code runs its generated per-variant function, built here on
-    its first hot entry; a generated function signals a cross-code
-    tail call with a ``_TRANSFER`` marker, which this function
-    trampolines, so mutual tail loops consume no Python stack.  A cold
-    entry is counted in ``code.heat`` (the gen-2 apply sites count
-    their own cold entries inline and call here only for hot code);
-    it, and any entry of code whose generation declined, hands back
-    the callee's entry configuration ``(lam.body, False, base,
-    kont)``: exactly where the seed is after the apply step, so the
-    entry is a batch boundary like any deopt.
+    its first hot entry (lowering the body first; a body that deopts at
+    once declines); a generated function signals a cross-code tail
+    call with a ``_TRANSFER`` marker, which this function trampolines,
+    so mutual tail loops consume no Python stack.  A cold entry is
+    counted in ``code.heat`` (the gen-2 apply sites count their own
+    cold entries inline and call here only for hot code); it, and any
+    entry of code whose generation declined, hands back the callee's
+    entry configuration ``(lam.body, False, base, kont)``: exactly
+    where the seed is after the apply step, so the entry is a batch
+    boundary like any deopt.
     """
     cls = machine.__class__
     while True:
@@ -710,7 +708,6 @@ class Machine:
         "_closure_env_fv",
         "_fusable",
         "_fuse_lambda",
-        "_gen2",
         "_select_env_fv",
         "_fuse_nested",
         "_fuse_if",
@@ -789,12 +786,7 @@ class Machine:
     #: builds and recognizes these frames directly.
     gen3_tagged: Optional[type] = None
 
-    def __init__(
-        self,
-        policy: Optional[Policy] = None,
-        gen2: bool = True,
-        gen3: Optional[bool] = None,
-    ):
+    def __init__(self, policy: Optional[Policy] = None):
         self.policy = policy if policy is not None else LeftToRight()
         # A hook still at its I_tail default is the identity on the
         # environment (or the caller's kappa): the dispatch handlers
@@ -833,7 +825,7 @@ class Machine:
             self._default_closure_env
             and not (self._call_env_fv or self._push_env_fv)
         )
-        # Gen-2 superinstructions (DESIGN.md §7).  Nested-call and
+        # Gen-2 superinstructions (DESIGN.md §7.1).  Nested-call and
         # fused-if-test speculation skip the seed's policy consultation
         # at the inner call reduction, so they are sound only under the
         # stateless identity policy; the if fusion additionally needs
@@ -841,7 +833,6 @@ class Machine:
         # I_sfs branch restriction).
         select_kind = _hook_kind(cls, "select_env", "select_env_kind")
         self._select_env_fv = select_kind == "restrict-branch-fv"
-        self._gen2 = gen2
         lefttoright = type(self.policy) is LeftToRight
         # Primop-operator superinstructions stay exact under a custom
         # closure application as long as non-closure operators take the
@@ -853,12 +844,8 @@ class Machine:
             == "closure-only"
         )
         self._primop_apply = primop_apply
-        self._fuse_nested = (
-            gen2 and lefttoright and primop_apply and self._fusable
-        )
-        self._fuse_if = gen2 and (
-            self._default_select_env or self._select_env_fv
-        )
+        self._fuse_nested = lefttoright and primop_apply and self._fusable
+        self._fuse_if = self._default_select_env or self._select_env_fv
         self._fuse_if_call = (
             self._fuse_if and lefttoright and primop_apply
         )
@@ -881,7 +868,7 @@ class Machine:
         self._frame_return = (
             not self._default_call_frame and frame_kind == "return"
         )
-        self._plan0 = gen2 and lefttoright
+        self._plan0 = lefttoright
         # Gen-3 compiled tier (DESIGN.md §7.2).  The generated code
         # replicates the seed's apply/frame/pop effects directly, so it
         # must know which of the four frame disciplines the variant
@@ -889,9 +876,10 @@ class Machine:
         # application), 1 = declared I_gc Return, 2 = the declared
         # Bigloo tagged-return-with-reuse rule, 3 = declared I_stack
         # ReturnStack (pops delete the frame).  Anything undeclared
-        # leaves the tier off for that variant.  ``gen3=None`` tiers a
-        # code up after ``_TIER_UP_THRESHOLD`` entries on gen-2;
-        # ``gen3=True`` builds it on its first entry.
+        # leaves the tier off for that variant.  A code tiers up after
+        # ``_TIER_UP_THRESHOLD`` entries on gen-2 (tests lower the
+        # threshold, or set ``_tier_up`` on one machine, to build
+        # generated code on first entry or never).
         mode = None
         if self._default_apply:
             if self._default_call_frame:
@@ -910,9 +898,7 @@ class Machine:
             mode = 2
         self._gen3_mode = mode
         self._gen3 = (
-            (gen3 if gen3 is not None else gen2)
-            and gen2
-            and lefttoright
+            lefttoright
             and self._fusable
             and self._fuse_lambda
             and self._fuse_nested
@@ -920,7 +906,7 @@ class Machine:
             and self._fuse_if_call
             and mode is not None
         )
-        self._tier_up = 0 if gen3 is True else _TIER_UP_THRESHOLD
+        self._tier_up = _TIER_UP_THRESHOLD
         self._track_refs = bool(cls.track_refs)
         #: Telemetry sink (a ``repro.telemetry.bus.TraceBus``) or None.
         #: The only cost when unset is one ``is None`` check per batch.
@@ -1045,7 +1031,6 @@ class Machine:
         push_fv = self._push_env_fv
         push_drop = self._push_env_drop
         fuse = self._fusable
-        gen2 = self._gen2
         fuse_if = self._fuse_if
         fuse_if_call = self._fuse_if_call
         fuse_beta = self._fuse_beta
@@ -1142,20 +1127,21 @@ class Machine:
                                     locations, env, parent
                                 )
                             if gen3:
-                                code = gen3_code(lam)
-                                if code is not None:
-                                    heat = code.heat
-                                    if heat >= tier_up:
-                                        (
-                                            control, is_value, env, kont,
-                                            steps, _r,
-                                        ) = _enter_code(
-                                            self, store, code, args,
-                                            body_env, parent, entry, steps,
-                                            limit,
-                                        )
-                                        continue
-                                    code.heat = heat + 1  # cold
+                                code = lam.code
+                                if code is None:
+                                    code = gen3_code(lam)
+                                heat = code.heat
+                                if heat >= tier_up:
+                                    (
+                                        control, is_value, env, kont,
+                                        steps, _r,
+                                    ) = _enter_code(
+                                        self, store, code, args,
+                                        body_env, parent, entry, steps,
+                                        limit,
+                                    )
+                                    continue
+                                code.heat = heat + 1  # cold
                             control = lam.body
                             is_value = False
                             env = body_env
@@ -1186,35 +1172,31 @@ class Machine:
                         # a simple self tail call reuses the frame,
                         # anything else pushes a fresh tagged return.
                         lam = control.lam
-                        code = gen3_code(lam)
-                        if code is not None:
-                            locations = store.alloc_many(args)
-                            body_env = control.env.extend(
-                                lam.params, locations
-                            )
-                            trc = gen3_trc
-                            if (
-                                isinstance(parent, trc)
-                                and parent.code is lam
-                            ):
-                                child, entry = parent, parent.parent
-                            else:
-                                child, entry = trc(lam, env, parent), parent
-                            heat = code.heat
-                            if heat >= tier_up:
-                                control, is_value, env, kont, steps, _r = (
-                                    _enter_code(
-                                        self, store, code, args, body_env,
-                                        child, entry, steps, limit,
-                                    )
+                        code = lam.code
+                        if code is None:
+                            code = gen3_code(lam)
+                        locations = store.alloc_many(args)
+                        body_env = control.env.extend(lam.params, locations)
+                        trc = gen3_trc
+                        if isinstance(parent, trc) and parent.code is lam:
+                            child, entry = parent, parent.parent
+                        else:
+                            child, entry = trc(lam, env, parent), parent
+                        heat = code.heat
+                        if heat >= tier_up:
+                            control, is_value, env, kont, steps, _r = (
+                                _enter_code(
+                                    self, store, code, args, body_env,
+                                    child, entry, steps, limit,
                                 )
-                                continue
-                            code.heat = heat + 1  # cold
-                            control = lam.body
-                            is_value = False
-                            env = body_env
-                            kont = child
+                            )
                             continue
+                        code.heat = heat + 1  # cold
+                        control = lam.body
+                        is_value = False
+                        env = body_env
+                        kont = child
+                        continue
                     # Escapes, control primops, overridden application
                     # (Bigloo), and the not-a-procedure error: take the
                     # exact step-path.
@@ -1270,15 +1252,12 @@ class Machine:
             if cls is Var:
                 name = control.name
                 location = None
-                if gen2:
-                    addr = control.addr
-                    if addr is not None:
-                        if env._frame_names is addr[2]:
-                            location = env._frame_locs[addr[0]]
-                        else:
-                            location = _quick_location(
-                                env, addr[0], addr[1]
-                            )
+                addr = control.addr
+                if addr is not None:
+                    if env._frame_names is addr[2]:
+                        location = env._frame_locs[addr[0]]
+                    else:
+                        location = _quick_location(env, addr[0], addr[1])
                 if location is None:
                     location = env._bindings.get(name)
                     if location is None:

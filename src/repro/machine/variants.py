@@ -354,45 +354,37 @@ ALL_MACHINES: Dict[str, Type[Machine]] = dict(
 )
 
 
-def make_machine(name: str, **kwargs) -> Machine:
+def make_machine(name: str, policy=None) -> Machine:
     """Instantiate a reference implementation by name."""
     try:
         cls = ALL_MACHINES[name]
     except KeyError:
         known = ", ".join(sorted(ALL_MACHINES))
         raise ValueError(f"unknown machine {name!r}; known: {known}") from None
-    return cls(**kwargs)
+    return cls(policy)
 
 
 #: Stepper selections for :func:`make_stepper` (and the harness/CLI
 #: ``--stepper`` knobs built on it).
-STEPPERS = ("annotated", "gen3", "gen2", "seed")
+STEPPERS = ("annotated", "seed")
 
 
 def make_stepper(name: str, stepper: str = "annotated", policy=None):
     """Instantiate *name*'s engine under a stepper selection.
 
-    ``"annotated"`` is the live stepper: code runs on the gen-2
+    ``"annotated"`` is the live stepper: a lambda runs on the gen-2
     superinstruction loop until it is hot, then on its generated gen-3
-    function, where the variant is eligible (DESIGN.md §7.2);
-    ``"gen3"`` builds every code's generated function on its first
-    entry, so differential runs exercise generated code whatever its
-    heat; ``"gen2"`` never generates code; ``"seed"`` is the preserved
-    seed stepper of :mod:`repro.machine.reference_step`.  All four
-    compute identical answers, step counts, and space numbers — the
-    lockstep and differential-fuzz suites hold them equal — so this
-    knob exists for differential testing and before/after
-    benchmarking, not for semantics."""
+    function, where the variant is eligible (DESIGN.md §7.2).
+    ``"seed"`` is the preserved seed stepper of
+    :mod:`repro.machine.reference_step`, the oracle.  Both compute
+    identical answers, step counts, and space numbers — the lockstep
+    and differential-fuzz suites hold them equal — so this knob exists
+    for differential testing, not for semantics."""
     if stepper not in STEPPERS:
         known = ", ".join(STEPPERS)
         raise ValueError(f"unknown stepper {stepper!r}; known: {known}")
-    kwargs = {} if policy is None else {"policy": policy}
     if stepper == "seed":
         from .reference_step import make_seed_stepper
 
-        return make_seed_stepper(name, **kwargs)
-    if stepper == "gen2":
-        kwargs["gen3"] = False
-    elif stepper == "gen3":
-        kwargs["gen3"] = True
-    return make_machine(name, **kwargs)
+        return make_seed_stepper(name, policy=policy)
+    return make_machine(name, policy)

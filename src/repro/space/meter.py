@@ -231,6 +231,10 @@ class ReferenceMeter:
         """Publish this engine's reclamations to a trace bus."""
         self.bus = bus
 
+    def work_stats(self) -> dict:
+        """No incremental work to count: every measure is a re-walk."""
+        return {}
+
     # -- store tracker interface (provenance forwarding only) ---------------
 
     def on_alloc(self, location, value) -> None:
@@ -339,6 +343,7 @@ class DeltaMeter:
         "_store",
         "bus",
         "canonical_fallbacks",
+        "_spent",
     )
 
     def __init__(self, machine: Machine, linked: bool, fixed_precision: bool):
@@ -367,6 +372,8 @@ class DeltaMeter:
         #: GC-rule applications where a cycle trial exceeded its budget
         #: and the canonical trace ran (telemetry).
         self.canonical_fallbacks = 0
+        #: The work counters frozen by the escape fallback.
+        self._spent: dict = {}
         self._fallback_measure = (
             configuration_space_linked if linked else configuration_space
         )
@@ -505,7 +512,9 @@ class DeltaMeter:
     def _enter_fallback(self) -> None:
         """Permanently degrade to the canonical engine (an escape
         procedure has entered the configuration; reference counts no
-        longer model the continuation chains it retains)."""
+        longer model the continuation chains it retains).  The work
+        counted so far stays reported (:meth:`work_stats`)."""
+        self._spent = self.work_stats()
         self.fallback = True
         # Provenance survives the fallback: keep the store hooked so
         # allocation events still reach the sink (the on_* forwarders
@@ -521,6 +530,20 @@ class DeltaMeter:
             self.blame_inc = None
         self._tracking = False
         self._held = {}
+
+    def work_stats(self) -> dict:
+        """The tracker's and the ledger's work counters (``repro
+        analyze --meter-audit``); after the escape fallback, those
+        counted before it."""
+        if self.fallback:
+            return dict(self._spent)
+        stats = {}
+        if self.tracker is not None:
+            stats.update(self.tracker.stats)
+            stats["anchors"] = len(self.tracker.anchors)
+        if self.ledger is not None:
+            stats["ledger_updates"] = self.ledger.updates
+        return stats
 
     # -- engine interface ----------------------------------------------------
 
@@ -701,13 +724,7 @@ def _engine_stats(meter, engine: str, extra: dict) -> dict:
         "canonical_fallbacks": meter.canonical_fallbacks,
         "escape_fallback": bool(meter.fallback),
     }
-    tracker = getattr(meter, "tracker", None)
-    if tracker is not None:
-        stats.update(tracker.stats)
-        stats["anchors"] = len(tracker.anchors)
-    ledger = getattr(meter, "ledger", None)
-    if ledger is not None:
-        stats["ledger_updates"] = ledger.updates
+    stats.update(meter.work_stats())
     stats.update(extra)
     return stats
 

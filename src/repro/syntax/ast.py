@@ -82,6 +82,10 @@ class Lambda(Expr):
     params: Tuple[str, ...]
     body: Expr
 
+    #: The gen-3 record (:func:`repro.compiler.bytecode.gen3_code`),
+    #: created on the lambda's first entry on the fused loop.
+    code = None
+
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"duplicate parameter in {self.params}")

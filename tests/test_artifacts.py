@@ -90,17 +90,17 @@ def test_call_plan_pickle_drops_beta_cache():
 
 
 def test_compiled_program_pickle_drops_fns_and_beta_cache():
-    """The program carries its plans and codes through pickle, minus
-    their process-bound halves: ``Code.fns`` and ``CallPlan.beta_cache``
-    hold generated functions, and ``Code.heat`` counts this process's
-    entries toward tier-up."""
+    """The program carries its plans and lowered codes through pickle,
+    minus their process-bound halves: ``Code.fns`` and
+    ``CallPlan.beta_cache`` hold generated functions, and ``Code.heat``
+    counts this process's entries toward tier-up."""
     from repro.compiler.bytecode import gen3_code
     from repro.syntax.ast import Call, Lambda, walk
 
     program = prepare_program(PROGRAMS["loop"])
     lam = next(n for n in walk(program) if n.__class__ is Lambda)
     code = gen3_code(lam)
-    assert code is not None
+    assert code.lower()
     plan = next(n for n in walk(program) if n.__class__ is Call).identity_plan
     code.fns["sentinel"] = lambda: None
     code.heat = 7
@@ -134,7 +134,7 @@ def test_built_artifact_carries_no_gen3_code(name):
     program = hydrate_artifact(_blob(name))
     lambdas = [n for n in walk(program) if n.__class__ is Lambda]
     assert lambdas
-    assert not any(hasattr(node, "code") for node in lambdas)
+    assert all(node.code is None for node in lambdas)
 
 
 # -- fingerprint identity ----------------------------------------------
@@ -160,11 +160,11 @@ def test_hydrated_runs_match_cold_runs(name, machine, linked):
     assert _fingerprint(warm) == _fingerprint(cold)
 
 
-def test_hydrated_run_matches_cold_run_gen2_stepper():
-    cold = run(PROGRAMS["mixed"], "6", machine="sfs", meter="exact",
-               stepper="gen2")
-    warm = run(hydrate_artifact(_blob("mixed")), "6", machine="sfs",
-               meter="exact", stepper="gen2")
+def test_hydrated_run_matches_cold_run_unmetered():
+    """The unmetered driver, which the fused loop and tier-up serve,
+    runs a hydrated artifact exactly as a cold parse."""
+    cold = run(PROGRAMS["mixed"], "6", machine="sfs")
+    warm = run(hydrate_artifact(_blob("mixed")), "6", machine="sfs")
     assert _fingerprint(warm) == _fingerprint(cold)
 
 
@@ -267,7 +267,7 @@ def test_cache_keys_on_the_sha_alone():
     positional (sha, machine, stepper, build) call still works."""
     cache = ArtifactCache(capacity=4)
     assert cache.get_or_build("a", "tail", "annotated", lambda: b"1") == b"1"
-    assert cache.get_or_build("a", "gc", "gen2", lambda: b"2") == b"1"
+    assert cache.get_or_build("a", "gc", "seed", lambda: b"2") == b"1"
     assert cache.get_or_build("a", lambda: b"3") == b"1"
     assert cache.stats()["builds"] == 1
     assert len(cache) == 1

@@ -72,6 +72,15 @@ class TestRunCommand:
         payload = json.loads(out.read_text())
         assert "steps_total{machine=tail}" in payload["metrics"]["counters"]
 
+    @pytest.mark.parametrize("retired", ["gen3", "gen2"])
+    def test_run_rejects_retired_stepper(self, loop_file, retired, capsys):
+        """The stepper choices are the live stepper and the seed: a
+        retired tier name is a usage error (exit 2)."""
+        with pytest.raises(SystemExit) as caught:
+            main(["run", loop_file, "--arg", "5", "--stepper", retired])
+        assert caught.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_run_seed_stepper_matches_live_answer(self, loop_file, capsys):
         """Unmetered runs through both steppers print the same answer
         (the lockstep guarantee, visible at the CLI surface)."""

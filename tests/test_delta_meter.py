@@ -271,6 +271,23 @@ def test_work_counters_are_deterministic(machine_name, meter):
     assert min(counts[0]) > 0
 
 
+@pytest.mark.parametrize("meter", ("exact", "sampled"))
+def test_escape_fallback_keeps_work_counters(meter):
+    """A run that meets an escape degrades to the canonical engine but
+    still reports the work the delta engine did before it."""
+    stats = run_metered(
+        make_machine("gc"),
+        prepare_program(load_program("ctak").source),
+        prepare_input("4"),
+        linked=True,
+        meter=meter,
+    ).meter_stats
+    assert stats["escape_fallback"]
+    for counter in ("collections", "root_updates", "ledger_updates"):
+        assert stats[counter] > 0, (counter, stats)
+    assert stats["trials"] >= 0
+
+
 def test_shared_environment_is_rooted_once():
     """An environment held by the register and by pushed frames counts
     one root reference per location, not one per holder."""

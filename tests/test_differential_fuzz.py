@@ -9,15 +9,15 @@ recursion only, a terminating fuel) and assert observational
 equivalence of the final answer across
 
 * all 8 machines (tail, gc, stack, evlis, free, sfs, bigloo, mta),
-* three steppers (the gen-3 register-bytecode tier with loop
-  reconstruction, the gen-2 fused stepper with gen-3 off, and the
-  preserved seed stepper, which steps one verbatim Figure 5
-  transition at a time),
+* both steppers (the live stepper and the preserved seed stepper,
+  which steps one verbatim Figure 5 transition at a time),
 * both metering engines (delta and reference) under
 * both accountings (Figure 7 total and Figure 8 linked),
 
-plus the unmetered fused driver.  A second, reduced-machine matrix
-crosses the full engine axis — reference/delta x exact/sampled
+plus the unmetered fused driver, where the live stepper also runs
+with its tier-up threshold at 0, so the gen-3 register-bytecode tier
+with loop reconstruction runs from the first entry.  A second,
+reduced-machine matrix crosses the full engine axis — reference/delta x exact/sampled
 metering — and holds the *numbers* (sup, steps, collected), not just
 the answers, equal across it.  Any divergence
 anywhere in either matrix — a fusion that changed an answer, a meter
@@ -41,11 +41,11 @@ from hypothesis import strategies as st
 
 from repro.machine.answer import answer_string
 from repro.machine.errors import StuckError
-from repro.machine.variants import ALL_MACHINES, make_stepper
+from repro.machine.variants import ALL_MACHINES, STEPPERS, make_stepper
 from repro.space.consumption import prepare_input, prepare_program
 from repro.space.meter import ENGINES, METERS, run_metered, run_to_final
 
-from test_prepass_lockstep import generated_fns
+from test_prepass_lockstep import NEVER, generated_fns, tiered_stepper
 
 ALL_MACHINE_NAMES = tuple(sorted(ALL_MACHINES))
 
@@ -155,13 +155,6 @@ def observe(thunk) -> str:
         return f"{type(error).__name__}: {error}"
 
 
-#: The stepper axis of the matrix.  The metered cells step one
-#: transition at a time, so gen-3 batching never fires there — the
-#: gen-3 column earns its keep on the unmetered (batched) driver,
-#: where the register bytecode and the reconstructed loops run.
-MATRIX_STEPPERS = ("gen3", "gen2", "seed")
-
-
 def matrix_answers(source: str, argument: str = ARGUMENT) -> dict:
     """Observable outcomes for every cell of machine x stepper x
     engine x accounting (metered) plus the unmetered batched driver."""
@@ -169,17 +162,25 @@ def matrix_answers(source: str, argument: str = ARGUMENT) -> dict:
     argument_expr = prepare_input(argument)
     answers = {}
     for name in ALL_MACHINE_NAMES:
-        for stepper in MATRIX_STEPPERS:
-            machine = make_stepper(name, stepper)
+        # The unmetered column: generated code from the first entry
+        # (threshold 0), the default stepper, and the seed.  Metered
+        # cells step one transition at a time, so generated code never
+        # runs there and their stepper axis is STEPPERS alone.
+        unmetered = {
+            "eager": tiered_stepper(name, 0),
+            "annotated": make_stepper(name),
+            "seed": make_stepper(name, "seed"),
+        }
+        for stepper, machine in unmetered.items():
             answers[(name, stepper, "unmetered", "-")] = observe(
                 lambda: answer_string(run_to_final(
                     machine, program_expr, argument_expr,
                     step_limit=FUEL,
                 )[0])
             )
-            if stepper == "gen3":
-                # The gen-3 column really ran generated code.
-                assert generated_fns(program_expr, machine), name
+        # The eager cell really ran generated code.
+        assert generated_fns(program_expr, unmetered["eager"]), name
+        for stepper in STEPPERS:
             for engine in ("delta", "reference"):
                 for accounting in ("S", "U"):
                     answers[(name, stepper, engine, accounting)] = observe(
@@ -215,7 +216,7 @@ def engine_matrix_outcomes(source: str, argument: str = ARGUMENT) -> dict:
                 for mode in METERS:
                     def cell(mode=mode, engine=engine, linked=linked):
                         result = run_metered(
-                            make_stepper(name, "gen2"),
+                            make_stepper(name),
                             program_expr,
                             argument_expr,
                             engine=engine,
@@ -294,27 +295,25 @@ def test_random_programs_engine_matrix_equivalent(body):
 def test_random_programs_compiled_tiers_match_seed_step_count(
     body, machine_name
 ):
-    """Beyond the answer: the compiled steppers take *exactly* as many
+    """Beyond the answer: the compiled tiers take *exactly* as many
     transitions as the seed stepper — fusion and loop reconstruction
     batch steps, they never remove them."""
     program_expr = prepare_program(wrap(body))
     argument_expr = prepare_input(ARGUMENT)
 
-    def outcome(stepper):
+    def outcome(machine):
         try:
             final, steps = run_to_final(
-                make_stepper(machine_name, stepper),
-                program_expr, argument_expr,
-                step_limit=FUEL,
+                machine, program_expr, argument_expr, step_limit=FUEL,
             )
         except StuckError as error:
             return f"{type(error).__name__}: {error}", None
         return answer_string(final), steps
 
-    seed = outcome("seed")
-    assert outcome("gen3") == seed
-    assert generated_fns(program_expr, make_stepper(machine_name, "gen3"))
-    assert outcome("gen2") == seed
+    seed = outcome(make_stepper(machine_name, "seed"))
+    assert outcome(tiered_stepper(machine_name, 0)) == seed
+    assert generated_fns(program_expr, make_stepper(machine_name))
+    assert outcome(tiered_stepper(machine_name, NEVER)) == seed
 
 
 # ---------------------------------------------------------------------------

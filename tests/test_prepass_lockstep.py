@@ -18,10 +18,14 @@ interning, memoized restriction).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.machine.machine as machine_mod
+from repro.compiler.bytecode import code_count
 from repro.compiler.prepass import (
     annotate,
     call_plan,
@@ -49,6 +53,20 @@ from repro.syntax.expander import expand_program
 from repro.syntax.free_vars import free_vars
 
 ALL_MACHINE_NAMES = tuple(sorted(ALL_MACHINES))
+
+#: A tier-up threshold no run reaches: the machine never generates code.
+NEVER = sys.maxsize
+
+
+def tiered_stepper(machine_name, threshold):
+    """The default stepper with its tier-up threshold set on the
+    instance: 0 builds every code's generated function on its first
+    entry, :data:`NEVER` keeps every lambda on gen-2.  For hypothesis
+    tests, where a function-scoped ``monkeypatch`` of
+    ``_TIER_UP_THRESHOLD`` trips the health check."""
+    machine = make_stepper(machine_name)
+    machine._tier_up = threshold
+    return machine
 
 
 def test_seed_steppers_cover_all_machines():
@@ -398,8 +416,9 @@ def test_runner_stepper_knob():
     assert annotated.steps == seed.steps
     assert annotated.sup_space == seed.sup_space
     assert annotated.consumption == seed.consumption
-    with pytest.raises(ValueError, match="unknown stepper"):
-        run(source, stepper="compiled")
+    for retired in ("compiled", "gen3", "gen2"):
+        with pytest.raises(ValueError, match="unknown stepper"):
+            run(source, stepper=retired)
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +564,17 @@ def _run_batched(machine, program, trace, limit, after_first=None):
 
 
 def _batched_lockstep(machine_name, source, argument=None,
-                      limits=GEN2_LIMITS, stepper="annotated"):
+                      limits=GEN2_LIMITS):
+    """Hold the default stepper to the seed at every batch size of
+    *limits* (and the whole run); returns the program and the last
+    machine."""
     program = _closed_program(source, argument)
     trace = _seed_trace(machine_name, program)
     total = len(trace) - 1
     for limit in (*limits, total):
-        machine = make_stepper(machine_name, stepper)
+        machine = make_stepper(machine_name)
         _run_batched(machine, program, trace, limit)
-    if stepper == "gen3":
-        # The compiled tier really ran: a later threshold change must
-        # not quietly turn these into gen-2 tests.
-        assert generated_fns(program, machine), machine_name
-    return total
+    return program, machine
 
 
 def generated_fns(program, machine):
@@ -677,8 +695,8 @@ def test_quickened_lookup_matches_named_lookup(body, machine_name):
 # The gen-3 tier compiles lambda bodies to register bytecode and
 # reconstructs self-tail cycles as direct loops; like the gen-2 pass
 # it only fires inside run_steps.  These tests drive run_steps with
-# the gen-3 tier named explicitly (every code built on its first
-# entry) at every batch size 1..13 (and the whole run), against the
+# the tier-up threshold at 0 (every code built on its first entry)
+# at every batch size 1..13 (and the whole run), against the
 # seed stepper's exact per-step fingerprints — which carry the store's
 # flat AND linked space numbers at both precisions, so every batch
 # boundary checks both accountings.  The generated functions take any
@@ -751,11 +769,14 @@ GEN3_LIMITS = tuple(range(1, 14))
 
 @pytest.mark.parametrize("name", sorted(GEN3_PROGRAMS), ids=str)
 @pytest.mark.parametrize("machine_name", ALL_MACHINE_NAMES)
-def test_gen3_batched_lockstep(machine_name, name):
-    _batched_lockstep(
-        machine_name, GEN3_PROGRAMS[name],
-        limits=GEN3_LIMITS, stepper="gen3",
+def test_gen3_batched_lockstep(machine_name, name, monkeypatch):
+    monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", 0)
+    program, machine = _batched_lockstep(
+        machine_name, GEN3_PROGRAMS[name], limits=GEN3_LIMITS,
     )
+    # The compiled tier really ran: a later threshold change must not
+    # quietly turn these into gen-2 tests.
+    assert generated_fns(program, machine), machine_name
 
 
 #: A loop entered well past the first batch and more often than the
@@ -776,8 +797,6 @@ def test_default_stepper_tiers_up_mid_run(machine_name, monkeypatch):
     function after the first batch, one at the end, and every batch
     boundary of sizes 1..13 — the cold entries handed back to gen-2
     and the entry that builds included — on the seed's fingerprint."""
-    import repro.machine.machine as machine_mod
-
     monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", 3)
     for limit in GEN3_LIMITS:
         program = _closed_program(TIER_UP_PROGRAM)  # every run starts cold
@@ -802,6 +821,41 @@ def test_cold_run_builds_no_generated_function():
         program = prepare_program(fib.source)
         run(program, fib.default_input, machine=machine_name)
         assert not generated_fns(program, make_stepper(machine_name))
+
+
+def test_cold_run_lowers_nothing():
+    """Lowering waits for the tier-up point too: a cold ``run`` of a
+    corpus program at its default input lowers no lambda body."""
+    from repro.harness.runner import run
+    from repro.programs.corpus import load_program
+
+    fib = load_program("fib")
+    before = code_count()
+    for machine_name in ALL_MACHINE_NAMES:
+        run(fib.source, fib.default_input, machine=machine_name)
+    assert code_count() == before
+
+
+def test_body_that_deopts_at_once_is_a_declined_build(monkeypatch):
+    """A hot body whose lowering deopts at once (an ``if`` whose test
+    is a compound call) declines generation, and its later entries
+    stay on gen-2 as cold ones — every batch boundary still on the
+    seed's fingerprint."""
+    from repro.syntax.ast import Lambda, walk
+
+    monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", 0)
+    program = _closed_program(
+        "(define (f n) (if (not (< n 1)) (f (- n 1)) 'done)) (f 30)"
+    )
+    trace = _seed_trace("tail", program)
+    machine = make_stepper("tail")
+    _run_batched(machine, program, trace, 7)
+    lam = next(
+        node for node in walk(program)
+        if node.__class__ is Lambda and node.params == ("n",)
+    )
+    assert lam.code.fns == {type(machine): None}
+    assert lam.code.heat < 0
 
 
 def test_gen3_loops_actually_reconstruct():
@@ -829,13 +883,12 @@ def _corpus_source(name):
 # ---------------------------------------------------------------------------
 
 
-def _space_profile(machine_name, stepper, program, argument):
+def _space_profile(machine, program, argument):
     """Drive one run in batches of 1 through run_steps (the only path
     the compiled tiers fire on) and record everything observable:
     answer, step count, and the running sup / peak step of the store's
     exact space — per-step resolution, so a loop body that allocated
     differently (or at a different step) would change the profile."""
-    machine = make_stepper(machine_name, stepper)
     state = machine.inject(program, argument)
     steps = 0
     sup = state.store.space_bignum
@@ -844,7 +897,7 @@ def _space_profile(machine_name, stepper, program, argument):
         if steps >= LOCKSTEP_LIMIT:
             raise AssertionError("no final configuration")
         state, taken = machine.run_steps(state, 1)
-        assert taken == 1, (machine_name, stepper, steps)
+        assert taken == 1, (machine, steps)
         steps += taken
         space = state.store.space_bignum
         if space > sup:
@@ -855,9 +908,9 @@ def _space_profile(machine_name, stepper, program, argument):
 @given(random_bodies, st.sampled_from(ALL_MACHINE_NAMES))
 @settings(max_examples=40, deadline=None)
 def test_gen3_loop_vs_noloop_on_random_programs(body, machine_name):
-    """A random body inside a self-tail loop: the gen-3 run (loops
-    reconstructed) and the gen-2 run (gen-3 off) agree on answer, step
-    count, sup space, and peak step."""
+    """A random body inside a self-tail loop: the gen-3 run (threshold
+    0, loops reconstructed) and a run that never generates code agree
+    on answer, step count, sup space, and peak step."""
     program = prepare_program(
         "(define (loop i acc)"
         "  (if (zero? i) (length acc)"
@@ -865,7 +918,11 @@ def test_gen3_loop_vs_noloop_on_random_programs(body, machine_name):
         "(define (f n) (loop n '()))"
     )
     argument = prepare_input("4")
-    with_loops = _space_profile(machine_name, "gen3", program, argument)
-    assert generated_fns(program, make_stepper(machine_name, "gen3"))
-    without = _space_profile(machine_name, "gen2", program, argument)
+    with_loops = _space_profile(
+        tiered_stepper(machine_name, 0), program, argument
+    )
+    assert generated_fns(program, make_stepper(machine_name))
+    without = _space_profile(
+        tiered_stepper(machine_name, NEVER), program, argument
+    )
     assert with_loops == without, machine_name

@@ -293,6 +293,7 @@ def test_validate_submit_normalizes_and_defaults():
         ({"program": LOOP, "budget": 0}, "budget"),
         ({"program": LOOP, "budget": True}, "budget"),
         ({"program": LOOP, "step_limit": 10**12}, "step_limit"),
+        ({"program": LOOP, "stepper": "gen2"}, "unknown stepper"),
         ("not-a-dict", "JSON object"),
     ],
 )
@@ -514,6 +515,11 @@ def test_serve_rejects_malformed_submissions():
             "program": LOOP, "machine": "warp",
         })
         assert status == 400 and "unknown machine" in body["reason"]
+        # The stepper field takes the live stepper or the seed only.
+        status, body = _post(f"{handle.url}/submit", {
+            "program": LOOP, "stepper": "gen2",
+        })
+        assert status == 400 and "unknown stepper" in body["reason"]
         status, body = _post(f"{handle.url}/submit", {
             "program": "(f 1)",  # unbound free variable
         })
