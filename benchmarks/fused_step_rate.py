@@ -2,10 +2,11 @@
 
 Measures, for every machine on fib(13), the best-of-``ROUNDS`` step
 rate of the seed stepper, gen-2 (the default stepper with tier-up
-disabled) and the default stepper — the fused and gen-2 figures
-``check_step_rate.py`` gates, each over the same worker's seed rate,
-and the stack machine's absolute one-million-steps/second gate — and
-prints the result as JSON.  Run as a script (the bench suite invokes it in a subprocess)::
+disabled) and the default stepper, taking the rounds round-robin —
+the fused and gen-2 figures ``check_step_rate.py`` gates, each over
+the same worker's seed rate, and the stack machine's absolute
+one-million-steps/second gate — and prints the result as JSON.  Run
+as a script (the bench suite invokes it in a subprocess)::
 
     PYTHONPATH=src python benchmarks/fused_step_rate.py
 
@@ -32,26 +33,22 @@ ROUNDS = 5
 MACHINES = ("tail", "gc", "stack", "evlis", "free", "sfs", "bigloo", "mta")
 
 
-def best_step_rate(factory, name, program, argument, rounds=ROUNDS):
-    """Best-of-*rounds* steps/second for one stepper on one workload,
-    with the run's (transitions, answer)."""
+def timed_run(stepper, program, argument):
+    """Steps/second of one run, with the run's (transitions, answer)."""
     from repro.space.meter import run_to_final
 
-    best = 0.0
-    run = None
-    for _ in range(rounds):
-        stepper = factory(name)
-        start = time.perf_counter()
-        final, taken = run_to_final(stepper, program, argument)
-        elapsed = time.perf_counter() - start
-        best = max(best, taken / elapsed)
-        run = (taken, repr(final.value))
-    return best, run
+    start = time.perf_counter()
+    final, taken = run_to_final(stepper, program, argument)
+    elapsed = time.perf_counter() - start
+    return taken / elapsed, (taken, repr(final.value))
 
 
-def step_rate_entry(name, workload, program, argument):
-    """Seed, gen-2 and default-stepper rates of one cell; the three
-    steppers must run the identical computation."""
+def step_rate_entry(name, workload, program, argument, rounds=ROUNDS):
+    """Seed, gen-2 and default-stepper rates of one cell, each the best
+    of *rounds* runs.  The rounds go round-robin, one run of each
+    stepper per round, so a slow spell of the host falls on all three
+    steppers alike rather than on one.  The three steppers must run the
+    identical computation."""
     from repro.machine.reference_step import make_seed_stepper
     from repro.machine.variants import make_machine
 
@@ -60,9 +57,15 @@ def step_rate_entry(name, workload, program, argument):
         stepper._tier_up = sys.maxsize  # never tier up: gen-2 alone
         return stepper
 
-    before, seed_run = best_step_rate(make_seed_stepper, name, program, argument)
-    rate2, gen2_run = best_step_rate(gen2, name, program, argument)
-    after, run = best_step_rate(make_machine, name, program, argument)
+    factories = (make_seed_stepper, gen2, make_machine)
+    best = [0.0] * len(factories)
+    runs = [None] * len(factories)
+    for _ in range(rounds):
+        for index, factory in enumerate(factories):
+            rate, runs[index] = timed_run(factory(name), program, argument)
+            best[index] = max(best[index], rate)
+    before, rate2, after = best
+    seed_run, gen2_run, run = runs
     assert run == gen2_run == seed_run, (name, workload)
     return {
         "workload": workload,

@@ -44,6 +44,7 @@ from .harness.report import (
 )
 from .harness.runner import run
 from .harness.sweep import (
+    SweepCellError,
     aggregate_metrics,
     aggregate_retention,
     aggregate_series,
@@ -52,10 +53,28 @@ from .harness.sweep import (
     run_grid,
     series_from_outcomes,
 )
+from .machine.errors import SchemeError
 from .machine.variants import ALL_MACHINES, STEPPERS
 from .programs.corpus import load_corpus
+from .reader import LexError, ParseError
 from .space.asymptotics import fit_growth, is_bounded
 from .space.meter import DEFAULT_CHECKPOINT_EVERY, ENGINES, METERS
+from .syntax.expander import ExpandError
+from .syntax.validate import ValidationError
+
+#: Errors that belong to the program being run, not to this code: a
+#: text that does not read, expand or validate, a run that gets stuck
+#: or exhausts its step limit, a sweep cell that failed.  A command
+#: reports one of these in one line on stderr and exits 1; any other
+#: exception is a bug and keeps its traceback.
+PROGRAM_ERRORS = (
+    LexError,
+    ParseError,
+    ExpandError,
+    ValidationError,
+    SchemeError,
+    SweepCellError,
+)
 
 
 def _read_source(path: str) -> str:
@@ -1197,7 +1216,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except PROGRAM_ERRORS as error:
+        print(f"{parser.prog} {args.command}: {type(error).__name__}: "
+              f"{error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -79,7 +79,6 @@ from ..syntax.ast import (
 from ..syntax.free_vars import (
     branch_free_vars,
     free_vars,
-    free_vars_of_all,
     name_set,
 )
 
@@ -123,20 +122,29 @@ class CallPlan:
         CallPlan.built += 1
         exprs = site.exprs
         count = len(exprs)
-        if len(order) != count or sorted(order) != list(range(count)):
-            raise StuckError(f"policy returned a non-permutation: {order}")
         self.site = site
         self.order = order
-        self.first: Expr = exprs[order[0]]
-        pending: Tuple[Expr, ...] = tuple(exprs[i] for i in order[1:])
+        self.is_identity = order == identity_permutation(count)
+        if self.is_identity:
+            in_order = exprs
+        elif len(order) != count or sorted(order) != list(range(count)):
+            raise StuckError(f"policy returned a non-permutation: {order}")
+        else:
+            in_order = tuple(exprs[i] for i in order)
+        self.in_order = in_order
+        self.first: Expr = in_order[0]
+        pending: Tuple[Expr, ...] = in_order[1:]
         self.pending = pending
         self.suffixes: Tuple[Tuple[Expr, ...], ...] = tuple(
-            pending[j:] for j in range(len(pending) + 1)
+            [pending[j:] for j in range(len(pending) + 1)]
         )
-        self.suffix_fvs: Tuple[FrozenSet[str], ...] = tuple(
-            free_vars_of_all(suffix) for suffix in self.suffixes
-        )
-        self.is_identity = order == identity_permutation(count)
+        # Each suffix's free variables are its head's joined to the next
+        # suffix's: one union per pending expression, built from the
+        # right.
+        fvs = [frozenset()]
+        for expr in reversed(pending):
+            fvs.append(free_vars(expr) | fvs[-1])
+        self.suffix_fvs: Tuple[FrozenSet[str], ...] = tuple(reversed(fvs))
         # Expression-class codes in evaluation order (first, then the
         # pending sequence): 1 = Var, 2 = Quote, 3 = Lambda,
         # 4 = all-simple nested call (a gen-2 superinstruction
@@ -148,38 +156,35 @@ class CallPlan:
         # gen-2 loop may evaluate as one batched transition when the
         # operator turns out to be a non-control primop.  Exact-class
         # codes only: AST subclasses take the generic path.
-        in_order = (self.first,) + pending
-        self.in_order = in_order
-        self.kinds: Tuple[int, ...] = tuple(
-            _expr_kind(expr) for expr in in_order
-        )
+        #
+        # Aligned with the codes, one pass fills the per-position gen-2
+        # annotations: the lexical address of a Var operand (or None),
+        # the interned constant of a Quote operand (None for strings —
+        # those must stay fresh per evaluation), and the inner identity
+        # plan of a kind-4 operand.
+        rows = []
+        for expr in in_order:
+            cls = type(expr)
+            kind = _EXPR_KIND.get(cls, 0)
+            addr = const = inner = None
+            if kind == 1:
+                addr = expr.addr
+            elif kind == 2:
+                if type(expr.value) is not str:
+                    const = quote_value(expr)
+            elif cls is Call and _all_simple(expr.exprs):
+                kind = 4
+                inner = call_plan(expr, identity_permutation(len(expr.exprs)))
+            rows.append((kind, addr, const, inner))
+        self.kinds, self.addrs, self.consts, self.nested = zip(*rows)
         #: True when every subexpression is a Var or Quote — the shape
         #: whose whole evaluation is pure (no store effects before the
         #: application step), so it may be speculated.
-        self.simple_all = all(kind in (1, 2) for kind in self.kinds)
+        self.simple_all = set(self.kinds) <= {1, 2}
         #: Transitions a full inline evaluation of this call consumes:
         #: the call reduction, one eval and one advance/complete step
         #: per subexpression, and the application step.
         self.fuse_cost = 2 * count + 2
-        #: Per-position gen-2 annotations, aligned with ``kinds``:
-        #: the lexical address of a Var operand (or None), the interned
-        #: constant of a Quote operand (None for strings — those must
-        #: stay fresh per evaluation), and the inner identity plan of a
-        #: kind-4 operand.
-        self.addrs = tuple(
-            expr.addr if kind == 1 else None
-            for expr, kind in zip(in_order, self.kinds)
-        )
-        self.consts = tuple(
-            quote_value(expr)
-            if kind == 2 and type(expr.value) is not str else None
-            for expr, kind in zip(in_order, self.kinds)
-        )
-        self.nested = tuple(
-            call_plan(expr, identity_permutation(len(expr.exprs)))
-            if kind == 4 else None
-            for expr, kind in zip(in_order, self.kinds)
-        )
         #: Whole-call speculation hints.  ``speculate`` is cleared the
         #: first time the operator turns out unfusable for *every*
         #: machine (neither a non-control primop nor a beta-shaped
@@ -222,14 +227,12 @@ class CallPlan:
 _EXPR_KIND = {Var: 1, Quote: 2, Lambda: 3}
 
 
-def _expr_kind(expr: Expr) -> int:
-    """The :attr:`CallPlan.kinds` code of one subexpression."""
-    kind = _EXPR_KIND.get(type(expr), 0)
-    if kind == 0 and type(expr) is Call and expr.exprs and all(
-        _EXPR_KIND.get(type(sub), 0) in (1, 2) for sub in expr.exprs
-    ):
-        return 4
-    return kind
+def _all_simple(exprs: Tuple[Expr, ...]) -> bool:
+    """True when every expression is a Var or Quote (exact classes)."""
+    for expr in exprs:
+        if type(expr) is not Var and type(expr) is not Quote:
+            return False
+    return True
 
 
 _ABSENT = object()

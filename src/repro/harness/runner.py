@@ -68,8 +68,12 @@ def run(
 
     With ``meter=True`` (equivalently ``meter="exact"``) the run is a
     Definition 21 space-efficient computation and the result carries
-    sup-space and S_X; without it the run uses a relaxed GC schedule
-    and is much faster.  ``meter="sampled"`` lets the meter take its
+    sup-space and S_X; without it the run measures no space and is
+    much faster: every 1,024 steps it compacts the continuation and
+    collects only if the store has doubled (and grown by at least
+    1,024 cells) since the last collection (see
+    :func:`repro.space.meter.run_to_final`), so ``gc_interval`` applies
+    to metered runs only.  ``meter="sampled"`` lets the meter take its
     lazy schedule (identical numbers, exact measurement only at
     checkpoints; see :func:`repro.space.meter.run_metered`).
     ``engine`` picks the metering engine (``"delta"`` or

@@ -78,6 +78,10 @@ class SweepCell:
     retention_sample: int = 0
 
 
+class SweepCellError(RuntimeError):
+    """The measurement of a cell that failed was asked for."""
+
+
 @dataclass(frozen=True)
 class SweepOutcome:
     """A cell's measurement, or the error that prevented it."""
@@ -100,7 +104,7 @@ class SweepOutcome:
     @property
     def total(self) -> int:
         if self.result is None:
-            raise RuntimeError(
+            raise SweepCellError(
                 f"sweep cell {self.cell.key} failed: {self.error}"
             )
         return self.result.total
@@ -793,6 +797,7 @@ __all__ = [
     "JobTimeout",
     "RemoteError",
     "SweepCell",
+    "SweepCellError",
     "SweepOutcome",
     "WorkerCrashed",
     "WorkerPool",

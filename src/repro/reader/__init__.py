@@ -1,7 +1,7 @@
 """Reader: Scheme surface text -> datum trees."""
 
 from .datum import Char, Datum, Symbol, VectorDatum, datum_to_string, is_list
-from .lexer import LexError, Lexer, Token, tokenize
+from .lexer import LexError, Token, tokenize
 from .parser import ParseError, Parser, read, read_all
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "datum_to_string",
     "is_list",
     "LexError",
-    "Lexer",
     "Token",
     "tokenize",
     "ParseError",

@@ -5,12 +5,21 @@ exact integers (including negative and radix-10 only), strings,
 characters, symbols, ``;`` line comments, ``#|...|#`` block comments,
 and ``#;`` datum comments (the datum-skip itself is handled by the
 parser).
+
+The whole scan is one compiled regular expression: each match is a run
+of atmosphere followed by one token, so :func:`scan` does one regex
+step and a few comparisons per token.  Only nested block comments and
+character names leave the regex; each is finished in Python and the
+scan restarts after it.  A raw token is ``(kind, text, offset)``; its
+line and column are worked out from the offset only when something
+asks for them (:func:`tokenize`, an error message).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, List, Tuple
 
 
 class LexError(SyntaxError):
@@ -37,7 +46,45 @@ class Token:
     column: int
 
 
+#: (kind, text, offset): a token before its position is resolved.
+RawToken = Tuple[str, str, int]
+
 _DELIMITERS = set('()[]"; \t\n\r')
+
+#: A string's body: any character but a quote or a backslash, or one of
+#: the escapes of ``_STRING_ESCAPES``.
+_STRING_BODY = r'(?:[^"\\]|\\[nrt"\\])*'
+
+#: Atmosphere (whitespace and line comments), then one token.  Every
+#: character that does not begin atmosphere begins exactly one of the
+#: alternatives and the last one matches the end of the text, so a
+#: match never fails and never backtracks into the atmosphere.  A
+#: string whose body holds a bad escape or lacks its closing quote
+#: fails its alternative and matches ``BADSTRING``.
+_TOKEN = re.compile(
+    rf"""[ \t\n\r]*(?:;[^\n]*[ \t\n\r]*)*
+    (?:
+        (?P<LPAREN>[(\[])
+      | (?P<RPAREN>[)\]])
+      | (?P<ATOM>[^()\[\]";\ \t\n\r'`,\#][^()\[\]";\ \t\n\r]*)
+      | "(?P<STRING>{_STRING_BODY})"
+      | (?P<SUGAR>,@|[',`])
+      | \#(?P<HASH>[\s\S]?)
+      | (?P<BADSTRING>")
+      | (?P<END>)\Z
+    )""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\(.)")
+_BLOCK_MARK = re.compile(r"\|#|#\|")
+_ATOM_REST = re.compile(r'[^()\[\]"; \t\n\r]*')
+
+_SUGAR = {
+    "'": "QUOTE",
+    "`": "QUASIQUOTE",
+    ",": "UNQUOTE",
+    ",@": "UNQUOTE_SPLICING",
+}
 
 _NAMED_CHARS = {
     "space": " ",
@@ -56,185 +103,124 @@ _STRING_ESCAPES = {
 }
 
 
-class Lexer:
-    """A one-pass tokenizer with one token of lookahead."""
+def position(text: str, offset: int) -> Tuple[int, int]:
+    """The (line, column) of *offset* in *text*, both from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source text."""
-        while True:
-            token = self.next_token()
-            if token is None:
+def _error(message: str, text: str, offset: int) -> LexError:
+    return LexError(message, *position(text, offset))
+
+
+def scan(text: str) -> Iterator[RawToken]:
+    """Yield every token of *text* as ``(kind, text, offset)``."""
+    size = len(text)
+    pos = 0
+    while True:
+        for match in _TOKEN.finditer(text, pos):
+            kind = match.lastgroup
+            value = match.group(kind)
+            start = match.start(kind)
+            if kind == "ATOM":
+                if value == ".":
+                    kind = "DOT"
+                elif value.isdigit() or (
+                    value[0] in "+-" and value[1:].isdigit()
+                ):
+                    kind = "NUMBER"
+                else:
+                    kind = "SYMBOL"
+                yield kind, value, start
+            elif kind == "LPAREN" or kind == "RPAREN":
+                yield kind, value, start
+            elif kind == "STRING":
+                if "\\" in value:
+                    value = _ESCAPE.sub(
+                        lambda escape: _STRING_ESCAPES[escape.group(1)], value
+                    )
+                yield kind, value, start - 1
+            elif kind == "SUGAR":
+                yield _SUGAR[value], value, start
+            elif kind == "HASH":
+                start -= 1
+                end = match.end()
+                if value == "(":
+                    yield "VECTOR_OPEN", "#(", start
+                elif value == ";":
+                    yield "DATUM_COMMENT", "#;", start
+                elif value in ("t", "T", "f", "F"):
+                    if end < size and text[end] not in _DELIMITERS:
+                        raise _error("expected delimiter after literal",
+                                     text, start)
+                    yield "BOOLEAN", "#t" if value in "tT" else "#f", start
+                elif value == "\\":
+                    char, pos = _char(text, start, end)
+                    yield "CHAR", char, start
+                    break
+                elif value == "|":
+                    pos = _block_comment(text, start, end)
+                    break
+                else:
+                    raise _error(f"unsupported # syntax: #{value}", text, start)
+            elif kind == "BADSTRING":
+                raise _bad_string(text, start)
+            else:  # END
                 return
-            yield token
-
-    def next_token(self) -> Optional[Token]:
-        """Return the next token, or None at end of input."""
-        self._skip_atmosphere()
-        if self._pos >= len(self._text):
-            return None
-        line, column = self._line, self._column
-        ch = self._peek()
-        if ch in "([":
-            self._advance()
-            return Token("LPAREN", ch, line, column)
-        if ch in ")]":
-            self._advance()
-            return Token("RPAREN", ch, line, column)
-        if ch == "'":
-            self._advance()
-            return Token("QUOTE", ch, line, column)
-        if ch == "`":
-            self._advance()
-            return Token("QUASIQUOTE", ch, line, column)
-        if ch == ",":
-            self._advance()
-            if self._peek() == "@":
-                self._advance()
-                return Token("UNQUOTE_SPLICING", ",@", line, column)
-            return Token("UNQUOTE", ",", line, column)
-        if ch == '"':
-            return self._string(line, column)
-        if ch == "#":
-            return self._hash(line, column)
-        return self._atom(line, column)
-
-    # -- internal helpers -------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._pos + ahead
-        if index < len(self._text):
-            return self._text[index]
-        return ""
-
-    def _advance(self) -> str:
-        ch = self._text[self._pos]
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._column = 1
         else:
-            self._column += 1
-        return ch
-
-    def _skip_atmosphere(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch in " \t\n\r":
-                self._advance()
-            elif ch == ";":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "#" and self._peek(1) == "|":
-                self._block_comment()
-            else:
-                return
-
-    def _block_comment(self) -> None:
-        line, column = self._line, self._column
-        self._advance()  # '#'
-        self._advance()  # '|'
-        depth = 1
-        while depth > 0:
-            if self._pos >= len(self._text):
-                raise LexError("unterminated block comment", line, column)
-            if self._peek() == "|" and self._peek(1) == "#":
-                self._advance()
-                self._advance()
-                depth -= 1
-            elif self._peek() == "#" and self._peek(1) == "|":
-                self._advance()
-                self._advance()
-                depth += 1
-            else:
-                self._advance()
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self._pos >= len(self._text):
-                raise LexError("unterminated string", line, column)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                if self._pos >= len(self._text):
-                    raise LexError("unterminated string escape", line, column)
-                escape = self._advance()
-                if escape not in _STRING_ESCAPES:
-                    raise LexError(f"bad string escape \\{escape}", line, column)
-                chars.append(_STRING_ESCAPES[escape])
-            else:
-                chars.append(ch)
-        return Token("STRING", "".join(chars), line, column)
-
-    def _hash(self, line: int, column: int) -> Token:
-        self._advance()  # '#'
-        ch = self._peek()
-        if ch == "(":
-            self._advance()
-            return Token("VECTOR_OPEN", "#(", line, column)
-        if ch == ";":
-            self._advance()
-            return Token("DATUM_COMMENT", "#;", line, column)
-        if ch in "tT":
-            self._advance()
-            self._require_delimiter(line, column)
-            return Token("BOOLEAN", "#t", line, column)
-        if ch in "fF":
-            self._advance()
-            self._require_delimiter(line, column)
-            return Token("BOOLEAN", "#f", line, column)
-        if ch == "\\":
-            self._advance()
-            return self._char(line, column)
-        raise LexError(f"unsupported # syntax: #{ch}", line, column)
-
-    def _char(self, line: int, column: int) -> Token:
-        if self._pos >= len(self._text):
-            raise LexError("unterminated character literal", line, column)
-        first = self._advance()
-        name = [first]
-        if first.isalpha():
-            while self._peek() and self._peek() not in _DELIMITERS:
-                name.append(self._advance())
-        text = "".join(name)
-        if len(text) == 1:
-            return Token("CHAR", text, line, column)
-        lowered = text.lower()
-        if lowered in _NAMED_CHARS:
-            return Token("CHAR", _NAMED_CHARS[lowered], line, column)
-        raise LexError(f"unknown character name #\\{text}", line, column)
-
-    def _atom(self, line: int, column: int) -> Token:
-        chars = []
-        while self._peek() and self._peek() not in _DELIMITERS:
-            chars.append(self._advance())
-        text = "".join(chars)
-        if not text:
-            raise LexError(f"unexpected character {self._peek()!r}", line, column)
-        if text == ".":
-            return Token("DOT", text, line, column)
-        if _is_integer(text):
-            return Token("NUMBER", text, line, column)
-        return Token("SYMBOL", text, line, column)
-
-    def _require_delimiter(self, line: int, column: int) -> None:
-        if self._peek() and self._peek() not in _DELIMITERS:
-            raise LexError("expected delimiter after literal", line, column)
+            return
 
 
-def _is_integer(text: str) -> bool:
-    body = text[1:] if text[0] in "+-" else text
-    return body.isdigit()
+def _char(text: str, start: int, end: int) -> Tuple[str, int]:
+    """The character literal ``#\\...`` at *start* (its body begins at
+    *end*): (character, offset just past the literal)."""
+    if end >= len(text):
+        raise _error("unterminated character literal", text, start)
+    first = text[end]
+    stop = end + 1
+    if first.isalpha():
+        stop = _ATOM_REST.match(text, stop).end()
+    name = text[end:stop]
+    if len(name) == 1:
+        return name, stop
+    char = _NAMED_CHARS.get(name.lower())
+    if char is None:
+        raise _error(f"unknown character name #\\{name}", text, start)
+    return char, stop
 
 
-def tokenize(text: str) -> list:
-    """Tokenize *text* into a list of tokens (convenience wrapper)."""
-    return list(Lexer(text).tokens())
+def _block_comment(text: str, start: int, end: int) -> int:
+    """Skip the (nesting) ``#|...|#`` comment opened at *start*; the
+    offset just past it."""
+    depth = 1
+    for mark in _BLOCK_MARK.finditer(text, end):
+        depth += 1 if mark.group() == "#|" else -1
+        if depth == 0:
+            return mark.end()
+    raise _error("unterminated block comment", text, start)
+
+
+def _bad_string(text: str, start: int) -> LexError:
+    """Why the string opened at *start* does not scan: its first bad
+    escape, or its missing end."""
+    end = re.compile(_STRING_BODY).match(text, start + 1).end()
+    if end >= len(text):
+        return _error("unterminated string", text, start)
+    # The body stopped at a backslash: a closing quote would have
+    # completed the string.
+    if end + 1 >= len(text):
+        return _error("unterminated string escape", text, start)
+    return _error(f"bad string escape \\{text[end + 1]}", text, start)
+
+
+def tokenize(text: str) -> List[Token]:
+    """Tokenize *text* into a list of tokens with their positions."""
+    tokens = []
+    line, line_start, last = 1, 0, 0
+    for kind, token_text, offset in scan(text):
+        newlines = text.count("\n", last, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, offset) + 1
+        last = offset
+        tokens.append(Token(kind, token_text, line, offset - line_start + 1))
+    return tokens

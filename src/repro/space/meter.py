@@ -1250,18 +1250,29 @@ def run_to_final(
 ) -> Tuple[Final, int]:
     """Run without measuring space (fast path for answer equivalence).
 
-    ``gc_interval=0`` disables collection entirely (the store only
-    grows); any positive value collects that often.
+    ``gc_interval=0`` disables collection and compaction (the store
+    only grows).  A positive value is the clock of a relaxed schedule:
+    every ``gc_interval`` transitions the machine compacts its
+    continuation (Baker's MTA collapse; a no-op elsewhere), and the GC
+    rule is applied there once the store has grown by max(L,
+    ``gc_interval``) cells, where L is its size right after the last
+    collection (or at injection).  So a short run traces nothing, a
+    long one traces O(live) cells per O(live) cells allocated, and
+    after every check the store holds fewer than 2L + ``gc_interval``
+    cells: section 7's collector that runs less often than Definition
+    21's, at a constant factor in space.  Collection changes no answer
+    and no step count; :func:`run_metered` collects after every step.
 
     The machine is driven in batches through ``run_steps`` (the fused
     register loop of the live stepper; the per-step loop of the seed
-    stepper), sized so collection and compaction still happen exactly
-    every ``gc_interval`` transitions.
+    stepper), sized so the checks happen exactly every ``gc_interval``
+    transitions.
     """
     state = machine.inject(program, argument)
     steps = 0
     run_steps = machine.run_steps
     batch = gc_interval if gc_interval else step_limit
+    floor = len(state.store)
     while True:
         configuration, taken = run_steps(state, min(batch, step_limit - steps))
         steps += taken
@@ -1270,7 +1281,9 @@ def run_to_final(
         state = configuration
         if gc_interval and steps % gc_interval == 0:
             state = machine.compact(state)
-            if machine.uses_gc_rule:
+            grown = len(state.store) - floor
+            if machine.uses_gc_rule and grown >= max(floor, gc_interval):
                 collect(state)
+                floor = len(state.store)
         if steps >= step_limit:
             raise StepLimitExceeded(steps)

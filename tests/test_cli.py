@@ -1,5 +1,9 @@
 """CLI tests (driven in-process through repro.cli.main)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -463,3 +467,63 @@ class TestStreamingRunCommand:
         main(["run", loop_file, "--arg", "8", "--meter", "--machine", "gc",
               "--trace-out", str(ring)])
         assert replay(read_jsonl(streamed)) == replay(read_jsonl(ring))
+
+
+def _repro(*argv, stdin):
+    """Run ``python -m repro`` in a fresh process, as a user does."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], input=stdin,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+#: One malformed or failing program per kind of program error, with
+#: the error ``repro run`` and ``repro trace`` must report.
+PROGRAM_ERROR_CASES = [
+    ("(define (f n) (+ n 1)", "ParseError: unterminated list"),
+    ('(define (f n) "abc', "LexError: unterminated string"),
+    ("(define (f n) (if))", "ExpandError: malformed if"),
+    ("(define (f n) (g n))", "ValidationError: free variables"),
+    ("(define (f n) (car n))", "PrimitiveError: car: not a pair"),
+    ("(define (f n) (f n))", "StepLimitExceeded: no final configuration"),
+]
+
+
+class TestProgramErrors:
+    """A program's own error ends a command with one line on stderr
+    and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("source,message", PROGRAM_ERROR_CASES)
+    def test_program_error_is_one_line(self, command, source, message):
+        done = _repro(command, "-", "--arg", "8", "--step-limit", "1000",
+                      stdin=source)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        line, = done.stderr.strip().splitlines()
+        assert line.startswith(f"repro {command}: {message}")
+
+    def test_failed_sweep_cell_is_named(self):
+        done = _repro("sweep", "-", "--ns", "8,16", "--machine", "tail",
+                      stdin="(define (f n) (car n))")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.strip() == (
+            "repro sweep: SweepCellError: sweep cell ('tail', 8) failed: "
+            "PrimitiveError: car: not a pair: NUM:8"
+        )
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch, loop_file):
+        """Only the program's errors are reported in one line."""
+        import repro.cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("not a program error")
+
+        monkeypatch.setattr(repro.cli, "run", broken)
+        with pytest.raises(KeyError):
+            main(["run", loop_file, "--arg", "5"])

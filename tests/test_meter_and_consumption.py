@@ -181,3 +181,96 @@ class TestTrimGlobals:
             prepare_program(LOOP), prepare_input("10"), trim_globals=True
         )
         assert len(state.store) < 10
+
+
+class TestUnmeteredCollection:
+    """``run_to_final`` compacts on the ``gc_interval`` clock but
+    collects only once the store has grown by max(its size after the
+    last collection, ``gc_interval``) cells."""
+
+    def test_short_run_collects_nothing(self, monkeypatch):
+        from repro.harness.runner import run
+        from repro.programs.corpus import load_program
+        import repro.space.meter as meter
+
+        nqueens = load_program("nqueens")
+        metered = run(nqueens.source, nqueens.default_input, machine="gc",
+                      meter=True)
+        calls = []
+        collect = meter.collect
+        monkeypatch.setattr(
+            meter, "collect", lambda state: calls.append(collect(state))
+        )
+        result = run(nqueens.source, nqueens.default_input, machine="gc")
+        assert calls == []
+        assert (result.answer, result.steps) == (metered.answer,
+                                                 metered.steps)
+
+    def test_store_stays_within_twice_its_collected_size(self, monkeypatch):
+        from repro.machine.variants import TailMachine
+        from repro.space.consumption import prepare_input
+        import repro.space.meter as meter
+
+        interval = 1024
+        floor = []
+        boundaries = []
+        collect = meter.collect
+
+        def collect_and_record(state):
+            reclaimed = collect(state)
+            floor.append(len(state.store))
+            return reclaimed
+
+        run_steps = TailMachine.run_steps
+
+        def run_steps_and_check(machine, state, limit):
+            if not floor:
+                floor.append(len(state.store))  # the injected store
+            boundaries.append(len(state.store) < 2 * floor[-1] + interval)
+            return run_steps(machine, state, limit)
+
+        monkeypatch.setattr(meter, "collect", collect_and_record)
+        monkeypatch.setattr(TailMachine, "run_steps", run_steps_and_check)
+        program = prepare_program("""
+            (define (f n)
+              (define (loop i v)
+                (if (zero? i)
+                    (vector-length v)
+                    (loop (- i 1) (make-vector 100 i))))
+              (loop n (make-vector 100 0)))""")
+        final, steps = run_to_final(TailMachine(), program,
+                                    prepare_input("100000"),
+                                    gc_interval=interval)
+        assert final.value.value == 100
+        assert len(floor) > 100
+        assert len(boundaries) > steps // interval
+        assert all(boundaries)
+
+    def test_mta_compaction_keeps_its_clock(self):
+        """MTA's step counts depend on when its continuation is
+        compacted; the default stepper under ``run_to_final`` compacts
+        every ``gc_interval`` steps, as a per-step seed run that
+        compacts on the same clock does."""
+        from repro.machine.reference_step import make_seed_stepper
+        from repro.machine.variants import make_machine
+        from repro.programs.corpus import load_corpus
+        from repro.space.consumption import prepare_input
+
+        interval = 1024
+        for entry in load_corpus():
+            program = prepare_program(entry.source)
+            argument = prepare_input(entry.default_input)
+            _, steps = run_to_final(make_machine("mta"), program, argument,
+                                    gc_interval=interval)
+            seed = make_seed_stepper("mta")
+            state = seed.inject(program, argument)
+            seed_steps = 0
+            while True:
+                configuration = seed.step(state)
+                seed_steps += 1
+                if configuration.is_final:
+                    break
+                state = configuration
+                if seed_steps % interval == 0:
+                    state = seed.compact(state)
+            assert steps == seed_steps, entry.name

@@ -85,6 +85,12 @@ class TestSugar:
     def test_datum_comment_inside_list(self):
         assert read("(1 #;2 3)") == (1, 3)
 
+    def test_datum_comment_before_closing_parenthesis(self):
+        assert read_all("(a #;b)") == [(Symbol("a"),)]
+
+    def test_datum_comment_at_end_of_input(self):
+        assert read_all("#;x") == []
+
 
 class TestReadAll:
     def test_multiple_datums(self):
