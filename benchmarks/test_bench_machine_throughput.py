@@ -56,7 +56,7 @@ FLAGSHIP_ROUNDS = 5
 #: Acceptance: the sampled meter within 5x of the *per-step-granularity*
 #: unmetered driver — the step()-at-a-time loop, the granularity at
 #: which Definition 21 configurations are observable at all.  The
-#: batched gen-3 driver is recorded alongside as the other comparator
+#: batched fused driver is recorded alongside as the other comparator
 #: (it fuses transitions, so per-configuration observation is
 #: impossible there by construction; its quotient is reported, not
 #: gated).
@@ -188,7 +188,7 @@ def test_bench_engine_speedup(benchmark, throughput_log):
 
 def test_bench_sampled_flagship(throughput_log):
     """The metering-gap flagship: on gc-vs-tail at N = 512, record both
-    unmetered comparators (the batched gen-3 driver and the
+    unmetered comparators (the batched fused driver and the
     step()-at-a-time loop) next to the exact and sampled meters, and
     gate the sampled meter against the per-step comparator.
 
@@ -280,7 +280,7 @@ def test_bench_sampled_flagship(throughput_log):
             "gated against unmetered_per_step (the step()-at-a-time "
             "loop: the granularity at which Definition 21 "
             "configurations are observable); unmetered_batched (the "
-            "gen-3 fused driver) recorded for transparency — it "
+            "fused driver) recorded for transparency — it "
             "batches transitions, so no per-configuration meter can "
             "approach it"
         ),
@@ -295,7 +295,7 @@ def test_bench_sampled_flagship(throughput_log):
 
 # ---------------------------------------------------------------------------
 # The serving artifact cache: a repeat submission rides a hydrated
-# artifact (interned prepass + gen-3 bytecode) instead of re-lowering
+# artifact (the interned prepass) instead of re-lowering
 # its source — the `repro serve` warm path against the cold one.
 # ---------------------------------------------------------------------------
 
@@ -398,6 +398,9 @@ FIND_LEFTMOST_ARGUMENT = prepare_input("256")
 
 SFS_FIND_LEFTMOST_TARGET = 3.0
 TAIL_FIB_TARGET = 1.5
+#: Absolute gate: the stack machine (the least-batched family) must
+#: clear this many steps/second unmetered.
+STACK_UNMETERED_TARGET = 1_000_000.0
 
 
 #: The gen-2-over-gen-1 gate's last committed figures, kept as a fixed
@@ -479,6 +482,97 @@ def _retired_gen2_section():
     }
 
 
+#: The gen-3 gate's last committed figures, kept as a fixed record:
+#: gen-3 (hot lambdas lowered to register bytecode and generated Python
+#: functions) is retired, so nothing measures them any more.  Per
+#: machine, the transition-weighted corpus mean and, per workload,
+#: (transitions, gen-2 steps/s, gen-3 steps/s, gen3/gen2 best per-pair
+#: ratio, cold_over_gen2).
+GEN3_RETIRED_CELLS = {
+    "bigloo": (4.119, {
+        "fib(13)": (21244, 2367067.5, 6548113.9, 7.218, 1.056),
+        "find-leftmost(right, 256)": (
+            32152, 1362996.8, 1752642.5, 2.072, 1.094),
+    }),
+    "evlis": (3.159, {
+        "fib(13)": (20482, 3638098.5, 7630374.3, 4.168, 0.972),
+        "find-leftmost(right, 256)": (
+            29834, 2810117.7, 4962090.8, 2.466, 0.951),
+    }),
+    "free": (3.663, {
+        "fib(13)": (20482, 3750277.9, 7709793.8, 4.597, 0.969),
+        "find-leftmost(right, 256)": (
+            29834, 2471848.3, 4159954.5, 3.022, 0.986),
+    }),
+    "gc": (3.308, {
+        "fib(13)": (21257, 3740043.3, 7305692.2, 4.333, 0.966),
+        "find-leftmost(right, 256)": (
+            32152, 2916092.9, 4728236.7, 2.631, 0.929),
+    }),
+    "mta": (3.313, {
+        "fib(13)": (21257, 3755640.4, 7191294.8, 4.097, 0.96),
+        "find-leftmost(right, 256)": (
+            32152, 2867502.9, 4666708.9, 2.795, 0.98),
+    }),
+    "sfs": (3.981, {
+        "fib(13)": (20482, 2522648.0, 5399867.5, 5.083, 0.966),
+        "find-leftmost(right, 256)": (
+            29834, 2005914.9, 4012745.5, 3.225, 0.998),
+    }),
+    "stack": (1.979, {
+        "fib(13)": (21257, 1647945.6, 2932644.4, 2.989, 0.99),
+        "find-leftmost(right, 256)": (
+            32152, 761269.1, 791059.6, 1.311, 0.973),
+    }),
+    "tail": (3.384, {
+        "fib(13)": (20482, 3840394.0, 7551040.1, 3.727, 0.865),
+        "find-leftmost(right, 256)": (
+            29834, 2865063.2, 4897133.0, 3.148, 1.018),
+    }),
+}
+
+
+def _retired_gen3_section():
+    """``BENCH_step_rate.json``'s ``gen3`` section, rebuilt from the
+    fixed record above."""
+    machines = {}
+    for name, (weighted, cells) in GEN3_RETIRED_CELLS.items():
+        machines[name] = {
+            "corpus_weighted": weighted,
+            "cells": {
+                workload: {
+                    "transitions": transitions,
+                    "gen2_steps_per_second": gen2,
+                    "gen3_steps_per_second": gen3,
+                    "gen3_over_gen2": ratio,
+                    "cold_over_gen2": cold,
+                }
+                for workload, (transitions, gen2, gen3, ratio, cold)
+                in cells.items()
+            },
+        }
+    return {
+        "status": (
+            "retired: gen-3 is deleted; these are the last committed "
+            "figures, kept as a fixed record and no longer measured "
+            "or gated"
+        ),
+        "baseline": "gen2 (superinstruction stepper, tier-up disabled)",
+        "definition": (
+            "transition-weighted mean of gen3/gen2 step-rate ratios; "
+            "headline over the flagship cells (tail/fib, "
+            "sfs/find-leftmost), floor per machine over the corpus; "
+            "each cell's cold_over_gen2 is the median per-pair rate "
+            "ratio of a fresh parse's first run, default stepper over "
+            "gen-2 alone"
+        ),
+        "corpus_target": 2.0,
+        "floor": 1.0,
+        "headline": 3.429,
+        "machines": machines,
+    }
+
+
 @pytest.fixture(scope="session")
 def step_rate_log():
     """Collects before/after steps-per-second figures; written as
@@ -486,10 +580,11 @@ def step_rate_log():
     log = {
         "before": "seed stepper (repro.machine.reference_step)",
         "after": "annotated stepper (prepass + dispatch tables + fused "
-                 "run loop + gen-3 register bytecode)",
+                 "run loop with the gen-2 superinstructions)",
         "machines": {},
         "acceptance": {},
         "gen2": _retired_gen2_section(),
+        "gen3": _retired_gen3_section(),
     }
     yield log
     write_bench_summary(STEP_RATE_JSON, log)
@@ -501,7 +596,7 @@ def test_bench_step_rate(step_rate_log, name):
     """Before/after step rate for every machine on fib(13), measured in
     the worker subprocess (see :func:`_worker`); the annotated stepper
     must never be slower than the seed."""
-    entry = _worker("fused_step_rate.py")[name]
+    entry = _worker()[name]
     step_rate_log["machines"][name] = entry
     assert entry["speedup"] > 1.0, entry
 
@@ -528,50 +623,12 @@ def test_bench_step_rate_tail_fib(step_rate_log):
     assert entry["speedup"] >= TAIL_FIB_TARGET, entry
 
 
-def _weighted_ratio(cells, key):
-    """Transition-weighted mean of the cells' speedup ratios."""
-    cells = list(cells)
-    total = sum(cell["transitions"] for cell in cells)
-    return sum(cell["transitions"] * cell[key] for cell in cells) / total
-
-
-# ---------------------------------------------------------------------------
-# Gen-3 register bytecode + self-tail-loop reconstruction: the linear
-# bytecode tier (with reconstructed while-loops) against the gen-2
-# superinstruction stepper it extends.
-# ---------------------------------------------------------------------------
-
-#: Corpus-weighted speedup definitions.  All weights are transition
-#: counts (the machine-independent size of each cell's computation),
-#: so a cell's influence does not depend on how slow a particular
-#: machine family happens to run it in wall-clock terms: the headline
-#: is the transition-weighted mean of the flagship cells' gen3/gen2
-#: ratios (tail on fib, sfs on find-leftmost: the same flagship
-#: convention as TAIL_FIB_TARGET / SFS_FIND_LEFTMOST_TARGET above),
-#: the floor every machine's own corpus-weighted mean.  The gen-3 tier
-#: additionally carries an *absolute* gate: the stack machine (the
-#: least-batched family) must clear STACK_UNMETERED_TARGET
-#: steps/second unmetered.
-GEN3_CORPUS_TARGET = 2.0
-GEN3_FLOOR = 1.0
-GEN3_FLAGSHIPS = (("tail", "fib(13)"), ("sfs", "find-leftmost(right, 256)"))
-STACK_UNMETERED_TARGET = 1_000_000.0
-
-
 @functools.lru_cache(maxsize=None)
-def _worker(script):
-    """Run a measurement worker (``benchmarks/gen3_step_rate.py`` or
-    ``benchmarks/fused_step_rate.py``) in a fresh subprocess, once per
-    session.  Generated code descends into Python functions for
-    non-tail calls, so its throughput depends on the *base* call depth:
-    CPython 3.11 allocates frames on a chunked data stack, and at the
-    ~30-40 frame depth of a pytest session the run's recursion can
-    oscillate across a chunk boundary, paying the chunk alloc/free slow
-    path on every call (the flat gen-2 loop is immune).  Real drivers —
-    the CLI, the harness — run at shallow depth, so the gates measure
-    from a fresh process's shallow stack, like them.  See the workers'
-    docstrings for the methodology."""
-    script = os.path.join(os.path.dirname(__file__), script)
+def _worker():
+    """Run the measurement worker (``benchmarks/fused_step_rate.py``) in
+    a fresh subprocess, once per session, so the gates measure from a
+    shallow Python stack, as the CLI and the harness drivers run."""
+    script = os.path.join(os.path.dirname(__file__), "fused_step_rate.py")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(script)), "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -586,53 +643,11 @@ def _worker(script):
 
 
 @pytest.mark.step_rate
-def test_bench_step_rate_gen3(step_rate_log):
-    """Acceptance for the gen-3 tier: the flagship corpus-weighted
-    speedup over the gen-2 stepper reaches GEN3_CORPUS_TARGET, and no
-    machine's own corpus-weighted rate regresses below GEN3_FLOOR."""
-    machines = _worker("gen3_step_rate.py")
-    for entry in machines.values():
-        cells = entry["cells"]
-        entry["corpus_weighted"] = round(
-            _weighted_ratio(cells.values(), "gen3_over_gen2"), 3
-        )
-    headline = _weighted_ratio(
-        [machines[name]["cells"][workload] for name, workload in
-         GEN3_FLAGSHIPS],
-        "gen3_over_gen2",
-    )
-    step_rate_log["gen3"] = {
-        "baseline": "gen2 (superinstruction stepper, tier-up disabled)",
-        "definition": (
-            "transition-weighted mean of gen3/gen2 step-rate ratios; "
-            "headline over the flagship cells (tail/fib, "
-            "sfs/find-leftmost), floor per machine over the corpus; "
-            "measured by benchmarks/gen3_step_rate.py in a fresh "
-            "shallow-stack subprocess; each cell's cold_over_gen2 is "
-            "the median per-pair rate ratio of a fresh parse's first "
-            "run, default stepper over gen-2 alone (gated by "
-            "benchmarks/check_step_rate.py)"
-        ),
-        "corpus_target": GEN3_CORPUS_TARGET,
-        "floor": GEN3_FLOOR,
-        "headline": round(headline, 3),
-        "machines": machines,
-    }
-    assert headline >= GEN3_CORPUS_TARGET, step_rate_log["gen3"]
-    below = {
-        name: entry["corpus_weighted"]
-        for name, entry in machines.items()
-        if entry["corpus_weighted"] < GEN3_FLOOR
-    }
-    assert not below, (below, step_rate_log["gen3"])
-
-
-@pytest.mark.step_rate
 def test_bench_step_rate_stack_absolute(step_rate_log):
     """Acceptance: the stack machine clears one million unmetered
-    steps/second on fib(13) with the full tier stack (the default
-    stepper's best-of-5 rate, measured in the worker subprocess)."""
-    entry = _worker("fused_step_rate.py")["stack"]
+    steps/second on fib(13) (the default stepper's best-of-5 rate,
+    measured in the worker subprocess)."""
+    entry = _worker()["stack"]
     best = entry["after_steps_per_second"]
     step_rate_log["acceptance"]["stack_unmetered"] = {
         "workload": "fib(13)",

@@ -6,9 +6,8 @@ live behind ``is None`` tests in the meter.  The acceptance criterion
 for the telemetry stack is that a machine with telemetry *disabled*
 (the only state tier-1 runs ever see) keeps at least 90% of the
 steps/second recorded in ``BENCH_step_rate.json``'s
-``gen2_steps_per_second`` baselines on the same workload (the gen-2
-stepper: the gen-3 tier's call-depth sensitivity would turn the
-cross-session quotient into noise — see ``_baseline_rates``).
+``after_steps_per_second`` baselines (the default stepper) on the
+same workload.
 
 The telemetry-*on* ratio is recorded for the record (it is allowed to
 be expensive — the traced path steps configuration-by-configuration),
@@ -22,14 +21,12 @@ Run with::
 
 import json
 import os
-import sys
 import time
 
 import pytest
 
 from conftest import write_bench_summary
 
-import repro.machine.machine as machine_mod
 from repro.machine.variants import make_machine
 from repro.programs.corpus import load_program
 from repro.space.consumption import prepare_input, prepare_program
@@ -50,14 +47,9 @@ STEP_RATE_JSON = os.path.join(RESULTS_DIR, "BENCH_step_rate.json")
 
 
 def _baseline_rates():
-    """gen2_steps_per_second per machine from the step-rate bench;
+    """after_steps_per_second per machine from the step-rate bench;
     regenerate with ``pytest benchmarks -m step_rate`` when moving to
-    new hardware.  The overhead gate runs on the gen-2 stepper: the
-    trace-attribute check it prices is the same code on every tier,
-    and the gen-3 generated-function tier's throughput depends on the
-    ambient Python call depth (see ``benchmarks/gen3_step_rate.py``),
-    which differs between pytest sessions — a cross-session quotient
-    of gen-3 rates would gate on that noise, not on telemetry."""
+    new hardware."""
     if not os.path.exists(STEP_RATE_JSON):
         pytest.skip(
             "no BENCH_step_rate.json baseline; run the step_rate "
@@ -66,8 +58,7 @@ def _baseline_rates():
     with open(STEP_RATE_JSON) as handle:
         payload = json.load(handle)
     return {
-        name: entry.get("gen2_steps_per_second",
-                        entry["after_steps_per_second"])
+        name: entry["after_steps_per_second"]
         for name, entry in payload["machines"].items()
     }
 
@@ -88,7 +79,7 @@ def overhead_log():
     log = {
         "workload": "fib(13)",
         "max_overhead": MAX_OVERHEAD,
-        "baseline": "BENCH_step_rate.json gen2_steps_per_second",
+        "baseline": "BENCH_step_rate.json after_steps_per_second",
         "machines": {},
         "traced": {},
     }
@@ -98,7 +89,7 @@ def overhead_log():
 
 @pytest.mark.telemetry_overhead
 @pytest.mark.parametrize("name", MACHINES)
-def test_bench_telemetry_off_overhead(overhead_log, name, monkeypatch):
+def test_bench_telemetry_off_overhead(overhead_log, name):
     """Telemetry disabled (trace attribute None) keeps >= 90% of the
     recorded fused-loop step rate."""
     rates = _baseline_rates()
@@ -108,8 +99,6 @@ def test_bench_telemetry_off_overhead(overhead_log, name, monkeypatch):
             "run); regenerate with pytest benchmarks -m step_rate"
         )
     baseline = rates[name]
-    # The gen-2 stepper (see _baseline_rates): tier-up disabled.
-    monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", sys.maxsize)
     machine = make_machine(name)
     assert machine.trace is None  # the tier-1 default
 

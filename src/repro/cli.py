@@ -7,7 +7,7 @@
     python -m repro run program.scm --arg 100 --meter --stream trace.jsonl
     python -m repro machines
     python -m repro census program.scm ...       # Figure 2 statistics
-    python -m repro analyze --loops              # gen-3 loop audit
+    python -m repro analyze --loops              # self-tail-loop audit
     python -m repro dynamic program.scm --arg 10 # runtime census
     python -m repro sweep program.scm --ns 8,16,32,64 --machine gc --jobs 4
     python -m repro sweep program.scm --machine tail,gc --metrics sweep.json
@@ -837,9 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--step-limit", type=int, default=5_000_000)
     run_parser.add_argument(
         "--stepper", default="annotated", choices=STEPPERS,
-        help="transition function: gen-2 until code is hot, then its "
-        "generated gen-3 code (annotated), or the preserved seed "
-        "stepper (seed) — identical semantics",
+        help="transition function: the fused gen-2 stepper "
+        "(annotated) or the preserved seed stepper (seed) — identical "
+        "semantics",
     )
     run_parser.add_argument(
         "--gc-interval", type=int, default=1,
@@ -878,15 +878,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser = commands.add_parser(
         "analyze",
         help="static program analyses: Figure 2 statistics by "
-        "default, the gen-3 self-tail-loop audit with --loops "
+        "default, the self-tail-loop audit with --loops "
         "(bundled corpus when no files given)",
     )
     analyze_parser.add_argument("programs", nargs="*")
     analyze_parser.add_argument(
         "--loops", action="store_true",
-        help="ranked table of reconstructable self-tail-loop "
-        "candidates: what the bytecode pass compiled and which "
-        "back edges became direct loops",
+        help="ranked table of self-tail-loop candidates: each "
+        "lambda's self-tail back edges and its tail and total calls",
     )
     analyze_parser.add_argument(
         "--meter-audit", action="store_true",
@@ -1028,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--stepper", default="annotated", choices=STEPPERS,
         help="transition function (see run --help); a traced run steps "
-        "one transition at a time, so gen-3 code never runs here",
+        "one transition at a time",
     )
     trace_parser.add_argument("--engine", default="delta", choices=ENGINES)
     trace_parser.add_argument("--gc-interval", type=int, default=1)

@@ -1,5 +1,5 @@
 """Compilation: the front end every entry point shares, the stepper's
-prepass and gen-3 code, and the [Ste78] CPS conversion."""
+prepass, and the [Ste78] CPS conversion."""
 
 from .cps import CpsConverter, CpsError, cps_expression, cps_program
 

@@ -9,8 +9,7 @@ all accept and reject the same programs.
 
 A compiled program is its own expanded tree: the prepass keeps every
 plan, address and quote value on the nodes it describes
-(:mod:`repro.compiler.prepass`), gen-3 code joins them on first entry
-(:mod:`repro.compiler.bytecode`), and all of it is freed with the tree.
+(:mod:`repro.compiler.prepass`), and all of it is freed with the tree.
 An artifact is that tree pickled (:mod:`repro.serving.artifacts`).
 
 The validation rule (:func:`repro.syntax.validate.validate`'s

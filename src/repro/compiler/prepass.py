@@ -199,21 +199,22 @@ class CallPlan:
         #: stale value only means the generic — exact — path.
         self.speculate = True
         self.beta_only = False
-        #: Monomorphic beta-superinstruction cache: ``(lam, spec,
-        #: fns)`` with *spec* from ``machine.machine._beta_spec`` (None
-        #: when the pair does not fuse) and *fns* the per-machine-class
-        #: generated appliers.  The spec is machine-independent, so one
-        #: cache per interned plan is sound across the whole pack.
+        #: Monomorphic beta-superinstruction cache: ``(lam, spec)``
+        #: with *spec* from ``machine.machine._beta_spec`` (None when
+        #: the pair does not fuse).  The spec is machine-independent,
+        #: so one cache per interned plan is sound across the whole
+        #: pack.
         self.beta_cache = None
 
     def __repr__(self) -> str:
         return f"CallPlan(|exprs|={len(self.site.exprs)}, order={self.order})"
 
     def __getstate__(self):
-        # beta_cache holds per-machine-class *generated functions*
-        # (unpicklable, and bound to the building process); everything
-        # else is plain data.  Dropped on pickle, rebuilt lazily at the
-        # first fused application in the receiving process.
+        # beta_cache records the operator this process last applied at
+        # the site, whose lambda may belong to another tree (a closure
+        # passed in through the input D); everything else is derived
+        # from this tree alone.  Dropped on pickle, rebuilt lazily at
+        # the first fused application in the receiving process.
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["beta_cache"] = None
         return state

@@ -85,13 +85,13 @@ def run(
     rejects string constants too, per the letter of section 12.
 
     ``stepper`` selects the transition function: ``"annotated"`` (the
-    live stepper: gen-2 superinstructions, with a lambda's generated
-    gen-3 function built once its code is hot) or ``"seed"`` (the
-    preserved seed stepper of :mod:`repro.machine.reference_step`).
-    Metered runs step one transition at a time, so only unmetered runs
-    reach gen-3 code.  Both compute identical answers, step counts, and
-    space numbers — the lockstep suite holds them equal — so this knob
-    exists for differential testing, not for semantics.
+    live stepper, whose fused loop runs the gen-2 superinstructions on
+    unmetered runs; metered runs step one transition at a time) or
+    ``"seed"`` (the preserved seed stepper of
+    :mod:`repro.machine.reference_step`).  Both compute identical
+    answers, step counts, and space numbers — the lockstep suite holds
+    them equal — so this knob exists for differential testing, not for
+    semantics.
 
     ``budget`` caps the Definition 23 consumption on metered runs: the
     run raises :class:`repro.space.meter.QuotaExceeded` (a structured

@@ -152,8 +152,9 @@ class Environment:
     def extend_alloc1(self, store, names, value) -> "Environment":
         """``self.extend(names, (store.alloc(value),))`` in one call.
 
-        The gen-3 generated code applies a known unary lambda with
-        this: one allocation and one frame, with the alloc's
+        The fused loop applies a unary closure with this (the fused
+        call's application step and the beta superinstruction): one
+        allocation and one frame, with the alloc's
         bookkeeping inlined for the common observer-free store (the
         arithmetic is the same as :meth:`Store.alloc`; a store with a
         tracker or reference counts takes the composed path so the

@@ -46,18 +46,14 @@ of it is still pure batching: every skipped continuation is transient
 — created and consumed strictly inside one ``run_steps`` batch — so
 step counts, store effects, answers, and the Figure 7/8 space of every
 configuration a driver can observe are unchanged.  Each applies
-wherever the variant's declared hook kinds allow it.  Code that is
-entered often enough runs on its generated gen-3 function instead
-(DESIGN.md §7.2).
+wherever the variant's declared hook kinds allow it.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..compiler.bytecode import gen3_code
 from ..compiler.prepass import annotate, body_fuse_plan, call_plan, quote_value
-from ..compiler.pycodegen import _TRANSFER, build_beta_fn, build_fn
 from ..syntax.ast import Call, Expr, If, Lambda, Quote, SetBang, Var
 from ..syntax.free_vars import branch_free_vars, free_vars
 from .config import Configuration, Final, State
@@ -272,9 +268,9 @@ def _beta_spec(plan, lam):
     *bmode*/*bx* resolve the body operator per application: 0 reads
     argument ``bx``, 1 probes the closure environment for name ``bx``.
     *folds* resolve the body arguments: tag 0 reads an argument by
-    index, tag 1 is an interned constant, tag 2 probes the body
-    environment for ``(name, unbound-msg, unmapped-msg, undef-msg)``,
-    tag 3 re-quotes a Str node (fresh per evaluation, like the seed).
+    index, tag 1 is an interned constant, tag 2 looks a name up in the
+    body environment, tag 3 re-quotes a Str node (fresh per
+    evaluation, like the seed).
     A parameter read folds to the argument itself because the fold runs
     *after* the commit point: the location was just allocated with that
     exact value, so the load can neither miss nor see UNDEFINED."""
@@ -300,12 +296,7 @@ def _beta_spec(plan, lam):
             if name in params:
                 folds.append((0, params.index(name)))
             else:
-                folds.append((2, (
-                    name,
-                    f"unbound variable: {name}",
-                    f"variable {name} refers to an unmapped location",
-                    f"variable {name} read before initialization",
-                )))
+                folds.append((2, name))
         elif bconsts[j] is not None:
             folds.append((1, bconsts[j]))
         else:
@@ -316,32 +307,71 @@ def _beta_spec(plan, lam):
 
 def _nested_beta(machine, store, plan, op, args, cells_get, budget):
     """The closure arm of :func:`_nested_value`, entered with the
-    operands already evaluated — generated code calls this directly
-    after its inlined operand loads (same checks, same order).  The
-    static shape comes from the plan's :func:`_beta_spec` cache, and
-    the application itself runs in a per-(spec, machine class)
-    generated applier (``pycodegen.build_beta_fn``): the fold map
-    unrolled, the cost baked, the held decision folded.  Only the
-    operator value, the budget check, and the store commit are
-    per-call work."""
+    operands already evaluated.  The static shape comes from the plan's
+    :func:`_beta_spec` cache, so per call only the body operator, the
+    budget check, the store commit and the fold map's reads remain."""
     if not machine._fuse_beta:
         return _BETA_ONLY
     lam = op.lam
     cache = plan.beta_cache
     if cache is None or cache[0] is not lam:
-        spec = _beta_spec(plan, lam)
-        cache = (lam, spec, {} if spec is not None else None)
-        plan.beta_cache = cache
+        cache = plan.beta_cache = (lam, _beta_spec(plan, lam))
     spec = cache[1]
     if spec is None:
         return _NO_FUSE
-    fns = cache[2]
-    cls = machine.__class__
-    fn = fns.get(cls)
-    if fn is None:
-        fn = build_beta_fn(plan, lam, spec, machine)
-        fns[cls] = fn
-    return fn(machine, store, op, args, cells_get, budget)
+    params, body, bmode, bx, folds, pair_cost = spec
+    # Resolve the body operator without building the frame (pure): a
+    # parameter reads the just-computed argument, a free name reads the
+    # closure environment.
+    if bmode == 0:
+        bop = args[bx]
+    else:
+        location = op.env._bindings.get(bx)
+        bop = cells_get(location) if location is not None else None
+    if bop is None or bop.__class__ is not Primop or bop.controls:
+        return _NO_FUSE
+    cost = pair_cost + machine._beta_extra
+    if cost > budget:
+        return None
+    # Commit: the seed's store effects, in the seed's order.
+    if len(params) == 1:
+        body_env = op.env.extend_alloc1(store, params, args[0])
+    else:
+        body_env = op.env.extend_alloc(store, params, args)
+    bvals = []
+    for tag, x in folds:
+        if tag == 0:
+            value = args[x]
+        elif tag == 1:
+            value = x
+        elif tag == 2:
+            location = body_env._bindings.get(x)
+            if location is None:
+                raise UnboundVariableError(f"unbound variable: {x}")
+            value = cells_get(location)
+            if value is None:
+                raise UnboundVariableError(
+                    f"variable {x} refers to an unmapped location"
+                )
+            if value is UNDEFINED:
+                raise UnboundVariableError(
+                    f"variable {x} read before initialization"
+                )
+        else:
+            value = quote_value(x)
+        bvals.append(value)
+    arity = bop.arity
+    if arity is not None:
+        low, high = arity
+        if len(bvals) < low or (high is not None and len(bvals) > high):
+            raise ArityError(
+                f"{bop.name} expects {_arity_text(low, high)} arguments, "
+                f"got {len(bvals)}"
+            )
+    value = bop.proc(machine, store, tuple(bvals))
+    if machine._default_call_frame:
+        return value, cost, (body_env, body)
+    return value, cost, None
 
 
 def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
@@ -532,7 +562,6 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
                     body_env = operator.env.extend_alloc(
                         store, params, args
                     )
-                entry = parent
                 if not machine._default_call_frame:
                     caller = (
                         base if d_env
@@ -544,17 +573,6 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
                         parent = machine.call_frame(
                             body_env._frame_locs, caller, parent
                         )
-                if machine._gen3:
-                    code = lam.code
-                    if code is None:
-                        code = gen3_code(lam)
-                    heat = code.heat
-                    if heat >= machine._tier_up:
-                        return _enter_code(
-                            machine, store, code, args, body_env,
-                            parent, entry, steps, limit,
-                        )[:5]
-                    code.heat = heat + 1  # cold: stay on gen-2
                 return (lam.body, False, body_env, parent, steps)
             if (
                 ocls is Primop
@@ -590,72 +608,6 @@ def _fuse_call(machine, store, plan, vals, i, base, parent, steps, limit):
             CallK(args, parent, plan.site),
             steps,
         )
-
-
-#: Entries a lambda runs on the gen-2 loop before its body is lowered
-#: and its generated function built: building one costs about 3 ms of
-#: ``compile``, which pays back only in code that keeps being entered.
-#: Chosen by measurement (DESIGN.md §7.2 has the figures for every
-#: value tried).  A machine reads it once, at construction.
-_TIER_UP_THRESHOLD = 1000
-
-
-def _enter_code(machine, store, code, args, base, kont, entry_kont,
-                steps, limit, depth=0):
-    """Enter *code* for one activation whose apply step the caller has
-    already taken (argument frame *base* committed, frame continuation
-    *kont* built per the variant's kind, *entry_kont* the continuation
-    the activation returns to).
-
-    Returns ``(control, is_value, env, kont, steps, returned)``.  With
-    *returned* False the first five elements are an exact seed
-    configuration at a batch boundary, or a point the gen-2 loop must
-    take over; the caller resumes from it.  With *returned* True the
-    activation ran to its return inside a descent (*depth* > 0):
-    *control* is the value, *env* the environment register after the
-    final frame pop, *kont* is *entry_kont*, and ``steps < limit``.
-
-    Hot code runs its generated per-variant function, built here on
-    its first hot entry (lowering the body first; a body that deopts at
-    once declines); a generated function signals a cross-code tail
-    call with a ``_TRANSFER`` marker, which this function trampolines,
-    so mutual tail loops consume no Python stack.  A cold entry is
-    counted in ``code.heat`` (the gen-2 apply sites count their own
-    cold entries inline and call here only for hot code); it, and any
-    entry of code whose generation declined, hands back the callee's
-    entry configuration ``(lam.body, False, base, kont)``: exactly
-    where the seed is after the apply step, so the entry is a batch
-    boundary like any deopt.
-    """
-    cls = machine.__class__
-    while True:
-        fn = code.fns.get(cls)
-        if fn is None:
-            heat = code.heat
-            if heat < machine._tier_up:
-                code.heat = heat + 1
-            elif cls not in code.fns:  # None there: generation declined
-                fn = code.fns[cls] = build_fn(code, machine)
-            if fn is None:
-                return (code.lam.body, False, base, kont, steps, False)
-        out = fn(
-            machine, store, args, base, kont, entry_kont, steps, limit,
-            depth,
-        )
-        if out[0] is not _TRANSFER:
-            return out
-        _, code, args, base, kont, steps = out
-
-
-def _finish_transfer(machine, store, out, entry_kont, limit, depth):
-    """Continue a ``_TRANSFER`` 6-tuple that escaped a direct generated
-    -function call (the non-tail descent fast path bypasses
-    ``_enter_code``; the rare transfer out of the callee lands here)."""
-    _, code, args, base, kont, steps = out
-    return _enter_code(
-        machine, store, code, args, base, kont, entry_kont, steps,
-        limit, depth,
-    )
 
 
 def _kont_ceiling(kont) -> int:
@@ -717,9 +669,6 @@ class Machine:
         "_frame_return",
         "_plan0",
         "_primop_apply",
-        "_gen3",
-        "_tier_up",
-        "_gen3_mode",
         "_track_refs",
         "trace",
     )
@@ -770,21 +719,6 @@ class Machine:
     #: Whether injected stores maintain store-edge reference counts
     #: (the I_stack frame-pop fast path; see Store._rc).
     track_refs = False
-
-    #: Declared shape of a custom closure application *for the gen-3
-    #: compiled tier*: ``"tagged-self-reuse"`` promises the override is
-    #: exactly the Bigloo-style rule (reuse the continuation when it is
-    #: a TaggedReturn for the same lambda at the same arity, else push
-    #: a fresh TaggedReturn), so the compiled loop can replicate it.
-    #: Trusted only when declared in the same class body as both
-    #: ``apply_procedure`` and ``_apply_closure`` (the _hook_kind
-    #: model); anything else leaves gen-3 off for custom applies.
-    gen3_apply = "default"
-
-    #: The tagged-return continuation class of a "tagged-self-reuse"
-    #: apply (set by the Bigloo-style machine); the compiled tier
-    #: builds and recognizes these frames directly.
-    gen3_tagged: Optional[type] = None
 
     def __init__(self, policy: Optional[Policy] = None):
         self.policy = policy if policy is not None else LeftToRight()
@@ -869,44 +803,6 @@ class Machine:
             not self._default_call_frame and frame_kind == "return"
         )
         self._plan0 = lefttoright
-        # Gen-3 compiled tier (DESIGN.md §7.2).  The generated code
-        # replicates the seed's apply/frame/pop effects directly, so it
-        # must know which of the four frame disciplines the variant
-        # uses: 0 = I_tail family (the continuation is unchanged by
-        # application), 1 = declared I_gc Return, 2 = the declared
-        # Bigloo tagged-return-with-reuse rule, 3 = declared I_stack
-        # ReturnStack (pops delete the frame).  Anything undeclared
-        # leaves the tier off for that variant.  A code tiers up after
-        # ``_TIER_UP_THRESHOLD`` entries on gen-2 (tests lower the
-        # threshold, or set ``_tier_up`` on one machine, to build
-        # generated code on first entry or never).
-        mode = None
-        if self._default_apply:
-            if self._default_call_frame:
-                mode = 0
-            elif frame_kind == "return":
-                mode = 1
-            elif frame_kind == "return-stack":
-                mode = 3
-        elif (
-            _hook_kind(cls, "apply_procedure", "gen3_apply")
-            == "tagged-self-reuse"
-            and _hook_kind(cls, "_apply_closure", "gen3_apply")
-            == "tagged-self-reuse"
-            and frame_kind == "return"
-        ):
-            mode = 2
-        self._gen3_mode = mode
-        self._gen3 = (
-            lefttoright
-            and self._fusable
-            and self._fuse_lambda
-            and self._fuse_nested
-            and self._fuse_if
-            and self._fuse_if_call
-            and mode is not None
-        )
-        self._tier_up = _TIER_UP_THRESHOLD
         self._track_refs = bool(cls.track_refs)
         #: Telemetry sink (a ``repro.telemetry.bus.TraceBus``) or None.
         #: The only cost when unset is one ``is None`` check per batch.
@@ -1035,10 +931,6 @@ class Machine:
         fuse_if_call = self._fuse_if_call
         fuse_beta = self._fuse_beta
         plan0 = self._plan0
-        gen3 = self._gen3
-        gen3_mode2 = gen3 and self._gen3_mode == 2
-        gen3_trc = type(self).gen3_tagged
-        tier_up = self._tier_up
         steps = 0
         while steps < limit:
             steps += 1
@@ -1121,27 +1013,10 @@ class Machine:
                                 )
                             locations = store.alloc_many(args)
                             body_env = control.env.extend(params, locations)
-                            entry = parent
                             if not d_frame:
                                 parent = self.call_frame(
                                     locations, env, parent
                                 )
-                            if gen3:
-                                code = lam.code
-                                if code is None:
-                                    code = gen3_code(lam)
-                                heat = code.heat
-                                if heat >= tier_up:
-                                    (
-                                        control, is_value, env, kont,
-                                        steps, _r,
-                                    ) = _enter_code(
-                                        self, store, code, args,
-                                        body_env, parent, entry, steps,
-                                        limit,
-                                    )
-                                    continue
-                                code.heat = heat + 1  # cold
                             control = lam.body
                             is_value = False
                             env = body_env
@@ -1162,41 +1037,6 @@ class Machine:
                             control = control.proc(self, store, args)
                             kont = parent
                             continue
-                    if (
-                        gen3_mode2
-                        and control.__class__ is Closure
-                        and len(control.lam.params) == len(args)
-                    ):
-                        # The declared Bigloo tagged-return apply,
-                        # replicated so the compiled tier can take over:
-                        # a simple self tail call reuses the frame,
-                        # anything else pushes a fresh tagged return.
-                        lam = control.lam
-                        code = lam.code
-                        if code is None:
-                            code = gen3_code(lam)
-                        locations = store.alloc_many(args)
-                        body_env = control.env.extend(lam.params, locations)
-                        trc = gen3_trc
-                        if isinstance(parent, trc) and parent.code is lam:
-                            child, entry = parent, parent.parent
-                        else:
-                            child, entry = trc(lam, env, parent), parent
-                        heat = code.heat
-                        if heat >= tier_up:
-                            control, is_value, env, kont, steps, _r = (
-                                _enter_code(
-                                    self, store, code, args, body_env,
-                                    child, entry, steps, limit,
-                                )
-                            )
-                            continue
-                        code.heat = heat + 1  # cold
-                        control = lam.body
-                        is_value = False
-                        env = body_env
-                        kont = child
-                        continue
                     # Escapes, control primops, overridden application
                     # (Bigloo), and the not-a-procedure error: take the
                     # exact step-path.

@@ -673,113 +673,6 @@ def prim_error(machine, store, args):
 
 
 # ---------------------------------------------------------------------------
-# Arity-specialized fast entries (Primop.proc1 / Primop.proc2)
-# ---------------------------------------------------------------------------
-#
-# Each must behave exactly like the registered proc on an args tuple of
-# that length — same result, same errors, same error texts (callers
-# have already checked arity).  Only statically-counted callers (the
-# gen-3 generated code) use these; everything else goes through proc.
-
-
-def _fast(name: str, proc1=None, proc2=None) -> None:
-    for op in (_REGISTRY[name],):
-        if proc1 is not None:
-            op.proc1 = proc1
-        if proc2 is not None:
-            op.proc2 = proc2
-
-
-def _add2(machine, store, a, b):
-    if a.__class__ is Num and b.__class__ is Num:
-        z = a.value + b.value
-        return _SMALL_NUMS[z] if -1024 <= z <= 1024 else Num(z)
-    return Num(check_num("+", a) + check_num("+", b))
-
-
-def _sub1(machine, store, a):
-    return Num(-check_num("-", a))
-
-
-def _sub2(machine, store, a, b):
-    if a.__class__ is Num and b.__class__ is Num:
-        z = a.value - b.value
-        return _SMALL_NUMS[z] if -1024 <= z <= 1024 else Num(z)
-    return Num(check_num("-", a) - check_num("-", b))
-
-
-def _mul2(machine, store, a, b):
-    if a.__class__ is Num and b.__class__ is Num:
-        z = a.value * b.value
-        return _SMALL_NUMS[z] if -1024 <= z <= 1024 else Num(z)
-    return Num(check_num("*", a) * check_num("*", b))
-
-
-def _cmp_fast(name, compare):
-    def p2(machine, store, a, b):
-        if a.__class__ is Num and b.__class__ is Num:
-            return TRUE if compare(a.value, b.value) else FALSE
-        return make_boolean(
-            compare(check_num(name, a), check_num(name, b))
-        )
-
-    return p2
-
-
-def _car1(machine, store, a):
-    return store.read(check_pair("car", a).car_loc)
-
-
-def _cdr1(machine, store, a):
-    return store.read(check_pair("cdr", a).cdr_loc)
-
-
-def _cons2(machine, store, a, b):
-    return Pair(store.alloc(a), store.alloc(b))
-
-
-def _not1(machine, store, a):
-    return TRUE if a is FALSE else FALSE
-
-
-def _null1(machine, store, a):
-    return TRUE if a is NIL else FALSE
-
-
-def _pair1(machine, store, a):
-    return TRUE if isinstance(a, Pair) else FALSE
-
-
-def _number1(machine, store, a):
-    return TRUE if isinstance(a, Num) else FALSE
-
-
-def _zero1(machine, store, a):
-    return TRUE if check_num("zero?", a) == 0 else FALSE
-
-
-def _eqv2(machine, store, a, b):
-    return TRUE if eqv_values(a, b) else FALSE
-
-
-_fast("+", proc2=_add2)
-_fast("-", proc1=_sub1, proc2=_sub2)
-_fast("*", proc2=_mul2)
-for _n, _c in (("=", eq), ("<", lt), (">", gt), ("<=", le), (">=", ge)):
-    _fast(_n, proc2=_cmp_fast(_n, _c))
-_fast("car", proc1=_car1)
-_fast("cdr", proc1=_cdr1)
-_fast("cons", proc2=_cons2)
-_fast("not", proc1=_not1)
-_fast("null?", proc1=_null1)
-_fast("pair?", proc1=_pair1)
-_fast("number?", proc1=_number1)
-_fast("zero?", proc1=_zero1)
-_fast("eqv?", proc2=_eqv2)
-_fast("eq?", proc2=_eqv2)
-
-
-# ---------------------------------------------------------------------------
 # Initial environment
 # ---------------------------------------------------------------------------
 

@@ -102,8 +102,8 @@ class Store:
         #: Bumped only by :meth:`write` and :meth:`delete_many` (never
         #: by allocation, which cannot change an existing cell).  An
         #: unchanged ``mut_version`` therefore proves every mapped cell
-        #: still holds the value it held before — the guard behind the
-        #: gen-3 generated code's per-site global-variable value caches.
+        #: still holds the value it held before — the sampled meter's
+        #: test for a store-mutating step.
         self.mut_version: int = 0
         self.tracker = None
         #: Store-edge inbound reference counts (location -> number of

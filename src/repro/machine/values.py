@@ -238,18 +238,9 @@ class Primop(Value):
     control primops (call/cc, apply, escapes into the evaluator)
     instead set ``controls=True`` and receive ``(machine, state, args)``
     returning a new machine state.
-
-    ``proc1`` / ``proc2`` are optional arity-specialized entry points —
-    ``(machine, store, a)`` / ``(machine, store, a, b)`` — that must
-    behave exactly like ``proc`` on an args tuple of that length
-    (result, errors, and error texts included).  Registering ``procN``
-    also asserts that the primop *accepts* arity N, so callers with a
-    statically known argument count may skip the arity check along
-    with the args tuple; every other caller goes through ``proc``
-    behind the usual check.
     """
 
-    __slots__ = ("name", "proc", "arity", "controls", "proc1", "proc2")
+    __slots__ = ("name", "proc", "arity", "controls")
 
     def __init__(
         self,
@@ -262,8 +253,6 @@ class Primop(Value):
         self.proc = proc
         self.arity = arity
         self.controls = controls
-        self.proc1 = None
-        self.proc2 = None
 
     def __repr__(self) -> str:
         return f"PRIMOP:{self.name}"

@@ -221,8 +221,6 @@ class BiglooMachine(GcMachine):
 
     name = "bigloo"
     apply_kind = "closure-only"
-    gen3_apply = "tagged-self-reuse"
-    gen3_tagged = TaggedReturn
 
     def apply_procedure(self, state, operator, args, kont):
         if (
@@ -372,10 +370,9 @@ STEPPERS = ("annotated", "seed")
 def make_stepper(name: str, stepper: str = "annotated", policy=None):
     """Instantiate *name*'s engine under a stepper selection.
 
-    ``"annotated"`` is the live stepper: a lambda runs on the gen-2
-    superinstruction loop until it is hot, then on its generated gen-3
-    function, where the variant is eligible (DESIGN.md §7.2).
-    ``"seed"`` is the preserved seed stepper of
+    ``"annotated"`` is the live stepper: the prepass-annotated
+    dispatch tables and the fused gen-2 superinstruction loop
+    (DESIGN.md §7.1).  ``"seed"`` is the preserved seed stepper of
     :mod:`repro.machine.reference_step`, the oracle.  Both compute
     identical answers, step counts, and space numbers — the lockstep
     and differential-fuzz suites hold them equal — so this knob exists

@@ -124,9 +124,12 @@ def scan(text: str) -> Iterator[RawToken]:
             if kind == "ATOM":
                 if value == ".":
                     kind = "DOT"
-                elif value.isdigit() or (
-                    value[0] in "+-" and value[1:].isdigit()
+                elif value.isascii() and (
+                    value.isdigit()
+                    or (value[0] in "+-" and value[1:].isdigit())
                 ):
+                    # ASCII only: str.isdigit also accepts digits such
+                    # as "²" that int() rejects.
                     kind = "NUMBER"
                 else:
                     kind = "SYMBOL"

@@ -5,9 +5,7 @@ lexical addresses and quote values all live on its own nodes
 (:mod:`repro.compiler.frontend`) — so an artifact is just the compiled
 program pickled.  Pickle keeps the sharing within a blob, and
 unpickling hands a worker a fully lowered program: parse, expansion,
-validation, address resolution and plan interning all skipped.  Gen-3
-code is left out: every served job is metered, and the meter steps
-with ``Machine.step``, which never enters compiled code.
+validation, address resolution and plan interning all skipped.
 
 Three layers:
 

@@ -18,7 +18,7 @@ depend on this.
 Nodes are frozen, but every pass that derives data from a node keeps
 it on that node (:func:`derive`), the way
 :func:`functools.cached_property` does: free-variable sets, call plans,
-lexical addresses, quote values, compiled code, blame labels.  The
+lexical addresses, quote values, blame labels.  The
 derived data therefore lives exactly as long as its tree, and pickling
 the tree carries it.  The class attributes declared below are the
 "not derived yet" defaults of the ones the stepper reads on every
@@ -81,10 +81,6 @@ class Lambda(Expr):
 
     params: Tuple[str, ...]
     body: Expr
-
-    #: The gen-3 record (:func:`repro.compiler.bytecode.gen3_code`),
-    #: created on the lambda's first entry on the fused loop.
-    code = None
 
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):

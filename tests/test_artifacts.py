@@ -1,7 +1,6 @@
 """The artifact cache: (de)hydrated runs are fingerprint-identical to
 cold runs across every machine and both accountings, a pickled compiled
-program drops the process-bound halves of its plans and codes, an
-artifact carries no gen-3 code, the
+program drops its plans' run-time beta caches, the
 canonical singletons survive the pickle channel by identity, the
 server-side LRU keys on the program sha alone and evicts correctly, and
 each worker's hydrated programs stay within the cache's bound.
@@ -33,7 +32,7 @@ pytestmark = pytest.mark.serving
 
 #: Shapes that exercise the interned annotations: quote values
 #: (numbers, booleans, the empty list), lexical addresses, if-test
-#: fusion, body-fuse accessor lambdas, and self-tail loops (gen-3).
+#: fusion, body-fuse accessor lambdas, and self-tail loops.
 PROGRAMS = {
     "loop": GC_VS_TAIL,
     "stack": STACK_VS_GC,
@@ -79,7 +78,7 @@ def test_call_plan_pickle_drops_beta_cache():
     annotate(program)
     site = next(n for n in walk(program) if n.__class__ is Call)
     plan = call_plan(site, identity_permutation(len(site.exprs)))
-    plan.beta_cache = ("sentinel", None, {"unpicklable": lambda: None})
+    plan.beta_cache = ("sentinel", None)
     try:
         copy = pickle.loads(pickle.dumps(plan))
     finally:
@@ -89,52 +88,25 @@ def test_call_plan_pickle_drops_beta_cache():
     assert copy.suffix_fvs == plan.suffix_fvs
 
 
-def test_compiled_program_pickle_drops_fns_and_beta_cache():
-    """The program carries its plans and lowered codes through pickle,
-    minus their process-bound halves: ``Code.fns`` and
-    ``CallPlan.beta_cache`` hold generated functions, and ``Code.heat``
-    counts this process's entries toward tier-up."""
-    from repro.compiler.bytecode import gen3_code
-    from repro.syntax.ast import Call, Lambda, walk
+def test_compiled_program_pickle_drops_beta_cache():
+    """The program carries its plans through pickle, minus
+    ``CallPlan.beta_cache``: the operator this process last applied at
+    a site, rebuilt at the first fused application after unpickling."""
+    from repro.syntax.ast import Call, walk
 
     program = prepare_program(PROGRAMS["loop"])
-    lam = next(n for n in walk(program) if n.__class__ is Lambda)
-    code = gen3_code(lam)
-    assert code.lower()
     plan = next(n for n in walk(program) if n.__class__ is Call).identity_plan
-    code.fns["sentinel"] = lambda: None
-    code.heat = 7
-    plan.beta_cache = ("sentinel", None, {"unpicklable": lambda: None})
+    plan.beta_cache = ("sentinel", None)
     try:
         copy = pickle.loads(pickle.dumps(program))
     finally:
-        code.fns.clear()
-        code.heat = 0
         plan.beta_cache = None
     assert copy.annotated
-    copied = [n for n in walk(copy)]
-    for original, node in zip(walk(program), copied):
+    for original, node in zip(walk(program), walk(copy)):
         if node.__class__ is Call:
             assert node.identity_plan.site is node
             assert node.identity_plan.beta_cache is None
             assert node.identity_plan.order == original.identity_plan.order
-        elif node.__class__ is Lambda and getattr(original, "code", None):
-            assert node.code.lam is node
-            assert node.code.fns == {}
-            assert node.code.heat == 0
-            assert len(node.code.instrs) == len(original.code.instrs)
-
-
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_built_artifact_carries_no_gen3_code(name):
-    """Every served job is metered, and the meter never enters gen-3
-    code, so an artifact leaves every lambda unlowered."""
-    from repro.syntax.ast import Lambda, walk
-
-    program = hydrate_artifact(_blob(name))
-    lambdas = [n for n in walk(program) if n.__class__ is Lambda]
-    assert lambdas
-    assert all(node.code is None for node in lambdas)
 
 
 # -- fingerprint identity ----------------------------------------------
@@ -161,7 +133,7 @@ def test_hydrated_runs_match_cold_runs(name, machine, linked):
 
 
 def test_hydrated_run_matches_cold_run_unmetered():
-    """The unmetered driver, which the fused loop and tier-up serve,
+    """The unmetered driver, which the fused loop serves,
     runs a hydrated artifact exactly as a cold parse."""
     cold = run(PROGRAMS["mixed"], "6", machine="sfs")
     warm = run(hydrate_artifact(_blob("mixed")), "6", machine="sfs")

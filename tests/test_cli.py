@@ -180,6 +180,19 @@ class TestOtherCommands:
         assert merged["counters"] == expected["counters"]
         assert merged["gauges"] == expected["gauges"]
 
+    def test_analyze_loops_table(self, capsys):
+        """The self-tail-loop audit's static columns, and fib's row."""
+        assert main(["analyze", "--loops"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "program        procedure        arity sites  tail calls"
+        )
+        assert (
+            "fib            loop                 3     1     1     4"
+            in lines
+        )
+        assert lines[-1] == "40 candidate(s)"
+
     def test_corpus_listing(self, capsys):
         main(["corpus"])
         out = capsys.readouterr().out
@@ -488,6 +501,7 @@ PROGRAM_ERROR_CASES = [
     ('(define (f n) "abc', "LexError: unterminated string"),
     ("(define (f n) (if))", "ExpandError: malformed if"),
     ("(define (f n) (g n))", "ValidationError: free variables"),
+    ("(define (f n) (+ n ²))", "ValidationError: free variables"),
     ("(define (f n) (car n))", "PrimitiveError: car: not a pair"),
     ("(define (f n) (f n))", "StepLimitExceeded: no final configuration"),
 ]

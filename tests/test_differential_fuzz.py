@@ -14,9 +14,7 @@ equivalence of the final answer across
 * both metering engines (delta and reference) under
 * both accountings (Figure 7 total and Figure 8 linked),
 
-plus the unmetered fused driver, where the live stepper also runs
-with its tier-up threshold at 0, so the gen-3 register-bytecode tier
-with loop reconstruction runs from the first entry.  A second,
+plus the unmetered fused driver.  A second,
 reduced-machine matrix crosses the full engine axis — reference/delta x exact/sampled
 metering — and holds the *numbers* (sup, steps, collected), not just
 the answers, equal across it.  Any divergence
@@ -44,8 +42,6 @@ from repro.machine.errors import StuckError
 from repro.machine.variants import ALL_MACHINES, STEPPERS, make_stepper
 from repro.space.consumption import prepare_input, prepare_program
 from repro.space.meter import ENGINES, METERS, run_metered, run_to_final
-
-from test_prepass_lockstep import NEVER, generated_fns, tiered_stepper
 
 ALL_MACHINE_NAMES = tuple(sorted(ALL_MACHINES))
 
@@ -162,25 +158,13 @@ def matrix_answers(source: str, argument: str = ARGUMENT) -> dict:
     argument_expr = prepare_input(argument)
     answers = {}
     for name in ALL_MACHINE_NAMES:
-        # The unmetered column: generated code from the first entry
-        # (threshold 0), the default stepper, and the seed.  Metered
-        # cells step one transition at a time, so generated code never
-        # runs there and their stepper axis is STEPPERS alone.
-        unmetered = {
-            "eager": tiered_stepper(name, 0),
-            "annotated": make_stepper(name),
-            "seed": make_stepper(name, "seed"),
-        }
-        for stepper, machine in unmetered.items():
+        for stepper in STEPPERS:
             answers[(name, stepper, "unmetered", "-")] = observe(
                 lambda: answer_string(run_to_final(
-                    machine, program_expr, argument_expr,
-                    step_limit=FUEL,
+                    make_stepper(name, stepper), program_expr,
+                    argument_expr, step_limit=FUEL,
                 )[0])
             )
-        # The eager cell really ran generated code.
-        assert generated_fns(program_expr, unmetered["eager"]), name
-        for stepper in STEPPERS:
             for engine in ("delta", "reference"):
                 for accounting in ("S", "U"):
                     answers[(name, stepper, engine, accounting)] = observe(
@@ -295,9 +279,9 @@ def test_random_programs_engine_matrix_equivalent(body):
 def test_random_programs_compiled_tiers_match_seed_step_count(
     body, machine_name
 ):
-    """Beyond the answer: the compiled tiers take *exactly* as many
-    transitions as the seed stepper — fusion and loop reconstruction
-    batch steps, they never remove them."""
+    """Beyond the answer: the fused loop takes *exactly* as many
+    transitions as the seed stepper — fusion batches steps, it never
+    removes them."""
     program_expr = prepare_program(wrap(body))
     argument_expr = prepare_input(ARGUMENT)
 
@@ -311,9 +295,7 @@ def test_random_programs_compiled_tiers_match_seed_step_count(
         return answer_string(final), steps
 
     seed = outcome(make_stepper(machine_name, "seed"))
-    assert outcome(tiered_stepper(machine_name, 0)) == seed
-    assert generated_fns(program_expr, make_stepper(machine_name))
-    assert outcome(tiered_stepper(machine_name, NEVER)) == seed
+    assert outcome(make_stepper(machine_name)) == seed
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.telemetry.blame import trace_run
 from repro.telemetry.retention import retention_run
 
 #: Closures, set!, an if with a fused test, quotes and a string: every
-#: kind of derived data, including gen-3 code and generated functions.
+#: kind of derived data.
 SOURCE = """
 (define (count-down n acc)
   (if (zero? n)

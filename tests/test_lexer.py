@@ -36,6 +36,10 @@ class TestBasicTokens:
     def test_positive_sign_number(self):
         assert kinds("+42") == ["NUMBER"]
 
+    def test_non_ascii_digits_are_symbols(self):
+        # str.isdigit accepts these; int() does not.
+        assert kinds("\u00b2 -\u00b2 \u0663") == ["SYMBOL"] * 3
+
     def test_plus_alone_is_symbol(self):
         assert kinds("+") == ["SYMBOL"]
 

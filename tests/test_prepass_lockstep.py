@@ -18,14 +18,10 @@ interning, memoized restriction).
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.machine.machine as machine_mod
-from repro.compiler.bytecode import code_count
 from repro.compiler.prepass import (
     annotate,
     call_plan,
@@ -53,20 +49,6 @@ from repro.syntax.expander import expand_program
 from repro.syntax.free_vars import free_vars
 
 ALL_MACHINE_NAMES = tuple(sorted(ALL_MACHINES))
-
-#: A tier-up threshold no run reaches: the machine never generates code.
-NEVER = sys.maxsize
-
-
-def tiered_stepper(machine_name, threshold):
-    """The default stepper with its tier-up threshold set on the
-    instance: 0 builds every code's generated function on its first
-    entry, :data:`NEVER` keeps every lambda on gen-2.  For hypothesis
-    tests, where a function-scoped ``monkeypatch`` of
-    ``_TIER_UP_THRESHOLD`` trips the health check."""
-    machine = make_stepper(machine_name)
-    machine._tier_up = threshold
-    return machine
 
 
 def test_seed_steppers_cover_all_machines():
@@ -519,7 +501,9 @@ GEN2_PROGRAMS = {
         """,
 }
 
-GEN2_LIMITS = (1, 2, 3, 5, 8, 13)
+#: Batch sizes 1..13 (and the whole run): boundaries fall at many
+#: different offsets inside each fused transition.
+BATCH_LIMITS = tuple(range(1, 14))
 
 
 def _seed_trace(machine_name, program):
@@ -535,16 +519,9 @@ def _seed_trace(machine_name, program):
     raise AssertionError(f"no final configuration in {LOCKSTEP_LIMIT}")
 
 
-def _closed_program(source, argument=None):
-    program = prepare_program(source)
-    argument = prepare_input(argument)
-    return program if argument is None else Call((program, argument))
-
-
-def _run_batched(machine, program, trace, limit, after_first=None):
+def _run_batched(machine, program, trace, limit):
     """Drive *machine* through *program* in batches of *limit*, holding
-    every batch boundary to the seed's fingerprint at the same count;
-    *after_first* is called once the first batch is done."""
+    every batch boundary to the seed's fingerprint at the same count."""
     total = len(trace) - 1
     state = machine.inject(program)
     done = 0
@@ -556,40 +533,17 @@ def _run_batched(machine, program, trace, limit, after_first=None):
             # transition may never over- or under-count steps.
             assert taken == limit, (machine, limit, done)
         assert _fingerprint(state) == trace[done], (machine, limit, done)
-        if after_first is not None:
-            after_first()
-            after_first = None
     assert done == total
     assert state.is_final
 
 
-def _batched_lockstep(machine_name, source, argument=None,
-                      limits=GEN2_LIMITS):
+def _batched_lockstep(machine_name, source):
     """Hold the default stepper to the seed at every batch size of
-    *limits* (and the whole run); returns the program and the last
-    machine."""
-    program = _closed_program(source, argument)
+    :data:`BATCH_LIMITS` (and the whole run)."""
+    program = prepare_program(source)
     trace = _seed_trace(machine_name, program)
-    total = len(trace) - 1
-    for limit in (*limits, total):
-        machine = make_stepper(machine_name)
-        _run_batched(machine, program, trace, limit)
-    return program, machine
-
-
-def generated_fns(program, machine):
-    """The generated functions built for *machine*'s class on the
-    lambdas of *program*."""
-    from repro.syntax.ast import Lambda, walk
-
-    cls = type(machine)
-    found = []
-    for node in walk(program):
-        if node.__class__ is Lambda:
-            code = getattr(node, "code", None)
-            if code is not None and code.fns.get(cls) is not None:
-                found.append(code.fns[cls])
-    return found
+    for limit in (*BATCH_LIMITS, len(trace) - 1):
+        _run_batched(make_stepper(machine_name), program, trace, limit)
 
 
 @pytest.mark.parametrize("name", sorted(GEN2_PROGRAMS), ids=str)
@@ -689,34 +643,27 @@ def test_quickened_lookup_matches_named_lookup(body, machine_name):
 
 
 # ---------------------------------------------------------------------------
-# Gen-3 register bytecode: batched lockstep against the seed stepper
+# Loop-shaped programs: batched lockstep against the seed stepper
 # ---------------------------------------------------------------------------
 
-# The gen-3 tier compiles lambda bodies to register bytecode and
-# reconstructs self-tail cycles as direct loops; like the gen-2 pass
-# it only fires inside run_steps.  These tests drive run_steps with
-# the tier-up threshold at 0 (every code built on its first entry)
-# at every batch size 1..13 (and the whole run), against the
-# seed stepper's exact per-step fingerprints — which carry the store's
-# flat AND linked space numbers at both precisions, so every batch
-# boundary checks both accountings.  The generated functions take any
-# budget, down to one step, exactly.
+# Self-tail loops around every shape a loop body can take, held to the
+# seed by the same batched lockstep as the gen-2 programs.
 
-#: One program per edge of the bytecode pass / loop reconstruction.
-GEN3_PROGRAMS = {
-    # The canonical reconstructable loop: one self-tail back edge.
+#: One program per loop shape.
+LOOP_PROGRAMS = {
+    # The canonical loop: one self-tail back edge.
     "counting-loop": """
         (define (loop n) (if (zero? n) 'done (loop (- n 1))))
         (loop 20)
         """,
-    # Multi-register loop: every iteration rebinds three registers.
+    # Three loop variables, all rebound every iteration.
     "accumulator-loop": """
         (define (loop i acc s)
           (if (zero? i) (+ acc s) (loop (- i 1) (+ acc i) (* s 1))))
         (loop 12 0 1)
         """,
-    # A non-tail call inside the loop body: the loop frame must push
-    # and the callee must return into the loop's registers.
+    # A non-tail call inside the loop body: its return frame sits
+    # inside the loop.
     "nontail-in-loop": """
         (define (double x) (+ x x))
         (define (loop n acc)
@@ -739,14 +686,14 @@ GEN3_PROGRAMS = {
               (begin (set! total (+ total n)) (loop (- n 1)))))
         (loop 10)
         """,
-    # An escape captured outside and invoked inside the loop: the
-    # compiled frame must deopt through the continuation.
+    # An escape captured outside and invoked inside the loop, which
+    # abandons the loop's continuation.
     "escape-from-loop": """
         (define (loop n k) (if (zero? n) (k 42) (loop (- n 1) k)))
         (call-with-current-continuation (lambda (k) (loop 7 k)))
         """,
-    # Two mutually nested loops: the inner self-loop reconstructs and
-    # the outer one re-enters it each iteration.
+    # Two nested loops: the outer one re-enters the inner one each
+    # iteration.
     "nested-loops": """
         (define (inner i acc)
           (if (zero? i) acc (inner (- i 1) (+ acc 1))))
@@ -764,128 +711,24 @@ GEN3_PROGRAMS = {
         """,
 }
 
-GEN3_LIMITS = tuple(range(1, 14))
 
-
-@pytest.mark.parametrize("name", sorted(GEN3_PROGRAMS), ids=str)
+@pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS), ids=str)
 @pytest.mark.parametrize("machine_name", ALL_MACHINE_NAMES)
-def test_gen3_batched_lockstep(machine_name, name, monkeypatch):
-    monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", 0)
-    program, machine = _batched_lockstep(
-        machine_name, GEN3_PROGRAMS[name], limits=GEN3_LIMITS,
-    )
-    # The compiled tier really ran: a later threshold change must not
-    # quietly turn these into gen-2 tests.
-    assert generated_fns(program, machine), machine_name
-
-
-#: A loop entered well past the first batch and more often than the
-#: lowered threshold below, so the default stepper tiers it up mid-run.
-TIER_UP_PROGRAM = """
-    (define (loop n acc)
-      (if (zero? n) acc (loop (- n 1) (+ acc n))))
-    (define (main n) (loop n (* (+ n 1) (- n 1))))
-    (main 12)
-    """
-
-
-@pytest.mark.parametrize("machine_name", ALL_MACHINE_NAMES)
-def test_default_stepper_tiers_up_mid_run(machine_name, monkeypatch):
-    """The default stepper runs cold code on gen-2 and builds a code's
-    generated function on the entry that makes it hot.  With the
-    threshold lowered to 3 the loop crosses it inside the run: no
-    function after the first batch, one at the end, and every batch
-    boundary of sizes 1..13 — the cold entries handed back to gen-2
-    and the entry that builds included — on the seed's fingerprint."""
-    monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", 3)
-    for limit in GEN3_LIMITS:
-        program = _closed_program(TIER_UP_PROGRAM)  # every run starts cold
-        trace = _seed_trace(machine_name, program)
-        machine = make_stepper(machine_name)
-
-        def cold_after_first_batch():
-            assert not generated_fns(program, machine), (machine, limit)
-
-        _run_batched(machine, program, trace, limit, cold_after_first_batch)
-        assert generated_fns(program, machine), (machine, limit)
-
-
-def test_cold_run_builds_no_generated_function():
-    """A short corpus program at its default input never gets hot, so
-    a cold ``run`` generates no Python code for any lambda."""
-    from repro.harness.runner import run
-    from repro.programs.corpus import load_program
-
-    fib = load_program("fib")
-    for machine_name in ALL_MACHINE_NAMES:
-        program = prepare_program(fib.source)
-        run(program, fib.default_input, machine=machine_name)
-        assert not generated_fns(program, make_stepper(machine_name))
-
-
-def test_cold_run_lowers_nothing():
-    """Lowering waits for the tier-up point too: a cold ``run`` of a
-    corpus program at its default input lowers no lambda body."""
-    from repro.harness.runner import run
-    from repro.programs.corpus import load_program
-
-    fib = load_program("fib")
-    before = code_count()
-    for machine_name in ALL_MACHINE_NAMES:
-        run(fib.source, fib.default_input, machine=machine_name)
-    assert code_count() == before
-
-
-def test_body_that_deopts_at_once_is_a_declined_build(monkeypatch):
-    """A hot body whose lowering deopts at once (an ``if`` whose test
-    is a compound call) declines generation, and its later entries
-    stay on gen-2 as cold ones — every batch boundary still on the
-    seed's fingerprint."""
-    from repro.syntax.ast import Lambda, walk
-
-    monkeypatch.setattr(machine_mod, "_TIER_UP_THRESHOLD", 0)
-    program = _closed_program(
-        "(define (f n) (if (not (< n 1)) (f (- n 1)) 'done)) (f 30)"
-    )
-    trace = _seed_trace("tail", program)
-    machine = make_stepper("tail")
-    _run_batched(machine, program, trace, 7)
-    lam = next(
-        node for node in walk(program)
-        if node.__class__ is Lambda and node.params == ("n",)
-    )
-    assert lam.code.fns == {type(machine): None}
-    assert lam.code.heat < 0
-
-
-def test_gen3_loops_actually_reconstruct():
-    """The audit pipeline agrees the dedicated loop programs compile:
-    the canonical candidates become direct loops, so the batched tests
-    above genuinely exercise the reconstructed tier."""
-    from repro.analysis.loops import loop_candidates
-
-    for name in ("counting-loop", "accumulator-loop", "nontail-in-loop"):
-        rows = loop_candidates(name, GEN3_PROGRAMS[name])
-        assert rows, name
-        assert any(row.reconstructed for row in rows), name
-    rows = loop_candidates("fib-corpus", _corpus_source("fib"))
-    assert any(row.reconstructed for row in rows)
-
-
-def _corpus_source(name):
-    from repro.programs.corpus import load_program
-
-    return load_program(name).source
+def test_gen3_batched_lockstep(machine_name, name):
+    """The loop-shaped programs at every batch size, on the default
+    stepper.  The test keeps the name it had while these programs ran
+    on gen-3, so its results stay comparable across that change."""
+    _batched_lockstep(machine_name, LOOP_PROGRAMS[name])
 
 
 # ---------------------------------------------------------------------------
-# Gen-3 property: loop-reconstructed == non-reconstructed, per step
+# Property: loop bodies step alike on the default and seed steppers
 # ---------------------------------------------------------------------------
 
 
 def _space_profile(machine, program, argument):
     """Drive one run in batches of 1 through run_steps (the only path
-    the compiled tiers fire on) and record everything observable:
+    the fused loop fires on) and record everything observable:
     answer, step count, and the running sup / peak step of the store's
     exact space — per-step resolution, so a loop body that allocated
     differently (or at a different step) would change the profile."""
@@ -907,10 +750,10 @@ def _space_profile(machine, program, argument):
 
 @given(random_bodies, st.sampled_from(ALL_MACHINE_NAMES))
 @settings(max_examples=40, deadline=None)
-def test_gen3_loop_vs_noloop_on_random_programs(body, machine_name):
-    """A random body inside a self-tail loop: the gen-3 run (threshold
-    0, loops reconstructed) and a run that never generates code agree
-    on answer, step count, sup space, and peak step."""
+def test_loop_bodies_default_vs_seed_on_random_programs(body, machine_name):
+    """A random body inside a self-tail loop: the default stepper and
+    the seed stepper agree on answer, step count, sup space, and peak
+    step."""
     program = prepare_program(
         "(define (loop i acc)"
         "  (if (zero? i) (length acc)"
@@ -918,11 +761,8 @@ def test_gen3_loop_vs_noloop_on_random_programs(body, machine_name):
         "(define (f n) (loop n '()))"
     )
     argument = prepare_input("4")
-    with_loops = _space_profile(
-        tiered_stepper(machine_name, 0), program, argument
+    default = _space_profile(make_stepper(machine_name), program, argument)
+    seed = _space_profile(
+        make_stepper(machine_name, "seed"), program, argument
     )
-    assert generated_fns(program, make_stepper(machine_name))
-    without = _space_profile(
-        tiered_stepper(machine_name, NEVER), program, argument
-    )
-    assert with_loops == without, machine_name
+    assert default == seed, machine_name
