@@ -213,6 +213,13 @@ def test_bench_blame_sampling_speedup(overhead_log):
     from repro.programs.separators import SEPARATORS_BY_NAME
     from repro.telemetry.blame import BlameProfiler
 
+    class WalkingProfiler(BlameProfiler):
+        """Declines the engine's delta, so every sample walks the
+        configuration, on the same (delta) engine."""
+
+        def attach_engine(self, meter):
+            pass
+
     source = SEPARATORS_BY_NAME[BLAME_SEPARATOR].source
     program = prepare_program(source)
     argument = prepare_input(str(BLAME_N))
@@ -220,7 +227,9 @@ def test_bench_blame_sampling_speedup(overhead_log):
     def profiled(every, incremental, linked):
         best, profiler = 0.0, None
         for _ in range(BLAME_ROUNDS):
-            profiler = BlameProfiler(every=every, incremental=incremental)
+            profiler = (BlameProfiler if incremental else WalkingProfiler)(
+                every=every
+            )
             machine = make_machine("gc")
             start = time.perf_counter()
             result = run_metered(

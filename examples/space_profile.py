@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Watch a computation's space over time: a per-step trace of
-space(C_i) rendered as a text sparkline, for the same program under
-proper and improper tail recursion.
+"""Watch a computation's space over time: the ``space`` events a trace
+bus records for every configuration C_i, rendered as a text sparkline,
+for the same program under proper and improper tail recursion.
 
 Run:  python examples/space_profile.py
 """
@@ -10,6 +10,7 @@ from repro.harness.report import sparkline
 from repro.machine.variants import make_machine
 from repro.space.consumption import prepare_input, prepare_program
 from repro.space.meter import run_metered
+from repro.telemetry.bus import TraceBus
 
 PROGRAM = """
 (define (build n acc)
@@ -23,14 +24,15 @@ PROGRAM = """
 
 def profile(machine_name, argument="60"):
     machine = make_machine(machine_name)
+    bus = TraceBus()
     result = run_metered(
         machine,
         prepare_program(PROGRAM),
         prepare_input(argument),
         fixed_precision=True,
-        trace_every=5,
+        trace=bus,
     )
-    values = [space for _step, space in result.trace]
+    values = [event.value for event in bus.events if event.kind == "space"]
     print(f"{machine_name:>6}  sup={result.sup_space:>6}  |{sparkline(values)}|")
     return result
 

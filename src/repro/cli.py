@@ -77,6 +77,28 @@ PROGRAM_ERRORS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1 (an interval
+    or a cadence); a bad value ends the command with a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _int_list(text: str) -> tuple:
+    """argparse type for comma-separated integers (``--ns 8,16,32``)."""
+    try:
+        return tuple(int(n) for n in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want comma-separated integers, got {text!r}"
+        )
+
+
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -351,7 +373,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     source = _read_source(args.program)
-    ns = tuple(int(n) for n in args.ns.split(","))
+    ns = args.ns
     machines = args.machine.split(",")
     cells = grid_cells(
         {(machine,): source for machine in machines},
@@ -842,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         "semantics",
     )
     run_parser.add_argument(
-        "--gc-interval", type=int, default=1,
+        "--gc-interval", type=_positive_int, default=1,
         help="collect every k-th step on metered runs (default 1)",
     )
     run_parser.add_argument(
@@ -935,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="measure S_X(P, N) over a range of N"
     )
     sweep_parser.add_argument("program")
-    sweep_parser.add_argument("--ns", default="8,16,32,64")
+    sweep_parser.add_argument("--ns", type=_int_list, default="8,16,32,64")
     sweep_parser.add_argument(
         "--machine", default="tail,gc",
         help="comma-separated machine names",
@@ -964,7 +986,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bursts; cells with per-cell telemetry run exactly)",
     )
     sweep_parser.add_argument(
-        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
+        "--checkpoint-every", type=_positive_int,
+        default=DEFAULT_CHECKPOINT_EVERY,
         metavar="K",
         help="checkpoint cadence: the sampled meter takes an exact "
         "measurement at least every K transitions "
@@ -1030,7 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
         "one transition at a time",
     )
     trace_parser.add_argument("--engine", default="delta", choices=ENGINES)
-    trace_parser.add_argument("--gc-interval", type=int, default=1)
+    trace_parser.add_argument("--gc-interval", type=_positive_int, default=1)
     trace_parser.add_argument("--step-limit", type=int, default=5_000_000)
     trace_parser.add_argument(
         "--sample", type=int, default=1,
@@ -1038,11 +1061,11 @@ def build_parser() -> argparse.ArgumentParser:
         "events are never sampled away)",
     )
     trace_parser.add_argument(
-        "--capacity", type=int, default=None,
+        "--capacity", type=_positive_int, default=None,
         help="bound the event buffer (ring semantics: oldest dropped)",
     )
     trace_parser.add_argument(
-        "--blame-every", type=int, default=1,
+        "--blame-every", type=_positive_int, default=1,
         help="decompose every k-th measured configuration",
     )
     trace_parser.add_argument(
@@ -1192,7 +1215,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--meter", default="sampled", choices=METERS
     )
     submit_parser.add_argument(
-        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY
+        "--checkpoint-every", type=_positive_int,
+        default=DEFAULT_CHECKPOINT_EVERY,
     )
     submit_parser.add_argument(
         "--budget", type=int, default=None,

@@ -147,7 +147,7 @@ def run_cell(cell: SweepCell) -> SweepOutcome:
     if cell.blame_every > 0:
         from ..telemetry.blame import BlameProfiler
 
-        blame = BlameProfiler(every=cell.blame_every, incremental=True)
+        blame = BlameProfiler(every=cell.blame_every)
     retention = None
     if cell.retention_sample > 0:
         from ..telemetry.retention import RetentionProfiler
@@ -211,11 +211,12 @@ class JobTimeout(RuntimeError):
     killed."""
 
 
-def _pool_worker_main(conn) -> None:
+def _pool_worker_main(conn, parent: int) -> None:
     """Worker-process loop: receive ``(fn, arg)`` jobs, reply with zero
     or more ``("progress", payload)`` messages followed by exactly one
     ``("done", result)`` or ``("error", message)``.  ``None`` shuts the
-    worker down.  Module-level so it pickles by reference."""
+    worker down, and so does the death of the *parent* process (pid)
+    that owns the pool.  Module-level so it pickles by reference."""
 
     def emit(payload) -> None:
         try:
@@ -228,6 +229,13 @@ def _pool_worker_main(conn) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         try:
+            # A forked worker also holds the parent's end of its pipe,
+            # so a dead parent never shows as EOF: wait in slices and
+            # leave once the worker has been reparented.
+            if not conn.poll(1.0):
+                if os.getppid() != parent:
+                    break
+                continue
             job = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break
@@ -431,7 +439,9 @@ class WorkerPool:
     def _spawn_locked(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_pool_worker_main, args=(child_conn,), daemon=True
+            target=_pool_worker_main,
+            args=(child_conn, os.getpid()),
+            daemon=True,
         )
         process.start()
         child_conn.close()

@@ -11,8 +11,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .values import Location
-from .store import _CELL_WORDS
-from .values import Closure, Num
 
 #: Restrict-memoization statistics, enabled by the metrics layer: None
 #: (the default — one global load + is-None check per restrict call)
@@ -154,43 +152,10 @@ class Environment:
 
         The fused loop applies a unary closure with this (the fused
         call's application step and the beta superinstruction): one
-        allocation and one frame, with the alloc's
-        bookkeeping inlined for the common observer-free store (the
-        arithmetic is the same as :meth:`Store.alloc`; a store with a
-        tracker or reference counts takes the composed path so the
-        observers see the identical mutation sequence).  ``names``
-        must be a 1-tuple — callers bind exactly the lambda's
-        parameter list, whose arity they have already checked."""
-        if store.tracker is None and store._rc is None:
-            location = store._next_location
-            store._next_location = location + 1
-            store._cells[location] = value
-            cls = value.__class__
-            if cls is Num:
-                bits = abs(value.value).bit_length()
-                bignum = 2 + (bits if bits > 1 else 1)
-                store._space_bignum += bignum
-                store._space_fixed += 2
-                store._linked_bignum += bignum
-                store._linked_fixed += 2
-            elif cls is Closure:
-                flat = 2 + len(value.env._bindings)
-                store._space_bignum += flat
-                store._space_fixed += flat
-                store._linked_bignum += 2
-                store._linked_fixed += 2
-            else:
-                words = _CELL_WORDS.get(cls)
-                if words is not None:
-                    store._space_bignum += words
-                    store._space_fixed += words
-                    store._linked_bignum += words
-                    store._linked_fixed += words
-                else:
-                    store._add_space(value, 1)
-            store.version += 1
-        else:
-            location = store.alloc(value)
+        allocation and one frame.  ``names`` must be a 1-tuple —
+        callers bind exactly the lambda's parameter list, whose arity
+        they have already checked."""
+        location = store.alloc(value)
         bindings = dict(self._bindings)
         bindings[names[0]] = location
         env = Environment.__new__(Environment)
@@ -209,45 +174,7 @@ class Environment:
         environment's ``_frame_locs``).  Callers guarantee ``names``
         and ``values`` have equal length (the arity was checked before
         entering the application)."""
-        if store.tracker is None and store._rc is None:
-            # alloc_many's observer-free batch, inlined (same end
-            # state; the batch is equivalent to the per-value sequence
-            # by construction).
-            cells = store._cells
-            location = store._next_location
-            out = []
-            for value in values:
-                cells[location] = value
-                cls = value.__class__
-                if cls is Num:
-                    bits = abs(value.value).bit_length()
-                    bignum = 2 + (bits if bits > 1 else 1)
-                    store._space_bignum += bignum
-                    store._space_fixed += 2
-                    store._linked_bignum += bignum
-                    store._linked_fixed += 2
-                elif cls is Closure:
-                    flat = 2 + len(value.env._bindings)
-                    store._space_bignum += flat
-                    store._space_fixed += flat
-                    store._linked_bignum += 2
-                    store._linked_fixed += 2
-                else:
-                    words = _CELL_WORDS.get(cls)
-                    if words is not None:
-                        store._space_bignum += words
-                        store._space_fixed += words
-                        store._linked_bignum += words
-                        store._linked_fixed += words
-                    else:
-                        store._add_space(value, 1)
-                out.append(location)
-                location += 1
-            store._next_location = location
-            store.version += len(out)
-            locations = tuple(out)
-        else:
-            locations = store.alloc_many(values)
+        locations = store.alloc_many(values)
         bindings = dict(self._bindings)
         if len(names) == 1:
             bindings[names[0]] = locations[0]

@@ -10,9 +10,9 @@ the interpreter stack.
 
 Two collectors implement the rule:
 
-- :func:`collect` / :func:`collect_final` — the canonical full-heap
-  tracing collection, O(live heap) per application.  This is the
-  specification and the verification oracle.
+- :func:`collect` — the canonical full-heap tracing collection, O(live
+  heap) per application, on an intermediate or a final configuration.
+  This is the specification and the verification oracle.
 - :class:`RefTracker` — the *delta* collector used by the incremental
   meter.  It maintains per-location incoming-reference counts (store
   edges via the :class:`~repro.machine.store.Store` mutation hooks,
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .config import Final, State
+from .config import Configuration
 from .continuation import Kont, chain
 from .environment import Environment
 from .store import Store
@@ -123,18 +123,24 @@ def reachable_locations(
     return live
 
 
-def state_roots(state: State):
-    """Root values/env/kont of an intermediate configuration.
+def configuration_roots(configuration: Configuration):
+    """Root values/env/kont of a configuration.
 
-    When the control component is an expression it mentions no
-    locations (Programs and Inputs contain none, and quoted constants
-    are atomic), so only the environment and continuation are roots.
+    A final configuration (v, sigma) is rooted by v alone.  When an
+    intermediate configuration's control component is an expression it
+    mentions no locations (Programs and Inputs contain none, and quoted
+    constants are atomic), so only the environment and continuation
+    are roots.
     """
-    values = (state.control,) if state.is_value else ()
-    return values, state.env, state.kont
+    if configuration.is_final:
+        return (configuration.value,), None, None
+    values = (configuration.control,) if configuration.is_value else ()
+    return values, configuration.env, configuration.kont
 
 
-def collect(state: State, bus=None, pin_from: Optional[int] = None) -> int:
+def collect(
+    configuration: Configuration, bus=None, pin_from: Optional[int] = None
+) -> int:
     """Apply the GC rule exhaustively: remove every unreachable
     location.  Returns the number of locations collected.  *bus* is an
     optional trace bus; nonzero reclamations are published to it as
@@ -142,36 +148,18 @@ def collect(state: State, bus=None, pin_from: Optional[int] = None) -> int:
     regardless of reachability (the sampled meter's retro-exact
     reconstruction pins the current step's allocations while
     collecting against the previous configuration's roots)."""
-    values, env, kont = state_roots(state)
-    live = reachable_locations(state.store, values, env, kont)
+    store = configuration.store
+    live = reachable_locations(store, *configuration_roots(configuration))
     if pin_from is None:
-        garbage = [loc for loc in state.store.locations() if loc not in live]
+        garbage = [loc for loc in store.locations() if loc not in live]
     else:
         garbage = [
             loc
-            for loc in state.store.locations()
+            for loc in store.locations()
             if loc < pin_from and loc not in live
         ]
     if garbage:
-        state.store.delete_many(garbage)
-        if bus is not None:
-            bus.emit_gc("canonical", len(garbage))
-    return len(garbage)
-
-
-def collect_final(final: Final, bus=None, pin_from: Optional[int] = None) -> int:
-    """GC a final configuration (v, sigma): roots are v alone."""
-    live = reachable_locations(final.store, (final.value,))
-    if pin_from is None:
-        garbage = [loc for loc in final.store.locations() if loc not in live]
-    else:
-        garbage = [
-            loc
-            for loc in final.store.locations()
-            if loc < pin_from and loc not in live
-        ]
-    if garbage:
-        final.store.delete_many(garbage)
+        store.delete_many(garbage)
         if bus is not None:
             bus.emit_gc("canonical", len(garbage))
     return len(garbage)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .values import (
-    UNSPECIFIED,
     Boolean,
     Char,
     Closure,
@@ -75,7 +74,7 @@ class StoreError(KeyError):
 
 
 class Store:
-    """A mutable store with running space totals and a version stamp."""
+    """A mutable store with running space totals and a write barrier."""
 
     __slots__ = (
         "_cells",
@@ -84,7 +83,6 @@ class Store:
         "_space_fixed",
         "_linked_bignum",
         "_linked_fixed",
-        "version",
         "mut_version",
         "tracker",
         "_rc",
@@ -98,7 +96,6 @@ class Store:
         self._space_fixed: int = 0
         self._linked_bignum: int = 0
         self._linked_fixed: int = 0
-        self.version: int = 0
         #: Bumped only by :meth:`write` and :meth:`delete_many` (never
         #: by allocation, which cannot change an existing cell).  An
         #: unchanged ``mut_version`` therefore proves every mapped cell
@@ -160,7 +157,6 @@ class Store:
                 self._linked_fixed += words
             else:
                 self._add_space(value, 1)
-        self.version += 1
         rc = self._rc
         if rc is not None:
             for ref in value.locations():
@@ -168,23 +164,6 @@ class Store:
         if self.tracker is not None:
             self.tracker.on_alloc(location, value)
         return location
-
-    def alloc_tag(self) -> Location:
-        """``alloc(UNSPECIFIED)`` — a closure/escape tag — with the
-        singleton's constant bookkeeping (2 words on every accounting)
-        folded in; a store with observers takes the generic path so
-        they see the identical mutation."""
-        if self.tracker is None and self._rc is None:
-            location = self._next_location
-            self._next_location = location + 1
-            self._cells[location] = UNSPECIFIED
-            self._space_bignum += 2
-            self._space_fixed += 2
-            self._linked_bignum += 2
-            self._linked_fixed += 2
-            self.version += 1
-            return location
-        return self.alloc(UNSPECIFIED)
 
     def alloc_many(self, values: Iterable[Value]) -> Tuple[Location, ...]:
         """Allocate fresh locations for several values at once (the
@@ -228,13 +207,11 @@ class Store:
                 out.append(location)
                 location += 1
             self._next_location = location
-            self.version += len(out)
             return tuple(out)
         for value in values:
             self._next_location = location + 1
             cells[location] = value
             add(value, 1)
-            self.version += 1
             if rc is not None:
                 for ref in value.locations():
                     rc[ref] = rc.get(ref, 0) + 1
@@ -263,7 +240,6 @@ class Store:
         self._add_space(old, -1)
         self._cells[location] = value
         self._add_space(value, 1)
-        self.version += 1
         self.mut_version += 1
         rc = self._rc
         if rc is not None:
@@ -296,7 +272,6 @@ class Store:
                     rc.pop(location, None)
                 if tracker is not None:
                     tracker.on_delete(location, value)
-        self.version += 1
         self.mut_version += 1
 
     def __contains__(self, location: Location) -> bool:

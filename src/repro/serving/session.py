@@ -4,12 +4,9 @@ One :class:`JobRecord` per submitted job: the validated spec, a status,
 and the ordered receipt stream (queued, start, retried, progress, and
 exactly one terminal receipt).  Receipts are stamped with ``job`` /
 ``tenant`` / ``seq`` / ``ts`` here, appended to the in-memory record
-list (what the poll and stream endpoints read), and mirrored line for
-line into a JSONL spool file via
-:class:`~repro.telemetry.export.JsonlStreamWriter` over a
-:class:`~repro.telemetry.export.LineTee` — so a tap (a socket handle,
-a tee into a pipeline) can attach mid-run and sees exactly the bytes
-the spool gets, and a dropped tap detaches without hurting the spool.
+list (what the poll and stream endpoints read), and written line for
+line into a JSONL spool file by a
+:class:`~repro.telemetry.export.JsonlStreamWriter`.
 
 Backpressure is per tenant: a tenant may hold at most ``max_pending``
 queued-or-running jobs; the next submit raises :class:`Backpressure`
@@ -29,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..telemetry.export import JsonlStreamWriter, LineTee
+from ..telemetry.export import JsonlStreamWriter
 from .protocol import TERMINAL_KINDS
 
 #: Receipt kind -> terminal job status.
@@ -109,7 +106,6 @@ class SessionStore:
         self._ids = itertools.count(1)
         self._seq: Dict[str, int] = {}
         self._writers: Dict[str, JsonlStreamWriter] = {}
-        self._tees: Dict[str, LineTee] = {}
         if spool_dir is not None:
             os.makedirs(spool_dir, exist_ok=True)
 
@@ -150,10 +146,8 @@ class SessionStore:
                 if self.spool_dir is not None:
                     path = os.path.join(self.spool_dir, f"{job_id}.jsonl")
                     job.spool_path = path
-                    tee = LineTee(open(path, "w", encoding="utf-8"))
-                    self._tees[job_id] = tee
                     self._writers[job_id] = JsonlStreamWriter(
-                        tee,
+                        path,
                         meta={
                             "stream": "serve-receipts",
                             "job": job_id,
@@ -205,37 +199,10 @@ class SessionStore:
             if writer is not None:
                 writer.write_record(record)
                 if kind in TERMINAL_KINDS:
-                    # The writer borrows the tee (file-like targets are
-                    # never closed by it), so close the spool file here.
                     writer.close()
                     del self._writers[job_id]
-                    tee = self._tees.pop(job_id, None)
-                    if tee is not None:
-                        try:
-                            tee.close()
-                        except OSError:
-                            pass
             self._cond.notify_all()
             return record
-
-    # -- taps (the socket sink) ----------------------------------------
-
-    def attach_mirror(self, job_id: str, handle) -> bool:
-        """Attach a file-like tap to the job's spool tee; every later
-        spool line is mirrored to it byte for byte.  Returns False when
-        the job has already settled (no tee to attach to)."""
-        with self._cond:
-            tee = self._tees.get(job_id)
-            if tee is None:
-                return False
-            tee.attach(handle)
-            return True
-
-    def detach_mirror(self, job_id: str, handle) -> None:
-        with self._cond:
-            tee = self._tees.get(job_id)
-            if tee is not None:
-                tee.detach(handle)
 
     # -- reads ---------------------------------------------------------
 
@@ -278,18 +245,11 @@ class SessionStore:
         server leaves valid JSONL behind)."""
         with self._cond:
             writers = list(self._writers.values())
-            tees = list(self._tees.values())
             self._writers.clear()
-            self._tees.clear()
         for writer in writers:
             try:
                 writer.close()
             except Exception:
-                pass
-        for tee in tees:
-            try:
-                tee.close()
-            except OSError:
                 pass
 
 

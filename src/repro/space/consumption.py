@@ -51,7 +51,6 @@ def measure(
     fixed_precision: bool = False,
     policy: Optional[Policy] = None,
     gc_interval: int = 1,
-    gc_when: str = "always",
     step_limit: int = DEFAULT_STEP_LIMIT,
     answer_limit: int = 200,
     engine: str = "delta",
@@ -83,7 +82,6 @@ def measure(
         linked=linked,
         fixed_precision=fixed_precision,
         gc_interval=gc_interval,
-        gc_when=gc_when,
         step_limit=step_limit,
         engine=engine,
         meter=meter,

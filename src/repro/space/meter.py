@@ -65,7 +65,7 @@ from typing import List, Optional, Tuple, Union
 from ..machine.config import Configuration, Final, State
 from ..machine.continuation import Kont, ReturnStack, chain
 from ..machine.errors import StepLimitExceeded
-from ..machine.gc import RefTracker, collect, collect_final
+from ..machine.gc import RefTracker, collect
 from ..machine.machine import Machine
 from ..machine.values import Closure, Escape, Pair, Value, Vector
 from ..syntax.ast import Expr, ast_size
@@ -98,7 +98,6 @@ class MeterResult:
     final: Final
     collected: int
     peak_step: int
-    trace: List[Tuple[int, int]] = field(default_factory=list)
     #: Engine/meter observability (``repro analyze --meter-audit``):
     #: collection and trial counters, fallback counts, lazy-schedule
     #: trip and checkpoint counts, certification outcome.
@@ -260,11 +259,10 @@ class ReferenceMeter:
     def measure(self, configuration: Configuration) -> int:
         return self._measure(configuration, self.fixed_precision)
 
-    def collect(self, state: State, pin_from: Optional[int] = None) -> int:
-        return collect(state, self.bus, pin_from)
-
-    def collect_final(self, final: Final, pin_from: Optional[int] = None) -> int:
-        return collect_final(final, self.bus, pin_from)
+    def collect(
+        self, configuration: Configuration, pin_from: Optional[int] = None
+    ) -> int:
+        return collect(configuration, self.bus, pin_from)
 
     def detach(self, store) -> None:
         if store is not None and store.tracker is self:
@@ -634,26 +632,18 @@ class DeltaMeter:
                 )
         return total
 
-    def collect(self, state: State, pin_from: Optional[int] = None) -> int:
+    def collect(
+        self, configuration: Configuration, pin_from: Optional[int] = None
+    ) -> int:
         if self.fallback:
-            return collect(state, self.bus, pin_from)
+            return collect(configuration, self.bus, pin_from)
+        store = configuration.store
         tracker = self.tracker
-        collected, need_canonical = tracker.reclaim(state.store, pin_from)
+        collected, need_canonical = tracker.reclaim(store, pin_from)
         if need_canonical:
             self.canonical_fallbacks += 1
-            collected += collect(state, self.bus, pin_from)
-            tracker.note_canonical(state.store)
-        return collected
-
-    def collect_final(self, final: Final, pin_from: Optional[int] = None) -> int:
-        if self.fallback:
-            return collect_final(final, self.bus, pin_from)
-        tracker = self.tracker
-        collected, need_canonical = tracker.reclaim(final.store, pin_from)
-        if need_canonical:
-            self.canonical_fallbacks += 1
-            collected += collect_final(final, self.bus, pin_from)
-            tracker.note_canonical(final.store)
+            collected += collect(configuration, self.bus, pin_from)
+            tracker.note_canonical(store)
         return collected
 
     def detach(self, store) -> None:
@@ -756,9 +746,7 @@ def run_metered(
     linked: bool = False,
     fixed_precision: bool = False,
     gc_interval: int = 1,
-    gc_when: str = "always",
     step_limit: int = DEFAULT_STEP_LIMIT,
-    trace_every: int = 0,
     engine: str = "delta",
     meter: str = "exact",
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -774,16 +762,9 @@ def run_metered(
     configuration, measuring the supremum of configuration space.
 
     ``linked`` selects Figure 8 (U_X) accounting instead of Figure 7
-    (S_X); ``fixed_precision`` charges every number one word;
-    ``trace_every`` > 0 records a (step, space) sample that often.
-
-    ``gc_when="store-change"`` is an ablation: the collector runs only
-    after steps that touched the store (allocation or assignment).
-    Garbage arising purely from dropped roots then lingers until the
-    next store mutation; the store term is constant on the skipped
-    steps, so the sup can only grow, and in practice it rarely does
-    (a verification test checks this on the corpus).  The default
-    ``"always"`` is the canonical Definition 21 schedule.
+    (S_X); ``fixed_precision`` charges every number one word.
+    ``gc_interval`` (a positive step count) relaxes the GC rule to
+    every that many steps; 1 is Definition 21's schedule.
 
     ``engine`` selects the metering engine (see the module docstring);
     both report identical numbers.  ``audit_every`` > 0 re-derives the
@@ -793,11 +774,10 @@ def run_metered(
     ``meter`` selects the schedule.  ``"exact"`` is the eager
     Definition 21 schedule.  ``"sampled"`` takes the lazy schedule
     when its O(1) bound is sound and no observer needs every
-    configuration — engine ``"delta"``, ``gc_interval == 1``,
-    ``gc_when == "always"``, and no ``trace``, ``metrics``, ``blame``,
-    ``retention``, ``trace_every`` or ``audit_every`` — and the eager
-    one otherwise; ``meter_stats["mode"]`` names the schedule the run
-    started on.
+    configuration — engine ``"delta"``, ``gc_interval == 1``, and no
+    ``trace``, ``metrics``, ``blame``, ``retention`` or
+    ``audit_every`` — and the eager one otherwise;
+    ``meter_stats["mode"]`` names the schedule the run started on.
     Under the lazy schedule the machine trajectory is unchanged (the
     GC rule only removes unreachable locations, locations are never
     reused, and compaction runs on the same cadence), while space is
@@ -856,7 +836,8 @@ def run_metered(
       publishes every transition, every space measurement, and (via
       the collectors) every reclamation, so an unsampled stream replays
       to exactly this function's reported steps / sup_space /
-      collected.
+      collected.  Its ``space`` events are the run's space-over-time
+      record, one per measured configuration.
     - ``metrics`` — a :class:`repro.telemetry.metrics.MetricsRegistry`;
       the loop maintains the step mix, kont-depth histogram, GC
       reclaim counters, environment-restrict hit rate, and engine
@@ -870,18 +851,17 @@ def run_metered(
       allocation-site provenance can be stamped through the engine's
       store hooks.
     """
-    if gc_when not in ("always", "store-change"):
-        raise ValueError(f"unknown gc_when: {gc_when!r}")
     if meter not in METERS:
         raise ValueError(f"unknown meter mode: {meter!r} (want {METERS})")
     if checkpoint_every <= 0:
         raise ValueError("checkpoint_every must be positive")
+    if gc_interval <= 0:
+        raise ValueError("gc_interval must be positive")
     lazy = (
         meter == "sampled"
         and engine == "delta"
         and gc_interval == 1
-        and gc_when == "always"
-        and not (trace_every or audit_every)
+        and not audit_every
         and trace is None
         and metrics is None
         and blame is None
@@ -960,9 +940,6 @@ def run_metered(
             retention.observe(state, sup_space, 0)
         if checkpoint_hook is not None:
             checkpoint_hook(0, program_size + sup_space)
-        samples: List[Tuple[int, int]] = []
-        if trace_every:
-            samples.append((0, sup_space))
 
         steps = 0
         step = machine.step
@@ -1092,13 +1069,11 @@ def run_metered(
                         raise kill(space, steps, final)
                 trips += 1
             if uses_gc:
-                collected += engine_meter.collect_final(final)
-        else:
-            # The eager schedule: Definition 21, every configuration
-            # measured and collected.
-            last_gc_version = store.version
-            if bus is not None:
-                bus.emit_phase("run", True)
+                collected += engine_meter.collect(final)
+        elif bus is not None:
+            bus.emit_phase("run", True)
+        # The eager schedule: Definition 21, every configuration
+        # measured and collected.
         while final is None:
             if telemetry:
                 if bus is not None:
@@ -1119,8 +1094,7 @@ def run_metered(
             steps += 1
             transition(configuration)
             if configuration.is_final:
-                # Measure once pre-GC for the sup (the allocation spike
-                # is charged), once post-GC for the trace sample.
+                # Measure pre-GC: the final allocation spike is charged.
                 final = configuration
                 space = measure(final)
                 if bus is not None:
@@ -1136,7 +1110,7 @@ def run_metered(
                 if uses_gc:
                     if metrics is not None:
                         words_before = store.space_bignum
-                    freed = engine_meter.collect_final(final)
+                    freed = engine_meter.collect(final)
                     collected += freed
                     if metrics is not None and freed:
                         gc_collections.inc()
@@ -1144,8 +1118,6 @@ def run_metered(
                         gc_words.inc(words_before - store.space_bignum)
                     if audit_every:
                         engine_meter.audit(final)
-                if trace_every:
-                    samples.append((steps, measure(final)))
                 if bus is not None:
                     bus.emit_phase("run", False)
                 break
@@ -1161,8 +1133,6 @@ def run_metered(
                 sup_space, peak_step = space, steps
                 if budget is not None and program_size + space > budget:
                     raise kill(space, steps, state)
-            if trace_every and steps % trace_every == 0:
-                samples.append((steps, space))
             if checkpoint_hook is not None and steps % checkpoint_every == 0:
                 checkpoint_hook(steps, program_size + sup_space)
             if uses_gc and steps % gc_interval == 0:
@@ -1171,18 +1141,16 @@ def run_metered(
                     if compacted is not state:
                         transition(compacted)
                         state = compacted
-                if gc_when == "always" or store.version != last_gc_version:
-                    if metrics is not None:
-                        words_before = store.space_bignum
-                    freed = engine_meter.collect(state)
-                    collected += freed
-                    if metrics is not None and freed:
-                        gc_collections.inc()
-                        gc_locations.inc(freed)
-                        gc_words.inc(words_before - store.space_bignum)
-                    last_gc_version = store.version
-                    if audit_every and steps % audit_every == 0:
-                        engine_meter.audit(state)
+                if metrics is not None:
+                    words_before = store.space_bignum
+                freed = engine_meter.collect(state)
+                collected += freed
+                if metrics is not None and freed:
+                    gc_collections.inc()
+                    gc_locations.inc(freed)
+                    gc_words.inc(words_before - store.space_bignum)
+                if audit_every and steps % audit_every == 0:
+                    engine_meter.audit(state)
             if steps >= step_limit:
                 raise StepLimitExceeded(steps)
 
@@ -1231,7 +1199,6 @@ def run_metered(
             final=final,
             collected=collected,
             peak_step=peak_step,
-            trace=samples,
             meter_stats=stats,
         )
     finally:

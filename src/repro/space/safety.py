@@ -110,13 +110,11 @@ class SafetyReport:
 
 
 def _classify(machine: str, source: str, ns: Sequence[int]) -> Tuple[str, Tuple[int, ...]]:
-    # gc_when="store-change" deviates from the canonical schedule by
-    # at most a few words (see the GC-ablation benchmark), which can
-    # never move a growth class; it makes the audit ~10x faster.
+    # The sampled meter reports the exact meter's S_X (an uncertified
+    # run replays exactly) at a fraction of its cost.
     totals = tuple(
         space_consumption(
-            machine, source, str(n),
-            fixed_precision=True, gc_when="store-change",
+            machine, source, str(n), fixed_precision=True, meter="sampled"
         )
         for n in ns
     )

@@ -463,48 +463,29 @@ class BlameSeries:
         )
 
 
-class BlameProfiler:
-    """Samples blame decompositions over a metered run.
+class Sampler:
+    """The sampling discipline a profiler applies over a metered run.
 
-    ``every=k`` decomposes every k-th measured configuration (1 =
-    all); the peak snapshot is taken over the *sampled* configurations,
-    so with the default it is exactly the configuration attaining the
-    sup.  ``history`` keeps one (step, space, blame-sum) triple per
-    sample — the property tests' receipt that every decomposition
-    summed to the meter's own measurement.
-
-    ``series_capacity`` bounds the retained whole-decomposition
-    history behind :meth:`series`: each sampled decomposition is kept
-    while the retained list is short, and when it would exceed the
-    capacity the profiler drops every other retained point and doubles
-    its keep stride — bounded memory over unbounded runs, at the cost
-    of a coarser (but still pointwise-exact) series.  ``0`` disables
-    series retention entirely (peak/totals/history still work).
-
-    ``incremental=True`` asks the meter to maintain the decomposition
-    as a delta (:class:`IncrementalBlame`): each sample is then an
-    O(holders) dict copy instead of an O(configuration) re-walk, with
-    identical (exact) values — the engine deactivates the delta and
-    this profiler resumes from-scratch decomposition if it permanently
-    falls back.  ``incremental_samples`` counts how many samples the
-    delta path served.
+    ``run_metered`` calls ``observe(configuration, space, step)`` at
+    every measure point; a profiler takes every ``every``-th
+    observation (:meth:`_due`), keeps the sample with the most space
+    (``peak_space``/``peak_step``/``at_peak``), and retains a bounded
+    series of per-holder points: each sampled point is kept while the
+    retained list is short, and when it would exceed
+    ``series_capacity`` the sampler drops every other retained point
+    and doubles its keep stride — bounded memory over unbounded runs,
+    at the cost of a coarser (but still pointwise-exact) series.  ``0``
+    disables series retention.  :meth:`series` splices the peak back
+    in when compaction dropped it.
     """
 
-    def __init__(
-        self,
-        every: int = 1,
-        series_capacity: int = 256,
-        incremental: bool = False,
-    ):
+    def __init__(self, every: int = 1, series_capacity: int = 256):
         if every < 1:
             raise ValueError("every must be >= 1")
         if series_capacity < 0:
             raise ValueError("series_capacity must be >= 0")
         self.every = every
         self.series_capacity = series_capacity
-        self.incremental = incremental
-        self.incremental_samples = 0
-        self._inc: Optional[IncrementalBlame] = None
         self.machine: Optional[str] = None
         self.linked = False
         self.fixed_precision = False
@@ -512,15 +493,13 @@ class BlameProfiler:
         self.sampled = 0
         self.peak_space = -1
         self.peak_step = 0
-        self.at_peak: Dict[str, int] = {}
-        self.totals: Dict[str, int] = {}
-        self.history: List[Tuple[int, int, int]] = []
+        self.at_peak = None
         #: Effective keep stride of the retained series (in units of
         #: *sampled* configurations); doubles on each compaction.
         self.series_stride = 1
         self._series_steps: List[int] = []
         self._series_spaces: List[int] = []
-        self._series_blames: List[Dict[str, int]] = []
+        self._series_points: List[Dict[str, int]] = []
 
     def bind(self, machine: str, linked: bool, fixed_precision: bool) -> None:
         """Called by the meter before the run starts."""
@@ -528,11 +507,110 @@ class BlameProfiler:
         self.linked = linked
         self.fixed_precision = fixed_precision
 
+    def _due(self) -> bool:
+        """Count one observation; True when it is to be sampled."""
+        count = self.observed
+        self.observed = count + 1
+        return count % self.every == 0
+
+    def _record(
+        self, step: int, space: int, point: Dict[str, int], peak
+    ) -> None:
+        """Keep one sample: *point* is its per-holder series entry,
+        *peak* what ``at_peak`` holds when it has the most space."""
+        sample_index = self.sampled
+        self.sampled = sample_index + 1
+        if space > self.peak_space:
+            self.peak_space = space
+            self.peak_step = step
+            self.at_peak = peak
+        capacity = self.series_capacity
+        if capacity and sample_index % self.series_stride == 0:
+            if len(self._series_steps) >= capacity:
+                self._series_steps = self._series_steps[::2]
+                self._series_spaces = self._series_spaces[::2]
+                self._series_points = self._series_points[::2]
+                self.series_stride *= 2
+                if sample_index % self.series_stride:
+                    return
+            self._series_steps.append(step)
+            self._series_spaces.append(space)
+            self._series_points.append(point)
+
+    def _peak_point(self) -> Optional[Dict[str, int]]:
+        """The series entry of ``at_peak`` (None: nothing to splice)."""
+        raise NotImplementedError
+
+    def series(self, include_peak: bool = True) -> BlameSeries:
+        """The retained per-holder time-series as a :class:`BlameSeries`.
+
+        ``include_peak`` splices the peak sample back in (in step
+        order) when compaction dropped it — the sup is the one sample a
+        space story cannot lose.  Every point is an original sample, so
+        each point's values sum to its measured space.
+        """
+        steps = list(self._series_steps)
+        spaces = list(self._series_spaces)
+        points = [dict(point) for point in self._series_points]
+        if (
+            include_peak
+            and self.peak_space >= 0
+            and self.peak_step not in steps
+        ):
+            peak = self._peak_point()
+            if peak is not None:
+                later = (
+                    i for i, step in enumerate(steps) if step > self.peak_step
+                )
+                at = next(later, len(steps))
+                steps.insert(at, self.peak_step)
+                spaces.insert(at, self.peak_space)
+                points.insert(at, peak)
+        return BlameSeries(
+            machine=self.machine or "",
+            linked=self.linked,
+            fixed_precision=self.fixed_precision,
+            steps=steps,
+            spaces=spaces,
+            blames=points,
+            stride=self.series_stride,
+        )
+
+
+class BlameProfiler(Sampler):
+    """Samples blame decompositions over a metered run.
+
+    ``every=k`` decomposes every k-th measured configuration (1 =
+    all); the peak snapshot ``at_peak`` is taken over the *sampled*
+    configurations, so with the default it is exactly the
+    configuration attaining the sup.  ``history`` keeps one (step,
+    space, blame-sum) triple per sample — the property tests' receipt
+    that every decomposition summed to the meter's own measurement.
+    ``series_capacity`` bounds the retained whole-decomposition history
+    behind :meth:`series` (see :class:`Sampler`).
+
+    On an engine that offers a delta (the delta engine) the meter
+    maintains the decomposition as one (:class:`IncrementalBlame`):
+    each sample is then an O(holders) dict copy instead of an
+    O(configuration) re-walk, with identical (exact) values.  On the
+    reference engine, and after the delta engine falls back on an
+    escape, each sample walks the configuration
+    (:func:`blame_configuration`, the oracle).
+    ``incremental_samples`` counts how many samples the delta served.
+    """
+
+    def __init__(self, every: int = 1, series_capacity: int = 256):
+        super().__init__(every, series_capacity)
+        self.incremental_samples = 0
+        self._inc: Optional[IncrementalBlame] = None
+        self.at_peak: Dict[str, int] = {}
+        self.totals: Dict[str, int] = {}
+        self.history: List[Tuple[int, int, int]] = []
+
     def attach_engine(self, meter) -> None:
-        """Wire the incremental delta into the delta engine
-        (called by ``run_metered`` after :meth:`bind`; a no-op unless
-        ``incremental=True`` and the engine supports the hook)."""
-        if not self.incremental or not hasattr(meter, "blame_inc"):
+        """Wire the incremental delta into an engine that offers one
+        (called by ``run_metered`` after :meth:`bind`)."""
+        if not hasattr(meter, "blame_inc"):
             return
         inc = IncrementalBlame(self.linked, self.fixed_precision)
         meter.blame_inc = inc
@@ -545,9 +623,7 @@ class BlameProfiler:
         """One measured configuration; called by ``run_metered`` at
         every measure point (step 0, each transition, the pre-GC
         final)."""
-        count = self.observed
-        self.observed = count + 1
-        if count % self.every:
+        if not self._due():
             return
         inc = self._inc
         if inc is not None and inc.active:
@@ -557,64 +633,16 @@ class BlameProfiler:
             blame = blame_configuration(
                 configuration, self.linked, self.fixed_precision
             )
-        sample_index = self.sampled
-        self.sampled = sample_index + 1
         totals = self.totals
         total = 0
         for key, words in blame.items():
             totals[key] = totals.get(key, 0) + words
             total += words
         self.history.append((step, space, total))
-        if space > self.peak_space:
-            self.peak_space = space
-            self.peak_step = step
-            self.at_peak = blame
-        capacity = self.series_capacity
-        if capacity and sample_index % self.series_stride == 0:
-            if len(self._series_steps) >= capacity:
-                self._series_steps = self._series_steps[::2]
-                self._series_spaces = self._series_spaces[::2]
-                self._series_blames = self._series_blames[::2]
-                self.series_stride *= 2
-                if sample_index % self.series_stride:
-                    return
-            self._series_steps.append(step)
-            self._series_spaces.append(space)
-            self._series_blames.append(blame)
+        self._record(step, space, blame, blame)
 
-    def series(self, include_peak: bool = True) -> BlameSeries:
-        """The retained per-holder time-series as a :class:`BlameSeries`.
-
-        ``include_peak`` splices the peak snapshot back in (in step
-        order) when compaction dropped it — the sup is the one sample a
-        space story cannot lose.  Every point is an original sampled
-        decomposition, so the exactness invariant holds pointwise.
-        """
-        steps = list(self._series_steps)
-        spaces = list(self._series_spaces)
-        blames = [dict(blame) for blame in self._series_blames]
-        if (
-            include_peak
-            and self.peak_space >= 0
-            and self.at_peak
-            and self.peak_step not in steps
-        ):
-            at = next(
-                (i for i, step in enumerate(steps) if step > self.peak_step),
-                len(steps),
-            )
-            steps.insert(at, self.peak_step)
-            spaces.insert(at, self.peak_space)
-            blames.insert(at, dict(self.at_peak))
-        return BlameSeries(
-            machine=self.machine or "",
-            linked=self.linked,
-            fixed_precision=self.fixed_precision,
-            steps=steps,
-            spaces=spaces,
-            blames=blames,
-            stride=self.series_stride,
-        )
+    def _peak_point(self) -> Optional[Dict[str, int]]:
+        return dict(self.at_peak) if self.at_peak else None
 
     def mean(self) -> Dict[str, float]:
         """The average blame profile over the sampled configurations."""
@@ -683,9 +711,7 @@ def trace_run(
     machine = make_stepper(machine_name, stepper)
     bus = TraceBus(capacity=capacity, sample=sample, sink=sink, retain=retain)
     metrics = MetricsRegistry()
-    blame = BlameProfiler(
-        every=blame_every, series_capacity=series_capacity, incremental=True
-    )
+    blame = BlameProfiler(every=blame_every, series_capacity=series_capacity)
     retention = None
     if retention_every > 0:
         from .retention import RetentionProfiler

@@ -184,58 +184,6 @@ class JsonlStreamWriter:
         self.close()
 
 
-class LineTee:
-    """A file-like that fans every line out to one *primary* handle
-    plus any number of detachable *mirrors* — the socket-sink shim.
-
-    Point a :class:`JsonlStreamWriter` at a ``LineTee`` whose primary
-    is the server-side spool file and whose mirror is a response
-    socket's ``makefile("w")``: both sides see byte-identical lines.
-    A mirror that raises ``OSError``/``ValueError`` on write or flush
-    (the client dropped the connection) is silently detached — the
-    primary stream is unaffected, so the spool still ends with the
-    writer's closing receipt.  The primary's errors propagate: losing
-    the spool is a real failure.
-    """
-
-    def __init__(self, primary, *mirrors):
-        self._primary = primary
-        self._mirrors = list(mirrors)
-
-    @property
-    def mirrors(self) -> int:
-        """How many mirrors are still attached."""
-        return len(self._mirrors)
-
-    def attach(self, mirror) -> None:
-        self._mirrors.append(mirror)
-
-    def detach(self, mirror) -> None:
-        if mirror in self._mirrors:
-            self._mirrors.remove(mirror)
-
-    def _fan(self, op: str, *args) -> None:
-        for mirror in list(self._mirrors):
-            try:
-                getattr(mirror, op)(*args)
-            except (OSError, ValueError):
-                self._mirrors.remove(mirror)
-
-    def write(self, text: str) -> int:
-        count = self._primary.write(text)
-        self._fan("write", text)
-        return count
-
-    def flush(self) -> None:
-        self._primary.flush()
-        self._fan("flush")
-
-    def close(self) -> None:
-        """Close the primary; mirrors are borrowed, so only flushed."""
-        self._fan("flush")
-        self._primary.close()
-
-
 def read_jsonl(path: str) -> List[Event]:
     """Read the events back (meta line skipped)."""
     events: List[Event] = []
@@ -690,7 +638,6 @@ def validate_retention_jsonl(path: str) -> dict:
 
 __all__ = [
     "JsonlStreamWriter",
-    "LineTee",
     "chrome_blame_counter_events",
     "chrome_trace_events",
     "read_jsonl",

@@ -6,10 +6,11 @@ are still live*.  A :class:`RetentionSnapshot` is a rooted graph over
 one configuration:
 
 - the roots are exactly the GC roots of :func:`repro.machine.gc.
-  state_roots` — the register environment, every continuation frame,
-  and the accumulator — plus one synthetic root for store cells that
-  are unreachable but still charged (observations happen *before* the
-  step's collection, so pre-GC garbage is part of the measured space);
+  configuration_roots` — the register environment, every continuation
+  frame, and the accumulator — plus one synthetic root for store cells
+  that are unreachable but still charged (observations happen *before*
+  the step's collection, so pre-GC garbage is part of the measured
+  space);
 - the edges mirror :func:`repro.machine.gc.reachable_locations`'
   traversal exactly: environment ribs, frame-held locations and parked
   values, closure environments, pair/vector slots, and the frames
@@ -36,13 +37,13 @@ On top of the graph two analyses answer "why is this word live":
 
 :class:`RetentionProfiler` samples snapshots over a metered run (the
 cadence and bounded-series discipline of
-:class:`~repro.telemetry.blame.BlameProfiler`, reusing
-:class:`~repro.telemetry.blame.BlameSeries` for the per-root retained
-time-series), :func:`retention_diff` compares two runs' peak snapshots
-per root class (the gc-vs-tail separator gap is literally the
-Return-kont rows), and :meth:`RetentionSnapshot.folded_stacks` emits
-the dominator tree as a folded-stacks flamegraph
-(:func:`repro.telemetry.export.write_flamegraph`).
+:class:`~repro.telemetry.blame.Sampler`, shared with the blame
+profiler, and :class:`~repro.telemetry.blame.BlameSeries` for the
+per-root retained time-series), :func:`retention_diff` compares two
+runs' peak snapshots per root class (the gc-vs-tail separator gap is
+literally the Return-kont rows), and
+:meth:`RetentionSnapshot.folded_stacks` emits the dominator tree as a
+folded-stacks flamegraph (:func:`repro.telemetry.export.write_flamegraph`).
 """
 
 from __future__ import annotations
@@ -50,13 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..machine.config import Final
 from ..machine.continuation import CallK, Push, chain
-from ..machine.gc import reachable_locations, state_roots
+from ..machine.gc import configuration_roots, reachable_locations
 from ..machine.values import Closure, Escape, Pair, Vector
 from ..space.flat import value_space
 from ..space.linked import value_structural
-from .blame import BlameSeries, _kont_label, _value_label, holder_class, node_label
+from .blame import Sampler, _kont_label, _value_label, holder_class, node_label
 
 #: Root label for store cells kept alive by more than one root (their
 #: immediate dominator is the super-root, so no single root owns them).
@@ -418,15 +418,9 @@ def retention_snapshot(
             else configuration_space(configuration, fixed_precision)
         )
     store = configuration.store
-    is_final = isinstance(configuration, Final)
-    if is_final:
-        root_values: Tuple = (configuration.value,)
-        env = None
-        kont = None
-        acc = configuration.value
-    else:
-        root_values, env, kont = state_roots(configuration)
-        acc = configuration.control if configuration.is_value else None
+    root_values, env, kont = configuration_roots(configuration)
+    # The one root value, when there is one, is the accumulator.
+    acc = root_values[0] if root_values else None
     reachable = reachable_locations(store, root_values, env, kont)
     unreachable = sorted(
         location for location in store.locations() if location not in reachable
@@ -612,53 +606,32 @@ def retention_snapshot(
     )
 
 
-class RetentionProfiler:
+class RetentionProfiler(Sampler):
     """Samples retention snapshots over a metered run.
 
-    The observation contract is :class:`~repro.telemetry.blame.
-    BlameProfiler`'s: ``run_metered`` calls :meth:`observe` at every
-    measure point with the configuration and the space it measured;
-    ``every=k`` snapshots every k-th observation.  Additionally the
-    loop calls :meth:`pre_step` before each transition so allocation
-    sites can be stamped (wired into the engine's store hooks by
-    :meth:`attach_engine`; zero work when no profiler is attached).
+    The observation contract and the sampling discipline are
+    :class:`~repro.telemetry.blame.Sampler`'s, shared with
+    :class:`~repro.telemetry.blame.BlameProfiler`: ``run_metered``
+    calls :meth:`observe` at every measure point with the configuration
+    and the space it measured; ``every=k`` snapshots every k-th
+    observation.  Additionally the loop calls :meth:`pre_step` before
+    each transition so allocation sites can be stamped (wired into the
+    engine's store hooks by :meth:`attach_engine`; zero work when no
+    profiler is attached).
 
     Retains: the full snapshot at the peak (``at_peak`` — flamegraphs
     and why-live paths read it), a per-sample exactness receipt
     ``history`` of (step, space, self-sum, root-partition-sum) tuples,
-    and a bounded per-root retained-size time-series with the blame
-    profiler's stride-doubling compaction, exposed as a
+    and a bounded per-root retained-size time-series, exposed as a
     :class:`~repro.telemetry.blame.BlameSeries` (every point's values
     sum to that point's measured space).
     """
 
     def __init__(self, every: int = 1, series_capacity: int = 256):
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        if series_capacity < 0:
-            raise ValueError("series_capacity must be >= 0")
-        self.every = every
-        self.series_capacity = series_capacity
+        super().__init__(every, series_capacity)
         self.sites = AllocSites()
-        self.machine: Optional[str] = None
-        self.linked = False
-        self.fixed_precision = False
-        self.observed = 0
-        self.sampled = 0
-        self.peak_space = -1
-        self.peak_step = 0
         self.at_peak: Optional[RetentionSnapshot] = None
         self.history: List[Tuple[int, int, int, int]] = []
-        self.series_stride = 1
-        self._series_steps: List[int] = []
-        self._series_spaces: List[int] = []
-        self._series_roots: List[Dict[str, int]] = []
-
-    def bind(self, machine: str, linked: bool, fixed_precision: bool) -> None:
-        """Called by the meter before the run starts."""
-        self.machine = machine
-        self.linked = linked
-        self.fixed_precision = fixed_precision
 
     def attach_engine(self, meter) -> None:
         """Wire the allocation-site sink into the engine's store hooks
@@ -670,9 +643,7 @@ class RetentionProfiler:
         self.sites.pre_step(state, steps)
 
     def observe(self, configuration, space: int, step: int) -> None:
-        count = self.observed
-        self.observed = count + 1
-        if count % self.every:
+        if not self._due():
             return
         snapshot = retention_snapshot(
             configuration,
@@ -683,58 +654,16 @@ class RetentionProfiler:
             step=step,
             space=space,
         )
-        sample_index = self.sampled
-        self.sampled = sample_index + 1
         roots = snapshot.root_retention()
         self.history.append(
             (step, space, sum(snapshot.selfs), sum(roots.values()))
         )
-        if space > self.peak_space:
-            self.peak_space = space
-            self.peak_step = step
-            self.at_peak = snapshot
-        capacity = self.series_capacity
-        if capacity and sample_index % self.series_stride == 0:
-            if len(self._series_steps) >= capacity:
-                self._series_steps = self._series_steps[::2]
-                self._series_spaces = self._series_spaces[::2]
-                self._series_roots = self._series_roots[::2]
-                self.series_stride *= 2
-                if sample_index % self.series_stride:
-                    return
-            self._series_steps.append(step)
-            self._series_spaces.append(space)
-            self._series_roots.append(roots)
+        self._record(step, space, roots, snapshot)
 
-    def series(self, include_peak: bool = True) -> BlameSeries:
-        """The per-root retained time-series as a
-        :class:`~repro.telemetry.blame.BlameSeries` (root labels as
-        holders; each point's values sum to its measured space)."""
-        steps = list(self._series_steps)
-        spaces = list(self._series_spaces)
-        roots = [dict(point) for point in self._series_roots]
-        if (
-            include_peak
-            and self.peak_space >= 0
-            and self.at_peak is not None
-            and self.peak_step not in steps
-        ):
-            at = next(
-                (i for i, step in enumerate(steps) if step > self.peak_step),
-                len(steps),
-            )
-            steps.insert(at, self.peak_step)
-            spaces.insert(at, self.peak_space)
-            roots.insert(at, self.at_peak.root_retention())
-        return BlameSeries(
-            machine=self.machine or "",
-            linked=self.linked,
-            fixed_precision=self.fixed_precision,
-            steps=steps,
-            spaces=spaces,
-            blames=roots,
-            stride=self.series_stride,
-        )
+    def _peak_point(self) -> Optional[Dict[str, int]]:
+        if self.at_peak is None:
+            return None
+        return self.at_peak.root_retention()
 
 
 def retention_diff(left: RetentionSnapshot, right: RetentionSnapshot) -> dict:

@@ -289,8 +289,8 @@ def test_blame_by_class_is_an_exact_regrouping():
 def test_trace_run_blames_incrementally_and_matches_the_walk(linked):
     """``repro trace`` samples the meter's incremental decomposition
     instead of re-walking the configuration, and every table it reports
-    equals that of a profiler walking each sampled configuration on the
-    same run."""
+    equals that of a profiler walking each sampled configuration of the
+    same computation (the reference engine offers no delta)."""
     from repro.space.consumption import prepare_input
     from repro.space.meter import run_metered
 
@@ -300,7 +300,7 @@ def test_trace_run_blames_incrementally_and_matches_the_walk(linked):
     walked = BlameProfiler()
     result = run_metered(
         make_machine("gc"), prepare_program(BUILD), prepare_input("12"),
-        linked=linked, gc_interval=1, blame=walked,
+        linked=linked, gc_interval=1, engine="reference", blame=walked,
     )
     assert walked.incremental_samples == 0
     assert (result.steps, result.sup_space) == (

@@ -541,3 +541,39 @@ class TestProgramErrors:
         monkeypatch.setattr(repro.cli, "run", broken)
         with pytest.raises(KeyError):
             main(["run", loop_file, "--arg", "5"])
+
+
+#: One bad value per option that takes a count or a list of numbers,
+#: with the usage error it must end in.
+OPTION_ERROR_CASES = [
+    (("sweep", "--ns", "8,x"),
+     "argument --ns: want comma-separated integers, got '8,x'"),
+    (("sweep", "--checkpoint-every", "0"),
+     "argument --checkpoint-every: must be at least 1, got 0"),
+    (("run", "--meter", "--gc-interval", "0"),
+     "argument --gc-interval: must be at least 1, got 0"),
+    (("run", "--meter", "--gc-interval", "-1"),
+     "argument --gc-interval: must be at least 1, got -1"),
+    (("trace", "--gc-interval", "0"),
+     "argument --gc-interval: must be at least 1, got 0"),
+    (("trace", "--blame-every", "0"),
+     "argument --blame-every: must be at least 1, got 0"),
+    (("trace", "--capacity", "0"),
+     "argument --capacity: must be at least 1, got 0"),
+]
+
+
+class TestOptionErrors:
+    """A bad option value ends a command in a usage error (exit 2),
+    neither a traceback nor a run that silently uses it."""
+
+    @pytest.mark.parametrize("argv,message", OPTION_ERROR_CASES)
+    def test_bad_option_value_is_a_usage_error(self, argv, message):
+        command, *options = argv
+        done = _repro(command, "-", "--arg", "8", *options,
+                      stdin="(define (f n) (if (zero? n) 0 (f (- n 1))))")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.strip().splitlines()[-1] == (
+            f"repro {command}: error: {message}"
+        )

@@ -31,17 +31,32 @@ class TestRunMetered:
         assert result.consumption == result.program_size + result.sup_space
 
     def test_trace_recording(self):
+        """A trace bus records the run's space over time: one ``space``
+        event per measured configuration, peaking at the sup."""
+        from repro.space.consumption import prepare_input
+        from repro.telemetry.bus import TraceBus
+
         machine = TailMachine()
         program = prepare_program(LOOP)
+        bus = TraceBus()
+        result = run_metered(machine, program, prepare_input("10"), trace=bus)
+        spaces = [(e.step, e.value) for e in bus.events if e.kind == "space"]
+        assert len(spaces) == result.steps + 1
+        steps = [s for s, _ in spaces]
+        assert steps == sorted(steps)
+        assert max(space for _, space in spaces) == result.sup_space
+
+    def test_gc_interval_must_be_positive(self):
         from repro.space.consumption import prepare_input
 
-        result = run_metered(
-            machine, program, prepare_input("10"), trace_every=5
-        )
-        assert len(result.trace) >= 2
-        steps = [s for s, _ in result.trace]
-        assert steps == sorted(steps)
-        assert max(space for _, space in result.trace) <= result.sup_space
+        for gc_interval in (0, -1):
+            with pytest.raises(ValueError, match="gc_interval"):
+                run_metered(
+                    TailMachine(),
+                    prepare_program(LOOP),
+                    prepare_input("1"),
+                    gc_interval=gc_interval,
+                )
 
     def test_peak_step_consistent_with_trace(self):
         machine = TailMachine()
@@ -131,31 +146,6 @@ class TestSweep:
             argument_for=lambda n: str(2 * n),
         )
         assert len(totals) == 2
-
-
-class TestGcWhenAblation:
-    def test_store_change_schedule_close_to_canonical(self):
-        from repro.space.consumption import prepare_input
-
-        machine = TailMachine()
-        program = prepare_program(LOOP)
-        argument = prepare_input("40")
-        always = run_metered(machine, program, argument).sup_space
-        lazy = run_metered(
-            TailMachine(), program, argument, gc_when="store-change"
-        ).sup_space
-        assert always <= lazy <= always + 8
-
-    def test_unknown_schedule_rejected(self):
-        from repro.space.consumption import prepare_input
-
-        with pytest.raises(ValueError, match="gc_when"):
-            run_metered(
-                TailMachine(),
-                prepare_program(LOOP),
-                prepare_input("1"),
-                gc_when="sometimes",
-            )
 
 
 class TestTrimGlobals:

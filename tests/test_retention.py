@@ -202,7 +202,7 @@ def test_unreachable_root_carries_pre_gc_garbage():
     # unreachable root so live-path attribution stays honest.
     _result, profiler = retention_run("gc", BUILD, "8", gc_interval=16)
     seen = set()
-    for point in profiler._series_roots:
+    for point in profiler.series(include_peak=False).blames:
         seen.update(point)
     assert UNREACHABLE_LABEL in seen
 

@@ -855,6 +855,43 @@ def test_serve_sigterm_stops_its_pool_workers():
         server.stdout.close()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_pool_workers_exit_when_their_owner_is_killed():
+    """SIGKILL leaves a pool's owner no chance to shut the pool down:
+    its idle workers notice they were orphaned and exit on their own."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+    )
+    owner = subprocess.Popen(
+        [sys.executable, "-c",
+         "import time\n"
+         "from repro.harness.sweep import WorkerPool\n"
+         "pool = WorkerPool(workers=2)\n"
+         "print(*pool.pids(), flush=True)\n"
+         "time.sleep(60)\n"],
+        stdout=subprocess.PIPE, env=env, text=True,
+    )
+    workers = set()
+    try:
+        workers = {int(pid) for pid in owner.stdout.readline().split()}
+        assert len(workers) == 2, workers
+        owner.kill()
+        owner.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, [
+                pid for pid in workers if _alive(pid)
+            ]
+            time.sleep(0.05)
+    finally:
+        for pid in [owner.pid, *workers]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        owner.wait(timeout=30)
+        owner.stdout.close()
+
+
 # -- exit codes: one source of truth -----------------------------------
 
 

@@ -76,12 +76,17 @@ class TestStore:
         assert (store.space_bignum, store.space_fixed) == store.checkpoint_spaces()
 
     def test_version_bumps(self):
+        """``mut_version`` is the sampled meter's write barrier: it
+        moves on writes and deletions, never on allocation."""
         store = Store()
-        before = store.version
+        before = store.mut_version
         loc = store.alloc(NIL)
+        store.alloc_many([TRUE, NIL])
+        assert store.mut_version == before
         store.write(loc, TRUE)
+        assert store.mut_version == before + 1
         store.delete_many([loc])
-        assert store.version == before + 3
+        assert store.mut_version == before + 2
 
 
 class TestEnvironment:

@@ -152,7 +152,7 @@ def test_aggregate_series_merges_the_grid():
 def test_blame_cells_merge_to_the_walked_table():
     """Sweep's blame cells profile incrementally; the merged table is
     the one profilers walking each sampled configuration give on the
-    same cells."""
+    same cells (run on the reference engine, which offers no delta)."""
     from repro.space.consumption import measure
     from repro.telemetry.blame import BlameProfiler, BlameSeries
 
@@ -164,7 +164,7 @@ def test_blame_cells_merge_to_the_walked_table():
         measure(
             cell.machine, cell.program, cell.argument,
             linked=cell.linked, fixed_precision=cell.fixed_precision,
-            engine=cell.engine, meter=cell.meter,
+            engine="reference", meter=cell.meter,
             checkpoint_every=cell.checkpoint_every,
             gc_interval=cell.gc_interval, step_limit=cell.step_limit,
             blame=profiler,

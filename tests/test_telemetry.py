@@ -19,7 +19,6 @@ from repro.telemetry.blame import trace_run
 from repro.telemetry.bus import EVENT_KINDS, Event, TraceBus, replay
 from repro.telemetry.export import (
     JsonlStreamWriter,
-    LineTee,
     read_jsonl,
     validate_chrome_trace,
     validate_jsonl,
@@ -508,59 +507,3 @@ def test_stream_writer_socket_sink_is_byte_identical(tmp_path):
     info = validate_jsonl(path)
     assert info["events"] == len(events)
     assert info["meta"]["closing"] is True
-
-
-class _DropsAfter:
-    """A mirror handle that accepts n writes, then dies like a closed
-    socket (EPIPE on every later operation)."""
-
-    def __init__(self, n):
-        self.n = n
-        self.chunks = []
-
-    def _gate(self):
-        if self.n <= 0:
-            raise OSError(32, "Broken pipe")
-
-    def write(self, text):
-        self._gate()
-        self.n -= 1
-        self.chunks.append(text)
-
-    def flush(self):
-        self._gate()
-
-
-def test_line_tee_dropped_mirror_leaves_spool_valid(tmp_path):
-    """The serving contract for a dropped stream consumer: the tap is
-    detached on its first failure, the primary spool keeps every line
-    and still closes into a schema-valid receipt stream with its
-    closing record, and the tap saw a byte-exact prefix of the spool."""
-    from repro.serving.protocol import validate_job_stream
-
-    path = tmp_path / "spool.jsonl"
-    tap = _DropsAfter(3)
-    with open(path, "w", encoding="utf-8") as handle:
-        tee = LineTee(handle)
-        tee.attach(tap)
-        writer = JsonlStreamWriter(tee, meta={"stream": "serve-receipts"},
-                                   flush_every=1)
-        for i in range(10):
-            writer.write_record({"kind": "progress", "step": i,
-                                 "consumption": i, "job": "job-000001",
-                                 "tenant": "t", "seq": i})
-        assert tee.mirrors == 0  # dropped on its own OSError
-        writer.write_record({"kind": "result", "answer": "0", "steps": 10,
-                             "sup_space": 3, "consumption": 7,
-                             "machine": "gc", "accounting": "flat",
-                             "job": "job-000001", "tenant": "t", "seq": 10})
-        writer.close()
-        tee.close()
-
-    info = validate_job_stream(str(path))
-    assert info["receipts"] == 11
-    assert info["terminal"] == "result"
-    assert info["meta"]["closing"] is True
-    prefix = "".join(tap.chunks)
-    assert prefix  # the tap did see the live stream before dying
-    assert path.read_text().startswith(prefix)
