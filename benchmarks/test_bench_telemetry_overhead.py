@@ -1,10 +1,12 @@
 """Telemetry overhead — the zero-cost-when-disabled contract.
 
-The trace bus hangs off every machine as a ``trace`` attribute that
-the fused run loop checks once per batch; the metrics and blame hooks
-live behind ``is None`` tests in the meter.  The acceptance criterion
-for the telemetry stack is that a machine with telemetry *disabled*
-(the only state tier-1 runs ever see) keeps at least 90% of the
+The trace bus is handed to the run drivers, never to a machine:
+``run_to_final(..., trace=bus)`` steps a traced run one transition at
+a time, and an untraced one runs the fused loop with no telemetry
+check in it; the metrics and blame hooks live behind ``is None`` tests
+in the meter.  The acceptance criterion for the telemetry stack is
+that a machine with telemetry *disabled* (the only state tier-1 runs
+ever see) keeps at least 90% of the
 steps/second recorded in ``BENCH_step_rate.json``'s
 ``after_steps_per_second`` baselines (the default stepper) on the
 same workload.
@@ -90,8 +92,8 @@ def overhead_log():
 @pytest.mark.telemetry_overhead
 @pytest.mark.parametrize("name", MACHINES)
 def test_bench_telemetry_off_overhead(overhead_log, name):
-    """Telemetry disabled (trace attribute None) keeps >= 90% of the
-    recorded fused-loop step rate."""
+    """Telemetry disabled (no bus handed to ``run_to_final``) keeps
+    >= 90% of the recorded fused-loop step rate."""
     rates = _baseline_rates()
     if name not in rates:
         pytest.skip(
@@ -100,7 +102,6 @@ def test_bench_telemetry_off_overhead(overhead_log, name):
         )
     baseline = rates[name]
     machine = make_machine(name)
-    assert machine.trace is None  # the tier-1 default
 
     def run_once():
         _final, steps = run_to_final(machine, PROGRAM, ARGUMENT)
@@ -123,7 +124,7 @@ def test_bench_telemetry_off_overhead(overhead_log, name):
 @pytest.mark.telemetry_overhead
 def test_bench_telemetry_on_ratio(overhead_log):
     """For the record: the cost of actually tracing (unmetered, step
-    events only, against the same machine with the bus detached).
+    events only, against the same machine run without a bus).
     No ceiling asserted — the traced path is allowed to be slow — but
     the trace must see every transition."""
     machine = make_machine("tail")
@@ -135,11 +136,8 @@ def test_bench_telemetry_on_ratio(overhead_log):
     off_rate, steps = _best_rate(run_once)
 
     def run_traced():
-        machine.trace = TraceBus(capacity=4096, sample={"step": 64})
-        try:
-            _final, steps = run_to_final(machine, PROGRAM, ARGUMENT)
-        finally:
-            bus, machine.trace = machine.trace, None
+        bus = TraceBus(capacity=4096, sample={"step": 64})
+        _final, steps = run_to_final(machine, PROGRAM, ARGUMENT, trace=bus)
         assert bus.steps == steps
         return steps
 

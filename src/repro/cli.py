@@ -27,6 +27,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import signal
 import sys
 from typing import List, Optional
@@ -77,15 +78,40 @@ PROGRAM_ERRORS = (
 )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1 (an interval
-    or a cadence); a bad value ends the command with a usage error."""
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {minimum}, got {value}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count, limit, interval or cadence that must
+    be at least 1; a bad value ends the command with a usage error."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for a count that may be 0: a profiler's cadence
+    or a retry budget (0 is off), or a table's row limit."""
+    return _int_at_least(text, 0)
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type for a finite, positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}"
+        )
     return value
 
 
@@ -106,24 +132,49 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
-def _trace_paths(base: str) -> "tuple":
-    """(jsonl, chrome) output paths for a ``--trace-out`` base: the
-    JSONL log goes to the base itself, the Chrome/Perfetto trace next
-    to it with a ``.chrome.json`` suffix."""
-    stem = base[:-6] if base.endswith(".jsonl") else base
-    return base, f"{stem}.chrome.json"
+def _output_path(base: str, ext: str, machine: str = "",
+                 companion: str = "") -> str:
+    """Where an export given the path *base* goes: *base* itself, or
+    ``stem.MACHINE.ext`` when a command writes one file per machine
+    (*stem* is *base* without *ext*).  A *companion* file written next
+    to it (``.chrome.json`` beside a JSONL trace) is always
+    ``stem[.MACHINE]companion``."""
+    stem = base[: -len(ext)] if base.endswith(ext) else base
+    tag = f".{machine}" if machine else ""
+    if companion:
+        return f"{stem}{tag}{companion}"
+    return f"{stem}{tag}{ext}" if machine else base
 
 
-def _export_trace(bus, base: str) -> None:
+def _export_trace(bus, base: str, machine: str = "", blame=None) -> None:
+    """Write *bus* as JSONL to *base* and as a Chrome/Perfetto trace to
+    ``stem.chrome.json`` (per machine: see :func:`_output_path`)."""
     from .telemetry.export import write_chrome_trace, write_jsonl
 
-    jsonl_path, chrome_path = _trace_paths(base)
+    jsonl_path = _output_path(base, ".jsonl", machine)
+    chrome_path = _output_path(base, ".jsonl", machine, ".chrome.json")
     events = write_jsonl(bus, jsonl_path)
-    write_chrome_trace(bus, chrome_path)
+    write_chrome_trace(bus, chrome_path, blame=blame)
     print(
         f"; trace: {events} events -> {jsonl_path} (+ {chrome_path})",
         file=sys.stderr,
     )
+
+
+def _print_retention(snapshot, scope: str, limit: int) -> None:
+    """Print a peak retention snapshot: retained words per dominating
+    root, then why-live paths to its largest retained cells; *scope*
+    names the run in both titles."""
+    print(render_blame_table(
+        snapshot.root_retention(),
+        total=snapshot.space,
+        title=(
+            f"retention at peak [{scope}, step {snapshot.step}] — "
+            "retained words per dominating root"
+        ),
+        limit=limit,
+    ))
+    print(render_why_live(snapshot, top=3, title=f"why live [{scope}]"))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -305,23 +356,8 @@ def _cmd_retention(args: argparse.Namespace) -> int:
                 fixed_precision=True,
                 step_limit=2_000_000,
             )
-            snapshot = profiler.at_peak
-            snapshots[machine] = snapshot
-            print(render_blame_table(
-                snapshot.root_retention(),
-                total=snapshot.space,
-                title=(
-                    f"retention at peak [{name} on {machine}, "
-                    f"step {snapshot.step}] — "
-                    "retained words per dominating root"
-                ),
-                limit=12,
-            ))
-            print(render_why_live(
-                snapshot,
-                top=3,
-                title=f"why live [{name} on {machine}]",
-            ))
+            snapshots[machine] = profiler.at_peak
+            _print_retention(profiler.at_peak, f"{name} on {machine}", 12)
         if args.diff:
             diff = retention_diff(
                 snapshots[args.machine], snapshots[args.diff]
@@ -493,7 +529,7 @@ def _print_fusion_suggestions(source, machine=None, top=None) -> None:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .telemetry.blame import trace_run
-    from .telemetry.export import write_chrome_trace, write_jsonl, write_metrics
+    from .telemetry.export import write_metrics
     from .telemetry.metrics import step_mix
 
     if args.metrics_in:
@@ -521,16 +557,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     accounting = "U" if args.linked else "S"
     retention_on = bool(args.retention_top or args.flamegraph)
     for name in machines:
+        # Several machines write one file per machine.
+        tag = name if len(machines) > 1 else ""
         writer = None
         if args.stream:
             from .telemetry.export import JsonlStreamWriter
 
-            suffix = f".{name}" if len(machines) > 1 else ""
-            stem = (
-                args.stream[:-6]
-                if args.stream.endswith(".jsonl") else args.stream
-            )
-            stream_path = f"{stem}{suffix}.jsonl" if suffix else args.stream
+            stream_path = _output_path(args.stream, ".jsonl", tag)
             writer = JsonlStreamWriter(stream_path, meta={"machine": name})
         try:
             session = trace_run(
@@ -590,35 +623,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if retention_on:
             snapshot = session.retention.at_peak
             if args.retention_top:
-                print(render_blame_table(
-                    snapshot.root_retention(),
-                    total=snapshot.space,
-                    title=(
-                        f"retention at peak [{name}, "
-                        f"step {snapshot.step}] — "
-                        "retained words per dominating root"
-                    ),
-                    limit=args.retention_top,
-                ))
-                print(render_why_live(
-                    snapshot, top=3, title=f"why live [{name}]"
-                ))
+                _print_retention(snapshot, name, args.retention_top)
             if args.flamegraph:
                 from .telemetry.export import (
                     write_flamegraph,
                     write_retention_jsonl,
                 )
 
-                suffix = f".{name}" if len(machines) > 1 else ""
-                stem = (
-                    args.flamegraph[:-7]
-                    if args.flamegraph.endswith(".folded")
-                    else args.flamegraph
+                folded_path = _output_path(args.flamegraph, ".folded", tag)
+                retention_path = _output_path(
+                    args.flamegraph, ".folded", tag, ".retention.jsonl"
                 )
-                folded_path = (
-                    f"{stem}{suffix}.folded" if suffix else args.flamegraph
-                )
-                retention_path = f"{stem}{suffix}.retention.jsonl"
                 stacks = write_flamegraph(snapshot, folded_path)
                 nodes = write_retention_jsonl(snapshot, retention_path)
                 print(
@@ -627,31 +642,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
         if args.trace_out:
-            suffix = f".{name}" if len(machines) > 1 else ""
-            base, chrome = _trace_paths(args.trace_out)
-            stem = base[:-6] if base.endswith(".jsonl") else base
-            jsonl_path = (
-                f"{stem}{suffix}.jsonl" if suffix else base
-            )
-            chrome_path = (
-                f"{stem}{suffix}.chrome.json" if suffix else chrome
-            )
-            events = write_jsonl(session.bus, jsonl_path)
-            write_chrome_trace(session.bus, chrome_path, blame=blame.series())
-            print(
-                f"; trace: {events} events -> {jsonl_path} "
-                f"(+ {chrome_path})",
-                file=sys.stderr,
-            )
+            _export_trace(session.bus, args.trace_out, tag, blame.series())
         if args.metrics:
-            suffix = f".{name}" if len(machines) > 1 else ""
-            stem = (
-                args.metrics[:-5]
-                if args.metrics.endswith(".json") else args.metrics
-            )
-            metrics_path = (
-                f"{stem}{suffix}.json" if suffix else args.metrics
-            )
+            metrics_path = _output_path(args.metrics, ".json", tag)
             write_metrics(session.metrics, metrics_path, machine=name)
             print(f"; metrics -> {metrics_path}", file=sys.stderr)
     return 0
@@ -768,7 +761,22 @@ def _poll_job(url: str, job: str, poll_interval: float) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit to a running `repro serve`; exit codes are the
     :data:`repro.serving.protocol.EXIT_CODES` table (0 done, 1
-    error/rejected, 3 quota-killed, 4 deferred)."""
+    error/rejected, 3 quota-killed, 4 deferred).  A server that cannot
+    be reached ends the command in one stderr line and exit 1."""
+    import urllib.error
+
+    if args.batch_args and args.arg is not None:
+        raise SystemExit("submit: use --arg or --batch-args, not both")
+    url = args.url.rstrip("/")
+    try:
+        return _submit(args, url)
+    except urllib.error.URLError as error:
+        print(f"repro submit: cannot reach {url}: {error.reason}",
+              file=sys.stderr)
+        return 1
+
+
+def _submit(args: argparse.Namespace, url: str) -> int:
     import json
 
     source = _read_source(args.program)
@@ -785,11 +793,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         payload["budget"] = args.budget
     if args.step_limit is not None:
         payload["step_limit"] = args.step_limit
-    url = args.url.rstrip("/")
 
     if args.batch_args:
-        if args.arg is not None:
-            raise SystemExit("submit: use --arg or --batch-args, not both")
         jobs = []
         for argument in args.batch_args.split(","):
             member = dict(payload)
@@ -856,7 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="Figure 8 (linked) accounting")
     run_parser.add_argument("--fixed-precision", action="store_true",
                             help="charge every number one word")
-    run_parser.add_argument("--step-limit", type=int, default=5_000_000)
+    run_parser.add_argument(
+        "--step-limit", type=_positive_int, default=5_000_000
+    )
     run_parser.add_argument(
         "--stepper", default="annotated", choices=STEPPERS,
         help="transition function: the fused gen-2 stepper "
@@ -967,11 +974,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixed-precision", action="store_true", default=True
     )
     sweep_parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes for the measurement grid (default serial)",
     )
     sweep_parser.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_positive_seconds, default=None,
         help="per-cell timeout in seconds (parallel runs only)",
     )
     sweep_parser.add_argument(
@@ -1004,19 +1011,20 @@ def build_parser() -> argparse.ArgumentParser:
         "and PATH-stem.chrome.json",
     )
     sweep_parser.add_argument(
-        "--trace-sample", type=int, default=0, metavar="K",
+        "--trace-sample", type=_non_negative_int, default=0, metavar="K",
         help="attach a sampled TraceBus to every cell (keep every K-th "
         "step/apply event) and ship the events back over the worker "
         "channel; prints the aggregated replay summary",
     )
     sweep_parser.add_argument(
-        "--blame-every", type=int, default=0, metavar="K",
+        "--blame-every", type=_non_negative_int, default=0, metavar="K",
         help="attach a blame profiler to every cell (decompose every "
         "K-th measured configuration), ship the per-cell BlameSeries "
         "back, and print the merged who-holds-the-space table",
     )
     sweep_parser.add_argument(
-        "--retention-sample", type=int, default=0, metavar="K",
+        "--retention-sample", type=_non_negative_int, default=0,
+        metavar="K",
         help="attach a why-live retention profiler to every cell "
         "(snapshot every K-th measured configuration), ship the "
         "per-cell per-root retained-size series back, and print the "
@@ -1054,9 +1062,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("--engine", default="delta", choices=ENGINES)
     trace_parser.add_argument("--gc-interval", type=_positive_int, default=1)
-    trace_parser.add_argument("--step-limit", type=int, default=5_000_000)
     trace_parser.add_argument(
-        "--sample", type=int, default=1,
+        "--step-limit", type=_positive_int, default=5_000_000
+    )
+    trace_parser.add_argument(
+        "--sample", type=_positive_int, default=1,
         help="keep every k-th step/apply event (space, gc, and phase "
         "events are never sampled away)",
     )
@@ -1069,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="decompose every k-th measured configuration",
     )
     trace_parser.add_argument(
-        "--top", type=int, default=12,
+        "--top", type=_non_negative_int, default=12,
         help="blame table rows before folding into '(other)'",
     )
     trace_parser.add_argument(
@@ -1078,11 +1088,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sparklines (who holds the space, and when)",
     )
     trace_parser.add_argument(
-        "--series-top", type=int, default=6,
+        "--series-top", type=_non_negative_int, default=6,
         help="sparkline rows before folding into '(other)'",
     )
     trace_parser.add_argument(
-        "--retention-top", type=int, default=0, metavar="K",
+        "--retention-top", type=_non_negative_int, default=0, metavar="K",
         help="attach the why-live retention profiler and print the "
         "top-K dominating roots (retained words partitioning the "
         "peak space exactly) plus why-live root paths",
@@ -1140,10 +1150,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 = ephemeral; the bound port is announced)",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=2, help="worker processes"
+        "--workers", type=_positive_int, default=2,
+        help="worker processes",
     )
     serve_parser.add_argument(
-        "--max-pending", type=int, default=8,
+        "--max-pending", type=_positive_int, default=8,
         help="per-tenant bounded queue (429 past this)",
     )
     serve_parser.add_argument(
@@ -1156,11 +1167,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for per-job JSONL receipt spools",
     )
     serve_parser.add_argument(
-        "--max-retries", type=int, default=1,
+        "--max-retries", type=_non_negative_int, default=1,
         help="re-queue a job this many times when its worker dies",
     )
     serve_parser.add_argument(
-        "--job-timeout", type=float, default=None,
+        "--job-timeout", type=_positive_seconds, default=None,
         help="kill a job's worker after this many seconds",
     )
     serve_parser.add_argument(
@@ -1170,7 +1181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "completed runs)",
     )
     serve_parser.add_argument(
-        "--artifact-cache", type=int, default=64, metavar="N",
+        "--artifact-cache", type=_positive_int, default=64, metavar="N",
         help="capacity of the content-addressed compiled-program "
         "cache (entries)",
     )
@@ -1222,14 +1233,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None,
         help="space budget in words of Definition 23 consumption",
     )
-    submit_parser.add_argument("--step-limit", type=int, default=None)
+    submit_parser.add_argument(
+        "--step-limit", type=_positive_int, default=None
+    )
     submit_parser.add_argument("--tenant", default="anonymous")
     submit_parser.add_argument(
         "--no-poll", action="store_true",
         help="print the 202 body and exit instead of polling",
     )
     submit_parser.add_argument(
-        "--poll-interval", type=float, default=0.2
+        "--poll-interval", type=_positive_seconds, default=0.2
     )
     submit_parser.set_defaults(handler=_cmd_submit)
 

@@ -105,9 +105,11 @@ def run(
     :class:`~repro.telemetry.metrics.MetricsRegistry`, a
     :class:`~repro.telemetry.blame.BlameProfiler`).  With ``meter=True``
     they ride the metered loop and observe every transition, space
-    measurement, and reclamation; without it the bus is attached to
-    the machine's run driver (step/apply events only — space is not
-    measured on unmetered runs, and ``blame`` requires the meter).
+    measurement, and reclamation; without it the bus goes to
+    :func:`~repro.space.meter.run_to_final`, which steps the run one
+    transition at a time and publishes each (step/apply events only —
+    space is not measured on unmetered runs, and ``blame`` requires the
+    meter).
     """
     if meter is True:
         meter = "exact"
@@ -155,7 +157,6 @@ def run(
     if trace is not None:
         trace.meta.update(machine=machine, metered=False)
         trace.emit_phase("run", True)
-        stepper_machine.trace = trace
     try:
         final, steps = run_to_final(
             stepper_machine,
@@ -163,10 +164,10 @@ def run(
             argument_expr,
             gc_interval=1024,
             step_limit=step_limit,
+            trace=trace,
         )
     finally:
         if trace is not None:
-            stepper_machine.trace = None
             trace.emit_phase("run", False)
     if metrics is not None:
         metrics.counter("steps_total", machine=machine).inc(steps)

@@ -139,12 +139,13 @@ def configuration_roots(configuration: Configuration):
 
 
 def collect(
-    configuration: Configuration, bus=None, pin_from: Optional[int] = None
+    configuration: Configuration, on_gc=None, pin_from: Optional[int] = None
 ) -> int:
     """Apply the GC rule exhaustively: remove every unreachable
-    location.  Returns the number of locations collected.  *bus* is an
-    optional trace bus; nonzero reclamations are published to it as
-    ``gc``/``canonical`` events.  Locations >= *pin_from* are kept
+    location.  Returns the number of locations collected.  *on_gc* is
+    an optional ``(label, count)`` callback told of a nonzero
+    reclamation as ``("canonical", count)`` (a traced run's meter
+    passes its bus's ``emit_gc``).  Locations >= *pin_from* are kept
     regardless of reachability (the sampled meter's retro-exact
     reconstruction pins the current step's allocations while
     collecting against the previous configuration's roots)."""
@@ -160,8 +161,8 @@ def collect(
         ]
     if garbage:
         store.delete_many(garbage)
-        if bus is not None:
-            bus.emit_gc("canonical", len(garbage))
+        if on_gc is not None:
+            on_gc("canonical", len(garbage))
     return len(garbage)
 
 
@@ -204,7 +205,7 @@ class RefTracker:
         "anchors",
         "unrooted_anchors",
         "saw_escape",
-        "bus",
+        "on_gc",
         "stats",
     )
 
@@ -229,10 +230,10 @@ class RefTracker:
         #: deletions) so reclaim never rescans the full anchor set.
         self.unrooted_anchors: Set[Location] = set()
         self.saw_escape = False
-        #: Optional trace bus; each nonzero reclamation is published as
-        #: a ``gc`` event labelled ``delta`` (sweeps) or ``trial``
-        #: (cycle trial deletions), partitioning the collected total.
-        self.bus = None
+        #: Optional ``(label, count)`` callback told of each nonzero
+        #: reclamation, labelled ``delta`` (sweeps) or ``trial`` (cycle
+        #: trial deletions), partitioning the collected total.
+        self.on_gc = None
         #: Work counters for ``repro analyze --meter-audit``.
         self.stats: Dict[str, int] = {
             "collections": 0,
@@ -454,16 +455,16 @@ class RefTracker:
         then resolve cycle suspects.  Returns (locations collected,
         canonical trace still required).
 
-        Trace events mirror the *counted* reclamations exactly — a
-        trial batch abandoned to the canonical path is not published,
-        because its locations are not added to the returned count —
-        so the values of a stream's ``gc`` events sum to the meter's
+        ``on_gc`` hears exactly the *counted* reclamations — a trial
+        batch abandoned to the canonical path is not reported, because
+        its locations are not added to the returned count — so the
+        values of a stream's ``gc`` events sum to the meter's
         ``collected`` total."""
-        bus = self.bus
+        on_gc = self.on_gc
         self.stats["collections"] += 1
         collected = self.sweep(store, pin_from)
-        if bus is not None and collected:
-            bus.emit_gc("delta", collected)
+        if on_gc is not None and collected:
+            on_gc("delta", collected)
         while self.suspects:
             unrooted = [
                 anchor
@@ -490,10 +491,10 @@ class RefTracker:
                 self.suspects.clear()
                 break
             swept = self.sweep(store, pin_from)
-            if bus is not None:
-                bus.emit_gc("trial", progress)
+            if on_gc is not None:
+                on_gc("trial", progress)
                 if swept:
-                    bus.emit_gc("delta", swept)
+                    on_gc("delta", swept)
             collected += progress + swept
         return collected, False
 

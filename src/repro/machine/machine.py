@@ -670,7 +670,6 @@ class Machine:
         "_plan0",
         "_primop_apply",
         "_track_refs",
-        "trace",
     )
 
     name = "tail"
@@ -804,9 +803,6 @@ class Machine:
         )
         self._plan0 = lefttoright
         self._track_refs = bool(cls.track_refs)
-        #: Telemetry sink (a ``repro.telemetry.bus.TraceBus``) or None.
-        #: The only cost when unset is one ``is None`` check per batch.
-        self.trace = None
 
     # ------------------------------------------------------------------
     # Injection
@@ -901,10 +897,9 @@ class Machine:
         fused driver equal to the preserved seed stepper run-for-run.
 
         Drivers that must observe every configuration (the space meter,
-        the lockstep tests) call :meth:`step` directly instead.
+        a traced run, the lockstep tests) call :meth:`step` directly
+        instead.
         """
-        if self.trace is not None:
-            return self._traced_run_steps(state, limit)
         control = state.control
         is_value = state.is_value
         env = state.env
@@ -1258,24 +1253,6 @@ class Machine:
             env = configuration.env
             kont = configuration.kont
         return State(control, is_value, env, kont, store), steps
-
-    def _traced_run_steps(self, state: State, limit: int):
-        """The run driver used while a trace bus is attached: every
-        transition goes through :meth:`step` (the exact per-step path)
-        and is published before it is taken.  Fusion is pure batching,
-        so bypassing it here changes no transition — it only makes each
-        one observable."""
-        bus = self.trace
-        step = self.step
-        steps = 0
-        while steps < limit:
-            bus.emit_step_state(state)
-            configuration = step(state)
-            steps += 1
-            if configuration.is_final:
-                return configuration, steps
-            state = configuration
-        return state, steps
 
     # ------------------------------------------------------------------
     # Procedure application

@@ -108,10 +108,6 @@ class SeedStepper:
 
     def __init__(self, policy: Optional[Policy] = None):
         self.policy = policy if policy is not None else LeftToRight()
-        # Telemetry sink, same contract as Machine.trace: None costs
-        # one check per run_steps call (the loop itself is per-step
-        # already, so tracing adds only the emit).
-        self.trace = None
 
     # -- injection (seed: imports were in-function; no annotation pass) --
 
@@ -152,11 +148,8 @@ class SeedStepper:
         class preserves the seed's per-step costs for the before/after
         benchmark)."""
         step = self.step
-        bus = self.trace
         steps = 0
         while steps < limit:
-            if bus is not None:
-                bus.emit_step_state(state)
             configuration = step(state)
             steps += 1
             if configuration.is_final:

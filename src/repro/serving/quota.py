@@ -11,9 +11,11 @@ resolve which budget applies, run the job in the worker with the
 budget and a progress heartbeat wired in, and shape the outcome
 (result / quota kill / error) into receipt payloads.
 
-``run_service_job`` is the :class:`~repro.harness.sweep.WorkerPool`
-job entry: module-level, plain-data in, plain-data out, so it travels
-the pickle channel by reference.
+``run_service_batch`` is the :class:`~repro.harness.sweep.WorkerPool`
+job entry the server submits every submission through (a single job
+is a batch of one), and ``run_service_job`` runs one spec of it: both
+are module-level, plain-data in, plain-data out, so they travel the
+pickle channel by reference.
 """
 
 from __future__ import annotations

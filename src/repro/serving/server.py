@@ -14,10 +14,10 @@ carries one request, responses close the connection.  Endpoints:
   predicted to bust their budget settle immediately with a
   ``deferred`` receipt, never spawned), admit past the tenant's
   bounded queue, and schedule on the
-  :class:`~repro.harness.sweep.WorkerPool` — batches coalesce onto
-  one worker round-trip.  Replies 202 with the ``queued`` receipt
-  (or a ``jobs`` array), 400 with a ``rejected`` receipt for
-  malformed payloads/programs, 429 for backpressure.
+  :class:`~repro.harness.sweep.WorkerPool` — each submission, one job
+  or a batch, is one worker round-trip.  Replies 202 with the
+  ``queued`` receipt (or a ``jobs`` array), 400 with a ``rejected``
+  receipt for malformed payloads/programs, 429 for backpressure.
 - ``GET /jobs/<id>`` — poll: the job snapshot with its full receipt
   stream so far.
 - ``GET /jobs/<id>/stream`` — NDJSON push: the receipt stream as it
@@ -46,7 +46,7 @@ from ..harness.sweep import WorkerPool
 from ..telemetry.metrics import MetricsRegistry
 from .artifacts import DEFAULT_CAPACITY, ArtifactCache, build_artifact
 from .protocol import validate_submit, validate_submit_batch
-from .quota import resolve_budget, run_service_batch, run_service_job
+from .quota import resolve_budget, run_service_batch
 from .scheduler import PredictiveScheduler, SweepHistory
 from .session import Backpressure, SessionStore
 
@@ -178,46 +178,9 @@ class ReproServer:
 
     # -- scheduling ----------------------------------------------------
 
-    def _schedule(self, job_id: str, spec: dict) -> None:
-        def on_event(kind: str, payload) -> None:
-            if kind == "start":
-                self.store.append(
-                    job_id,
-                    {"kind": "start", "pid": payload["pid"],
-                     "attempt": payload["attempt"]},
-                )
-            elif kind == "retry":
-                self.store.append(
-                    job_id,
-                    {"kind": "retried", "pid": payload["pid"],
-                     "attempt": payload["attempt"]},
-                )
-            elif kind == "progress" and isinstance(payload, dict):
-                self.store.append(job_id, payload)
-
-        def on_done(future) -> None:
-            error = future.exception()
-            if error is not None:
-                self.store.append(
-                    job_id,
-                    {"kind": "error",
-                     "error": f"{type(error).__name__}: {error}"},
-                )
-            else:
-                receipt = future.result()
-                self.store.append(job_id, receipt)
-                self._observe(spec, receipt)
-
-        future = self.pool.submit(
-            run_service_job,
-            spec,
-            timeout=self.job_timeout,
-            on_event=on_event,
-        )
-        future.add_done_callback(on_done)
-
-    def _schedule_batch(self, members: list) -> None:
-        """Run several (job, spec) members as ONE worker round-trip
+    def _schedule(self, members: list) -> None:
+        """Run a submission's runnable (job, spec) members — one or
+        several — as ONE worker round-trip
         (:func:`~repro.serving.quota.run_service_batch`).  Progress
         receipts route by batch index; terminal receipts land when the
         batch returns, so a worker crash (the whole batch re-runs on a
@@ -263,7 +226,8 @@ class ReproServer:
                 self.store.append(ids[index], receipt)
                 self._observe(specs[index], receipt)
 
-        self.metrics.counter("batch", size=str(len(members))).inc()
+        if len(members) > 1:
+            self.metrics.counter("batch", size=str(len(members))).inc()
         future = self.pool.submit(
             run_service_batch,
             specs,
@@ -460,11 +424,8 @@ class ReproServer:
             else:
                 runnable.append((job, spec))
             entries.append(entry)
-        if len(runnable) > 1:
-            self._schedule_batch(runnable)
-        elif runnable:
-            job, spec = runnable[0]
-            self._schedule(job.id, spec)
+        if runnable:
+            self._schedule(runnable)
         if batch:
             await self._respond(writer, 202, {"jobs": entries})
         else:

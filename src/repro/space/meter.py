@@ -58,6 +58,7 @@ meter/engine/observer combination is never an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Tuple, Union
@@ -205,7 +206,7 @@ def _quota_kill(
 class ReferenceMeter:
     """The canonical engine: trace per collection, re-walk per measure."""
 
-    __slots__ = ("uses_gc", "fixed_precision", "_measure", "bus", "prov")
+    __slots__ = ("uses_gc", "fixed_precision", "_measure", "on_gc", "prov")
 
     #: The canonical engine never *falls back* (it is the fallback);
     #: kept as a class constant so telemetry reads one attribute on
@@ -219,7 +220,7 @@ class ReferenceMeter:
         self._measure = (
             configuration_space_linked if linked else configuration_space
         )
-        self.bus = None
+        self.on_gc = None
         #: Optional allocation-site provenance sink (a retention
         #: profiler's :class:`~repro.telemetry.retention.AllocSites`);
         #: when set this engine installs itself as the store tracker
@@ -228,7 +229,7 @@ class ReferenceMeter:
 
     def attach_bus(self, bus) -> None:
         """Publish this engine's reclamations to a trace bus."""
-        self.bus = bus
+        self.on_gc = bus.emit_gc
 
     def work_stats(self) -> dict:
         """No incremental work to count: every measure is a re-walk."""
@@ -248,7 +249,7 @@ class ReferenceMeter:
             self.prov.on_delete(location, value)
 
     def prime(self, state: State) -> int:
-        collected = collect(state, self.bus) if self.uses_gc else 0
+        collected = collect(state, self.on_gc) if self.uses_gc else 0
         if self.prov is not None:
             state.store.tracker = self
         return collected
@@ -262,7 +263,7 @@ class ReferenceMeter:
     def collect(
         self, configuration: Configuration, pin_from: Optional[int] = None
     ) -> int:
-        return collect(configuration, self.bus, pin_from)
+        return collect(configuration, self.on_gc, pin_from)
 
     def detach(self, store) -> None:
         if store is not None and store.tracker is self:
@@ -339,7 +340,7 @@ class DeltaMeter:
         "_acc",
         "_held",
         "_store",
-        "bus",
+        "on_gc",
         "canonical_fallbacks",
         "_spent",
     )
@@ -366,7 +367,7 @@ class DeltaMeter:
         #: Whether :meth:`transition` has a sink to feed (set by
         #: :meth:`prime`; cleared by the fallback).
         self._tracking = True
-        self.bus = None
+        self.on_gc = None
         #: GC-rule applications where a cycle trial exceeded its budget
         #: and the canonical trace ran (telemetry).
         self.canonical_fallbacks = 0
@@ -547,12 +548,12 @@ class DeltaMeter:
 
     def attach_bus(self, bus) -> None:
         """Publish this engine's reclamations to a trace bus."""
-        self.bus = bus
+        self.on_gc = bus.emit_gc
         if self.tracker is not None:
-            self.tracker.bus = bus
+            self.tracker.on_gc = bus.emit_gc
 
     def prime(self, state: State) -> int:
-        collected = collect(state, self.bus) if self.uses_gc else 0
+        collected = collect(state, self.on_gc) if self.uses_gc else 0
         self._store = state.store
         if self.tracker is not None:
             self.tracker.prime(state.store)
@@ -636,13 +637,13 @@ class DeltaMeter:
         self, configuration: Configuration, pin_from: Optional[int] = None
     ) -> int:
         if self.fallback:
-            return collect(configuration, self.bus, pin_from)
+            return collect(configuration, self.on_gc, pin_from)
         store = configuration.store
         tracker = self.tracker
         collected, need_canonical = tracker.reclaim(store, pin_from)
         if need_canonical:
             self.canonical_fallbacks += 1
-            collected += collect(configuration, self.bus, pin_from)
+            collected += collect(configuration, self.on_gc, pin_from)
             tracker.note_canonical(store)
         return collected
 
@@ -827,7 +828,8 @@ def run_metered(
     ``checkpoint_hook(steps, consumption)`` is called with the running
     certified lower bound of the consumption at the prime measurement
     and every ``checkpoint_every`` steps, and on the lazy schedule also
-    after every exact trip — the serving layer's progress heartbeat.
+    after every exact trip, but never at the final configuration — the
+    serving layer's progress heartbeat.
 
     Telemetry (all optional, all observation-only — none changes a
     transition or a measured number):
@@ -867,8 +869,10 @@ def run_metered(
         and blame is None
         and retention is None
     )
-    # |P| counts the program only, not the input (Definition 23).
+    # |P| counts the program only, not the input (Definition 23); the
+    # budget leaves room for sup space <= budget - |P|.
     program_size = ast_size(program)
+    room = math.inf if budget is None else budget - program_size
     kill = partial(
         _quota_kill, machine, budget, program_size, linked, fixed_precision
     )
@@ -930,10 +934,11 @@ def run_metered(
             bus.emit_phase("prime", False)
         sup_space = engine_meter.measure(state)
         peak_step = 0
-        if budget is not None and program_size + sup_space > budget:
+        if sup_space > room:
             raise kill(sup_space, 0, state)
         if bus is not None:
             bus.emit_space(accounting, sup_space, 0)
+            bus.emit_phase("run", True)
         if blame is not None:
             blame.observe(state, sup_space, 0)
         if retention is not None:
@@ -952,6 +957,10 @@ def run_metered(
         trips = checkpoints = 0
         suspects: List[Tuple[int, int]] = []
         compacts = type(machine).compact is not Machine.compact
+        # No GC rule under flat accounting: the lazy store IS the exact
+        # store and every flat term is current, so the bound is the
+        # exact space — no reconstruction ever needed.
+        exact_bound = not uses_gc and not linked
         if lazy:
             sync_loc = last_collect_loc = store._next_location
         while lazy:
@@ -960,69 +969,70 @@ def run_metered(
             alloc_mark = store._next_location
             configuration = step(state)
             steps += 1
+            # The O(1) upper bound on the exact pre-GC space (see the
+            # docstring), with the flat measure of a state inlined.
             if configuration.is_final:
                 final = configuration
-                break
-            state = configuration
-            if linked:
-                bound = measure(state) + (store._next_location - sync_loc)
+                bound = measure(final)
+                if linked:
+                    bound += store._next_location - sync_loc
+            elif linked:
+                bound = measure(configuration) + (
+                    store._next_location - sync_loc
+                )
             else:
                 bound = (
-                    len(state.env._bindings)
-                    + state.kont.flat_space
+                    len(configuration.env._bindings)
+                    + configuration.kont.flat_space
                     + (store._space_fixed if fp else store._space_bignum)
                 )
-                if state.is_value:
-                    bound += value_space(state.control, fp)
-                if not uses_gc:
-                    # No GC rule: the lazy store IS the exact store and
-                    # every flat term is current, so the bound is the
-                    # exact space — no reconstruction ever needed.
-                    if bound > sup_space:
-                        sup_space, peak_step = bound, steps
-                        if budget is not None and (
-                            program_size + bound > budget
-                        ):
-                            raise kill(bound, steps, state)
-                    if checkpoint_hook is not None and (
-                        steps % checkpoint_every == 0
-                    ):
-                        checkpoint_hook(steps, program_size + sup_space)
-                    if steps >= step_limit:
-                        raise StepLimitExceeded(steps)
-                    continue
-            due = (
-                steps % checkpoint_every == 0
-                or store._next_location - last_collect_loc >= BURST
-            )
-            if bound > sup_space or due:
-                wrote = uses_gc and store.mut_version != mut_mark
-                if wrote and not due:
-                    suspects.append((steps, bound))
-                else:
-                    transition(prev)
-                    if uses_gc:
-                        collected += engine_meter.collect(
-                            prev, pin_from=alloc_mark
-                        )
-                    transition(state)
-                    space = measure(state)
-                    if space > sup_space:
-                        sup_space, peak_step = space, steps
-                        if budget is not None and (
-                            program_size + space > budget
-                        ):
-                            raise kill(space, steps, state)
-                    if wrote and bound > sup_space:
-                        # The reading is only a lower bound of the
-                        # exact pre-GC space on a write step.
+                if configuration.is_value:
+                    bound += value_space(configuration.control, fp)
+            if exact_bound:
+                if bound > sup_space:
+                    sup_space, peak_step = bound, steps
+                    if bound > room:
+                        raise kill(bound, steps, configuration)
+                if (
+                    checkpoint_hook is not None
+                    and steps % checkpoint_every == 0
+                    and final is None
+                ):
+                    checkpoint_hook(steps, program_size + sup_space)
+            else:
+                due = (
+                    steps % checkpoint_every == 0
+                    or store._next_location - last_collect_loc >= BURST
+                ) and final is None
+                if bound > sup_space or due:
+                    wrote = uses_gc and store.mut_version != mut_mark
+                    if wrote and not due:
                         suspects.append((steps, bound))
-                    sync_loc = last_collect_loc = store._next_location
-                    trips += 1
-                    if due:
-                        checkpoints += 1
-                    if checkpoint_hook is not None:
-                        checkpoint_hook(steps, program_size + sup_space)
+                    else:
+                        transition(prev)
+                        if uses_gc:
+                            collected += engine_meter.collect(
+                                prev, pin_from=alloc_mark
+                            )
+                        transition(configuration)
+                        space = measure(configuration)
+                        if space > sup_space:
+                            sup_space, peak_step = space, steps
+                            if space > room:
+                                raise kill(space, steps, configuration)
+                        if wrote and bound > sup_space:
+                            # The reading is only a lower bound of the
+                            # exact pre-GC space on a write step.
+                            suspects.append((steps, bound))
+                        sync_loc = last_collect_loc = store._next_location
+                        trips += 1
+                        if due:
+                            checkpoints += 1
+                        if checkpoint_hook is not None and final is None:
+                            checkpoint_hook(steps, program_size + sup_space)
+            if final is not None:
+                break
+            state = configuration
             if compacts:
                 state = machine.compact(state)
             if engine_meter.fallback:
@@ -1035,43 +1045,6 @@ def run_metered(
             if steps >= step_limit:
                 raise StepLimitExceeded(steps)
 
-        if final is not None:
-            # The lazy schedule reached the final configuration.
-            wrote = uses_gc and store.mut_version != mut_mark
-            if linked:
-                bound = measure(final) + (store._next_location - sync_loc)
-            else:
-                bound = (
-                    store._space_fixed if fp else store._space_bignum
-                ) + value_space(final.value, fp)
-                if not uses_gc:
-                    if bound > sup_space:
-                        sup_space, peak_step = bound, steps
-                        if budget is not None and (
-                            program_size + bound > budget
-                        ):
-                            raise kill(bound, steps, final)
-                    bound = sup_space  # exact; no suspect, no trip
-            if bound <= sup_space:
-                transition(final)
-            elif wrote:
-                suspects.append((steps, bound))
-                transition(final)
-            else:
-                transition(prev)
-                if uses_gc:
-                    collected += engine_meter.collect(prev, pin_from=alloc_mark)
-                transition(final)
-                space = measure(final)
-                if space > sup_space:
-                    sup_space, peak_step = space, steps
-                    if budget is not None and program_size + space > budget:
-                        raise kill(space, steps, final)
-                trips += 1
-            if uses_gc:
-                collected += engine_meter.collect(final)
-        elif bus is not None:
-            bus.emit_phase("run", True)
         # The eager schedule: Definition 21, every configuration
         # measured and collected.
         while final is None:
@@ -1093,46 +1066,23 @@ def run_metered(
             configuration = step(state)
             steps += 1
             transition(configuration)
-            if configuration.is_final:
-                # Measure pre-GC: the final allocation spike is charged.
-                final = configuration
-                space = measure(final)
-                if bus is not None:
-                    bus.emit_space(accounting, space, steps)
-                if blame is not None:
-                    blame.observe(final, space, steps)
-                if retention is not None:
-                    retention.observe(final, space, steps)
-                if space > sup_space:
-                    sup_space, peak_step = space, steps
-                    if budget is not None and program_size + space > budget:
-                        raise kill(space, steps, final)
-                if uses_gc:
-                    if metrics is not None:
-                        words_before = store.space_bignum
-                    freed = engine_meter.collect(final)
-                    collected += freed
-                    if metrics is not None and freed:
-                        gc_collections.inc()
-                        gc_locations.inc(freed)
-                        gc_words.inc(words_before - store.space_bignum)
-                    if audit_every:
-                        engine_meter.audit(final)
-                if bus is not None:
-                    bus.emit_phase("run", False)
-                break
-            state = configuration
-            space = measure(state)
+            # The final configuration is measured pre-GC too: its
+            # allocation spike is charged.
+            space = measure(configuration)
             if bus is not None:
                 bus.emit_space(accounting, space, steps)
             if blame is not None:
-                blame.observe(state, space, steps)
+                blame.observe(configuration, space, steps)
             if retention is not None:
-                retention.observe(state, space, steps)
+                retention.observe(configuration, space, steps)
             if space > sup_space:
                 sup_space, peak_step = space, steps
-                if budget is not None and program_size + space > budget:
-                    raise kill(space, steps, state)
+                if space > room:
+                    raise kill(space, steps, configuration)
+            if configuration.is_final:
+                final = configuration
+                break
+            state = configuration
             if checkpoint_hook is not None and steps % checkpoint_every == 0:
                 checkpoint_hook(steps, program_size + sup_space)
             if uses_gc and steps % gc_interval == 0:
@@ -1154,6 +1104,22 @@ def run_metered(
             if steps >= step_limit:
                 raise StepLimitExceeded(steps)
 
+        # Either schedule ends on the GC rule applied to the final
+        # configuration (the lazy one syncs its roots to it first).
+        transition(final)
+        if uses_gc:
+            if metrics is not None:
+                words_before = store.space_bignum
+            freed = engine_meter.collect(final)
+            collected += freed
+            if metrics is not None and freed:
+                gc_collections.inc()
+                gc_locations.inc(freed)
+                gc_words.inc(words_before - store.space_bignum)
+            if audit_every:
+                engine_meter.audit(final)
+        if bus is not None:
+            bus.emit_phase("run", False)
         if metrics is not None:
             _finalize_metrics(
                 metrics,
@@ -1214,6 +1180,7 @@ def run_to_final(
     *,
     gc_interval: int = 0,
     step_limit: int = DEFAULT_STEP_LIMIT,
+    trace=None,
 ) -> Tuple[Final, int]:
     """Run without measuring space (fast path for answer equivalence).
 
@@ -1233,11 +1200,28 @@ def run_to_final(
     The machine is driven in batches through ``run_steps`` (the fused
     register loop of the live stepper; the per-step loop of the seed
     stepper), sized so the checks happen exactly every ``gc_interval``
-    transitions.
+    transitions.  With ``trace`` (a
+    :class:`~repro.telemetry.bus.TraceBus`) the run is stepped one
+    transition at a time instead, each published before it is taken:
+    fusion is pure batching, so this changes no transition, it only
+    makes each one observable.
     """
     state = machine.inject(program, argument)
     steps = 0
     run_steps = machine.run_steps
+    if trace is not None:
+        step = machine.step
+
+        def run_steps(state, limit):
+            taken = 0
+            while taken < limit:
+                trace.emit_step_state(state)
+                state = step(state)
+                taken += 1
+                if state.is_final:
+                    break
+            return state, taken
+
     batch = gc_interval if gc_interval else step_limit
     floor = len(state.store)
     while True:

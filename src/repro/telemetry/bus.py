@@ -1,11 +1,14 @@
 """The trace bus: a zero-overhead-when-disabled structured event sink.
 
-Producers (the fused run loop, the seed stepper, the collectors, the
-space meter) hold a ``trace`` attribute that is ``None`` by default;
-the *only* cost telemetry imposes on an untraced run is that one
-``is None`` check per batch (machine) or per call site (meter), which
-the overhead benchmark (``benchmarks/test_bench_telemetry_overhead.py``)
-holds to within 10% of the recorded step-rate baselines.
+The run drivers take the bus, never a machine:
+``run_metered(trace=bus)`` publishes from its eager loop (its
+collectors report reclamations through the bus's ``emit_gc``), and
+``run_to_final(trace=bus)`` steps a traced unmetered run one
+transition at a time.  An untraced run's fused loop checks for no bus
+at all, and the meter pays one ``is None`` test per call site; the
+overhead benchmark (``benchmarks/test_bench_telemetry_overhead.py``)
+holds the untraced rate to within 10% of the recorded step-rate
+baselines.
 
 Event kinds:
 

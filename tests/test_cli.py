@@ -1,5 +1,6 @@
 """CLI tests (driven in-process through repro.cli.main)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -368,13 +369,26 @@ class TestTraceCommand:
         assert "TOTAL" in out
 
     def test_trace_exports_per_machine(self, loop_file, tmp_path, capsys):
-        from repro.telemetry.export import validate_jsonl
+        from repro.telemetry.export import (
+            validate_chrome_trace,
+            validate_jsonl,
+        )
 
-        out = tmp_path / "t.jsonl"
-        main(["trace", loop_file, "--arg", "5",
-              "--machine", "tail,gc", "--trace-out", str(out)])
-        assert validate_jsonl(tmp_path / "t.tail.jsonl")["events"] > 0
-        assert validate_jsonl(tmp_path / "t.gc.jsonl")["events"] > 0
+        exports = tmp_path / "exports"
+        exports.mkdir()
+        main(["trace", loop_file, "--arg", "5", "--machine", "tail,gc",
+              "--trace-out", str(exports / "t.jsonl"),
+              "--metrics", str(exports / "m.json")])
+        for machine in ("tail", "gc"):
+            assert validate_jsonl(exports / f"t.{machine}.jsonl")[
+                "events"] > 0
+            assert validate_chrome_trace(exports / f"t.{machine}.chrome.json")
+            dump = json.loads((exports / f"m.{machine}.json").read_text())
+            assert dump["machine"] == machine
+        assert sorted(path.name for path in exports.iterdir()) == [
+            "m.gc.json", "m.tail.json", "t.gc.chrome.json", "t.gc.jsonl",
+            "t.tail.chrome.json", "t.tail.jsonl",
+        ]
 
     def test_trace_rejects_unknown_machine(self, loop_file):
         with pytest.raises(SystemExit):
@@ -560,7 +574,61 @@ OPTION_ERROR_CASES = [
      "argument --blame-every: must be at least 1, got 0"),
     (("trace", "--capacity", "0"),
      "argument --capacity: must be at least 1, got 0"),
+    # Counts where 0 means off.
+    (("sweep", "--trace-sample", "-1"),
+     "argument --trace-sample: must be at least 0, got -1"),
+    (("sweep", "--blame-every", "-1"),
+     "argument --blame-every: must be at least 0, got -1"),
+    (("sweep", "--retention-sample", "-1"),
+     "argument --retention-sample: must be at least 0, got -1"),
+    (("trace", "--retention-top", "-1"),
+     "argument --retention-top: must be at least 0, got -1"),
+    (("trace", "--top", "-1"),
+     "argument --top: must be at least 0, got -1"),
+    (("trace", "--series-top", "-1"),
+     "argument --series-top: must be at least 0, got -1"),
+    (("serve", "--max-retries", "-1"),
+     "argument --max-retries: must be at least 0, got -1"),
+    # Counts and limits.
+    (("sweep", "--jobs", "0"),
+     "argument --jobs: must be at least 1, got 0"),
+    (("sweep", "--jobs", "-3"),
+     "argument --jobs: must be at least 1, got -3"),
+    (("trace", "--sample", "0"),
+     "argument --sample: must be at least 1, got 0"),
+    (("trace", "--sample", "-5"),
+     "argument --sample: must be at least 1, got -5"),
+    (("run", "--step-limit", "0"),
+     "argument --step-limit: must be at least 1, got 0"),
+    (("trace", "--step-limit", "0"),
+     "argument --step-limit: must be at least 1, got 0"),
+    (("submit", "--step-limit", "0"),
+     "argument --step-limit: must be at least 1, got 0"),
+    (("serve", "--workers", "0"),
+     "argument --workers: must be at least 1, got 0"),
+    (("serve", "--max-pending", "0"),
+     "argument --max-pending: must be at least 1, got 0"),
+    (("serve", "--artifact-cache", "0"),
+     "argument --artifact-cache: must be at least 1, got 0"),
+    # Seconds.
+    (("sweep", "--jobs", "2", "--timeout", "-1"),
+     "argument --timeout: must be a positive number of seconds, got -1"),
+    (("serve", "--job-timeout", "0"),
+     "argument --job-timeout: must be a positive number of seconds, got 0"),
+    (("submit", "--poll-interval", "0"),
+     "argument --poll-interval: must be a positive number of seconds, "
+     "got 0"),
 ]
+
+#: What each command is given besides the bad option: the program on
+#: stdin and, where the command takes one, its input.
+PROGRAM_ARGV = {
+    "run": ("-", "--arg", "8"),
+    "trace": ("-", "--arg", "8"),
+    "submit": ("-", "--arg", "8"),
+    "sweep": ("-",),
+    "serve": (),
+}
 
 
 class TestOptionErrors:
@@ -570,10 +638,21 @@ class TestOptionErrors:
     @pytest.mark.parametrize("argv,message", OPTION_ERROR_CASES)
     def test_bad_option_value_is_a_usage_error(self, argv, message):
         command, *options = argv
-        done = _repro(command, "-", "--arg", "8", *options,
+        done = _repro(command, *PROGRAM_ARGV[command], *options,
                       stdin="(define (f n) (if (zero? n) 0 (f (- n 1))))")
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.strip().splitlines()[-1] == (
             f"repro {command}: error: {message}"
         )
+
+
+def test_submit_to_a_closed_port_is_one_line():
+    """A server that cannot be reached ends ``repro submit`` in one
+    stderr line and exit 1, not a traceback."""
+    done = _repro("submit", "-", "--arg", "8", "--url", "http://127.0.0.1:9",
+                  stdin="(define (f n) n)")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    line, = done.stderr.strip().splitlines()
+    assert line.startswith("repro submit: cannot reach http://127.0.0.1:9: ")

@@ -661,6 +661,8 @@ def test_batch_submit_runs_all_jobs_with_per_job_spools(tmp_path):
             info = validate_job_stream(
                 str(tmp_path / f"{entry['job']}.jsonl"))
             assert info["terminal"] == "result"
+        status, metrics = _get(f"{handle.url}/metrics")
+        assert metrics["counters"]["batch{size=3}"] == 1
 
 
 def test_batch_admission_is_all_or_nothing(tmp_path):
@@ -788,6 +790,10 @@ def test_metrics_endpoint_reports_cache_and_scheduler(tmp_path):
         assert metrics["scheduler"]["history_points"] >= 1
         assert any(key.startswith("artifact_cache")
                    for key in metrics["counters"])
+        # A single submission runs as a batch of one, which the batch
+        # counter leaves out.
+        assert not any(key.startswith("batch")
+                       for key in metrics["counters"])
 
 
 # -- shutdown ------------------------------------------------------------
