@@ -123,6 +123,12 @@ class Halt(Kont):
         self._linked_space = 1
         self.depth = 0
 
+    def _flat_own(self) -> int:
+        return 1
+
+    def _linked_own(self) -> int:
+        return 1
+
     def __repr__(self) -> str:
         return "halt"
 

@@ -466,11 +466,13 @@ class RefTracker:
         if on_gc is not None and collected:
             on_gc("delta", collected)
         while self.suspects:
-            unrooted = [
+            # In location order: set order would make the trials'
+            # work counters follow the interpreter's hash seed.
+            unrooted = sorted(
                 anchor
                 for anchor in self.unrooted_anchors
                 if anchor in store
-            ]
+            )
             if not unrooted:
                 # Every cycle passes through an anchor and every live
                 # anchor is rooted, so every cycle is live: the

@@ -362,15 +362,9 @@ class Store:
 
     def checkpoint_linked_structural(self) -> Tuple[int, int]:
         """Recompute both linked structural totals from scratch."""
-        vs = _value_space
-        if vs is None:
-            vs = _bind_value_space()
+        from ..space.linked import value_structural
 
-        def one(value: Value, fixed_precision: bool) -> int:
-            if isinstance(value, (Closure, Escape)):
-                return 1
-            return vs(value, fixed_precision=fixed_precision)
-
-        bignum = sum(1 + one(v, False) for v in self._cells.values())
-        fixed = sum(1 + one(v, True) for v in self._cells.values())
+        cells = self._cells.values()
+        bignum = sum(1 + value_structural(v, False) for v in cells)
+        fixed = sum(1 + value_structural(v, True) for v in cells)
         return bignum, fixed

@@ -21,17 +21,12 @@ from .consumption import (
 from .flat import (
     configuration_space,
     final_space,
-    kont_space,
     number_space,
     state_space,
     store_space,
     value_space,
 )
-from .linked import (
-    configuration_space_linked,
-    final_space_linked,
-    state_space_linked,
-)
+from .linked import configuration_space_linked
 from .meter import DEFAULT_STEP_LIMIT, MeterResult, run_metered, run_to_final
 from .safety import (
     ProbeVerdict,
@@ -57,14 +52,11 @@ __all__ = [
     "sweep",
     "configuration_space",
     "final_space",
-    "kont_space",
     "number_space",
     "state_space",
     "store_space",
     "value_space",
     "configuration_space_linked",
-    "final_space_linked",
-    "state_space_linked",
     "DEFAULT_STEP_LIMIT",
     "MeterResult",
     "run_metered",

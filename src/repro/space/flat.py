@@ -31,11 +31,19 @@ continuation retains its frames.
 ``fixed_precision`` flag switches to space(NUM) = 1, which the paper
 invokes when noting that its "linear" example programs are O(N log N)
 with bignums but O(N) with fixed precision.
+
+Two things compute it.  :func:`configuration_space` adds the O(1)
+totals the continuation frames and the store keep as they are built;
+it is what the meter reads.  :func:`flat_charges` walks the
+configuration component by component and charges each its words by
+the same rules (``Kont._flat_own``, :func:`value_space`); the blame
+and retention layers group its charges by holder, and the tests hold
+its total to the cached one.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterator, Tuple, Union
 
 from ..machine.config import Final, State
 from ..machine.values import (
@@ -75,11 +83,6 @@ def value_space(value: Value, fixed_precision: bool = False) -> int:
     return 1
 
 
-def kont_space(kont) -> int:
-    """space(kappa) — cached at construction, O(1)."""
-    return kont.flat_space
-
-
 def store_space(store, fixed_precision: bool = False) -> int:
     """space(sigma) — maintained incrementally by the store, O(1)."""
     return store.space_fixed if fixed_precision else store.space_bignum
@@ -111,3 +114,39 @@ def configuration_space(
     if isinstance(configuration, Final):
         return final_space(configuration, fixed_precision)
     return state_space(configuration, fixed_precision)
+
+
+#: Holder keys of the configuration's registers in a charge walk.  A
+#: continuation frame's holder is the frame itself and a store cell's
+#: is its location.
+REGISTER = "register"
+ACCUMULATOR = "accumulator"
+
+#: One charge of a walk: (holder, part, words, fresh).  *part* is what
+#: the words are for: the register environment, a frame, or a value.
+#: *fresh* counts the bindings charged with it (linked accounting only).
+Charge = Tuple[object, object, int, int]
+
+
+def flat_charges(
+    configuration: Union[State, Final], fixed_precision: bool = False
+) -> Iterator[Charge]:
+    """Figure 7 as a walk: charge the register environment, each
+    continuation frame from the top down, the accumulator and each
+    store cell in store order.  The words sum to
+    :func:`configuration_space`."""
+    if configuration.is_final:
+        value = configuration.value
+        yield ACCUMULATOR, value, value_space(value, fixed_precision), 0
+    else:
+        env = configuration.env
+        yield REGISTER, env, len(env._bindings), 0
+        frame = configuration.kont
+        while frame is not None:
+            yield frame, frame, frame._flat_own(), 0
+            frame = frame.parent
+        if configuration.is_value:
+            value = configuration.control
+            yield ACCUMULATOR, value, value_space(value, fixed_precision), 0
+    for location, value in configuration.store.items():
+        yield location, value, 1 + value_space(value, fixed_precision), 0

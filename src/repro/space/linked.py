@@ -22,9 +22,12 @@ depends on exactly this sharing.
 
 Two implementations compute it:
 
-- :class:`_LinkedTally` + :func:`configuration_space_linked` — the
-  specification: re-walk the whole configuration, O(configuration) per
-  call.  This is the verification oracle.
+- :func:`linked_charges` — the specification: one walk of the whole
+  configuration, O(configuration), charging each component its
+  structural words and the bindings it is first to hold.
+  :func:`configuration_space_linked` is its total and the verification
+  oracle; the blame and retention layers group the same charges by
+  holder.
 - :class:`BindingLedger` — the incremental form used by the meter.  A
   multiset counter over (identifier, location) pairs tracks how many
   configuration components (register environment, continuation-frame
@@ -41,130 +44,105 @@ Two implementations compute it:
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple, Union
+import itertools
+from operator import itemgetter
+from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from ..machine.config import Final, State
-from ..machine.continuation import CallK, Kont, Push, chain
-from ..machine.store import Store
+from ..machine.continuation import Kont
 from ..machine.values import Closure, Escape, Num, Pair, Str, Value, Vector
-from .flat import number_space
+from .flat import ACCUMULATOR, REGISTER, Charge, number_space
 
 
-class _LinkedTally:
-    """Accumulates structural words and the global binding set."""
+def value_structural(value: Value, fixed_precision: bool = False) -> int:
+    """Structural words of a value under linked accounting: Figure 7's
+    space(v), except that a closure or an escape costs one word (its
+    bindings and captured frames are charged by :func:`linked_charges`)."""
+    if isinstance(value, Num):
+        return number_space(value.value, fixed_precision)
+    if isinstance(value, Pair):
+        return 3
+    if isinstance(value, Vector):
+        return 1 + value.length
+    if isinstance(value, Str):
+        return 1 + len(value.value)
+    return 1
 
-    def __init__(self, fixed_precision: bool):
-        self.fixed_precision = fixed_precision
-        self.structural = 0
-        self.bindings: Set[Tuple[str, int]] = set()
-        self._seen_konts: Set[int] = set()
 
-    def add_env(self, env) -> None:
-        if env is not None:
-            self.bindings |= env.graph()
+def linked_charges(
+    configuration: Union[State, Final],
+    fixed_precision: bool = False,
+    bindings: Optional[Set[Tuple[str, int]]] = None,
+) -> Iterator[Charge]:
+    """Figure 8 as a walk, in :func:`~repro.space.flat.flat_charges`'
+    order: the register environment, the continuation frames, the
+    accumulator, the store cells in store order.
 
-    def add_value(self, value: Value) -> None:
-        """Structural words of a value under linked accounting."""
-        if isinstance(value, Closure):
-            self.structural += 1
-            self.add_env(value.env)
-        elif isinstance(value, Escape):
-            self.structural += 1
-            self.add_kont(value.kont)
-        elif isinstance(value, Num):
-            self.structural += number_space(value.value, self.fixed_precision)
-        elif isinstance(value, Vector):
-            self.structural += 1 + value.length
-        elif isinstance(value, Pair):
-            self.structural += 3
-        elif isinstance(value, Str):
-            self.structural += 1 + len(value.value)
+    Each charge's ``words`` are the component's structural words
+    (``Kont._linked_own``, :func:`value_structural`, plus one per store
+    cell); its ``fresh`` counts the (identifier, location) bindings of
+    the component's environment that no earlier component held, so
+    each distinct binding is charged once, to its first holder.  A
+    frame is charged once however many chains share it: an escape's
+    captured frames are charged to the escape's holder, up to the
+    first frame already charged.  Values parked in push/call frames
+    cost the frame's m/n words only — the same convention Figure 7
+    uses, which ignores parked closures' environments; charging their
+    bindings would let U_X exceed S_X, contradicting section 13.
+
+    *bindings*, when given, collects the distinct bindings."""
+    if bindings is None:
+        bindings = set()
+    seen: Set[Kont] = set()
+
+    def fresh(env) -> int:
+        before = len(bindings)
+        bindings.update(env.graph())
+        return len(bindings) - before
+
+    def frames(frame, owner):
+        while frame is not None and frame not in seen:
+            seen.add(frame)
+            env = frame.env
+            yield (
+                frame if owner is None else owner,
+                frame,
+                frame._linked_own(),
+                0 if env is None else fresh(env),
+            )
+            frame = frame.parent
+
+    if configuration.is_final:
+        acc = configuration.value
+    else:
+        env = configuration.env
+        yield REGISTER, env, 0, fresh(env)
+        yield from frames(configuration.kont, None)
+        acc = configuration.control if configuration.is_value else None
+    values = configuration.store.items()
+    if acc is not None:
+        values = itertools.chain(((ACCUMULATOR, acc),), values)
+    for holder, value in values:
+        words = value_structural(value, fixed_precision)
+        if holder is not ACCUMULATOR:
+            words += 1
+        cls = value.__class__
+        if cls is Closure:
+            yield holder, value, words, fresh(value.env)
         else:
-            self.structural += 1
-
-    def add_kont(self, kont: Kont) -> None:
-        for frame in chain(kont):
-            if id(frame) in self._seen_konts:
-                return
-            self._seen_konts.add(id(frame))
-            if isinstance(frame, Push):
-                self.structural += 1 + len(frame.pending) + len(frame.done)
-                for value in frame.done:
-                    self._note_parked(value)
-            elif isinstance(frame, CallK):
-                self.structural += 1 + len(frame.args)
-                for value in frame.args:
-                    self._note_parked(value)
-            else:
-                self.structural += 1
-            self.add_env(frame.env)
-
-    def _note_parked(self, value: Value) -> None:
-        """Values parked in push/call frames cost exactly the frame's
-        m/n words — the same convention Figure 7 uses for flat
-        accounting, which ignores parked closures' environment tables.
-        Charging their bindings here would make U_X exceed S_X on
-        configurations whose parked closures hold otherwise-uncounted
-        bindings, contradicting section 13's U_X <= S_X."""
-
-    def add_store(self, store: Store) -> None:
-        for _location, value in store.items():
-            self.structural += 1
-            self.add_value(value)
-
-    def total(self) -> int:
-        return self.structural + len(self.bindings)
-
-
-def state_space_linked(state: State, fixed_precision: bool = False) -> int:
-    """Figure 8 space of an intermediate configuration."""
-    tally = _LinkedTally(fixed_precision)
-    tally.add_env(state.env)
-    tally.add_kont(state.kont)
-    if state.is_value:
-        tally.add_value(state.control)
-    tally.add_store(state.store)
-    return tally.total()
-
-
-def final_space_linked(final: Final, fixed_precision: bool = False) -> int:
-    """Figure 8 space of a final configuration (v, sigma)."""
-    tally = _LinkedTally(fixed_precision)
-    tally.add_value(final.value)
-    tally.add_store(final.store)
-    return tally.total()
+            yield holder, value, words, 0
+            if cls is Escape:
+                yield from frames(value.kont, holder)
 
 
 def configuration_space_linked(
     configuration: Union[State, Final], fixed_precision: bool = False
 ) -> int:
-    """Linked space(C) for either configuration shape."""
-    if isinstance(configuration, Final):
-        return final_space_linked(configuration, fixed_precision)
-    return state_space_linked(configuration, fixed_precision)
-
-
-# ---------------------------------------------------------------------------
-# Incremental (memoized) linked accounting
-# ---------------------------------------------------------------------------
-
-
-def value_structural(value: Value, fixed_precision: bool = False) -> int:
-    """Structural words of a value under linked accounting — exactly
-    what :meth:`_LinkedTally.add_value` charges, bindings excluded.
-    Escapes are not supported here (the meter falls back before any
-    escape is measured incrementally)."""
-    if isinstance(value, (Closure, Escape)):
-        return 1
-    if isinstance(value, Num):
-        return number_space(value.value, fixed_precision)
-    if isinstance(value, Vector):
-        return 1 + value.length
-    if isinstance(value, Pair):
-        return 3
-    if isinstance(value, Str):
-        return 1 + len(value.value)
-    return 1
+    """Linked space(C) for either configuration shape: the total of
+    :func:`linked_charges`, structural words plus distinct bindings."""
+    bindings: Set[Tuple[str, int]] = set()
+    walk = linked_charges(configuration, fixed_precision, bindings)
+    return sum(map(itemgetter(2), walk)) + len(bindings)
 
 
 class BindingLedger:
@@ -248,33 +226,22 @@ class BindingLedger:
 
     def audit(self, configuration: Union[State, Final], root_envs) -> None:
         """Raise AssertionError when ``distinct`` disagrees with the
-        oracle tally of the same configuration, or when a pair's count
+        oracle walk of the same configuration, or when a pair's count
         disagrees with a from-scratch recount over *root_envs* (the
         distinct environments the register and frames hold), the
         accumulator's closure and the stored closures."""
-        tally = _LinkedTally(fixed_precision=False)
+        bindings: Set[Tuple[str, int]] = set()
         graphs = [env.graph() for env in root_envs]
-        if isinstance(configuration, Final):
-            tally.add_value(configuration.value)
-            if isinstance(configuration.value, Closure):
-                graphs.append(configuration.value.env.graph())
-        else:
-            tally.add_env(configuration.env)
-            for frame in chain(configuration.kont):
-                tally.add_env(frame.env)
-            if configuration.is_value:
-                tally.add_value(configuration.control)
-                if isinstance(configuration.control, Closure):
-                    graphs.append(configuration.control.env.graph())
-        for _location, value in configuration.store.items():
-            if isinstance(value, Closure):
-                tally.add_env(value.env)
-                graphs.append(value.env.graph())
-        if len(tally.bindings) != self.distinct:
-            missing = tally.bindings - set(self._counts)
-            extra = set(self._counts) - tally.bindings
+        for _holder, part, _words, _fresh in linked_charges(
+            configuration, bindings=bindings
+        ):
+            if isinstance(part, Closure):
+                graphs.append(part.env.graph())
+        if len(bindings) != self.distinct:
+            missing = bindings - set(self._counts)
+            extra = set(self._counts) - bindings
             raise AssertionError(
-                f"binding ledger drift: oracle={len(tally.bindings)} "
+                f"binding ledger drift: oracle={len(bindings)} "
                 f"ledger={self.distinct} missing={missing} extra={extra}"
             )
         expected: Dict[Tuple[str, int], int] = {}

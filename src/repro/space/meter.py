@@ -813,8 +813,10 @@ def run_metered(
     final sup — then the sup is provably exact: a missed peak at step k
     would have forced ``bound(k) >= space(k) > sup``, triggering either
     an exact trip (contradiction) or an undominated suspect.  An
-    uncertified run replays with ``meter="exact"``.  Either way the
-    returned sup equals the exact meter's.
+    uncertified run replays with its own arguments but
+    ``meter="exact"``, so its ``checkpoint_hook`` hears the replay too,
+    counting from step 0 again.  Either way the returned sup equals the
+    exact meter's.
 
     ``budget`` caps the consumption ``|P| + sup space``: the first
     certified measurement that crosses raises :class:`QuotaExceeded`
@@ -853,6 +855,9 @@ def run_metered(
       allocation-site provenance can be stamped through the engine's
       store hooks.
     """
+    # The call's own arguments: an uncertified sampled run replays them
+    # with only the schedule changed.
+    arguments = dict(locals())
     if meter not in METERS:
         raise ValueError(f"unknown meter mode: {meter!r} (want {METERS})")
     if checkpoint_every <= 0:
@@ -1144,16 +1149,7 @@ def run_metered(
         stats = _engine_stats(engine_meter, engine, stats)
         if mode == "sampled" and not certified:
             engine_meter.detach(store)
-            result = run_metered(
-                machine,
-                program,
-                argument,
-                linked=linked,
-                fixed_precision=fixed_precision,
-                step_limit=step_limit,
-                engine=engine,
-                budget=budget,
-            )
+            result = run_metered(**dict(arguments, meter="exact"))
             stats.update(certified=True, exact_rerun=True)
             result.meter_stats = stats
             return result

@@ -26,13 +26,13 @@ Holder keys:
                        (identifier, location) binding, keyed by the
                        identifier
 
-The flat decomposition leans on the construction-time caches: a
-frame's own contribution is ``frame.flat_space - parent.flat_space``
-and a store cell's is ``1 + value_space(v)``, the same quantities the
-incremental totals are built from.  The linked decomposition replays
-the oracle tally's walk (:class:`repro.space.linked._LinkedTally`) —
-same frame dedup, same parked-value convention — attributing each
-structural word and each distinct binding as it is counted.
+The decomposition adds nothing to the accounting: it groups the
+charges of the accounting's one walk
+(:func:`repro.space.flat.flat_charges`,
+:func:`repro.space.linked.linked_charges`, whose linked total *is*
+``configuration_space_linked``) by holder label, so the frame dedup,
+the parked-value convention and every word come from the same rules
+the meter's cached totals are built from.
 
 :class:`BlameProfiler` samples :func:`blame_configuration` over a
 metered run (the meter calls :meth:`BlameProfiler.observe` at every
@@ -56,11 +56,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..machine.config import Final
-from ..machine.continuation import CallK, Push, chain
+from ..machine.continuation import Kont
 from ..machine.values import Closure, Escape
-from ..space.flat import value_space
-from ..space.linked import value_structural
+from ..space.flat import ACCUMULATOR, REGISTER, flat_charges, value_space
+from ..space.linked import linked_charges, value_structural
 from ..syntax.ast import core_to_string, derive
 
 NODE_LABEL_LIMIT = 48
@@ -93,105 +92,43 @@ def _value_label(value, where: str) -> str:
     return f"{where}:{value.__class__.__name__}"
 
 
-def _blame_flat(configuration, fixed_precision: bool) -> Dict[str, int]:
-    blame: Dict[str, int] = {}
-
-    def add(key: str, words: int) -> None:
-        if words:
-            blame[key] = blame.get(key, 0) + words
-
-    if isinstance(configuration, Final):
-        add(
-            _value_label(configuration.value, "acc"),
-            value_space(configuration.value, fixed_precision),
-        )
-    else:
-        add("env:register", len(configuration.env))
-        frame = configuration.kont
-        while frame is not None:
-            parent = frame.parent
-            own = frame.flat_space - (parent.flat_space if parent else 0)
-            add(_kont_label(frame), own)
-            frame = parent
-        if configuration.is_value:
-            add(
-                _value_label(configuration.control, "acc"),
-                value_space(configuration.control, fixed_precision),
-            )
-    for _location, value in configuration.store.items():
-        add(
-            _value_label(value, "store"),
-            1 + value_space(value, fixed_precision),
-        )
-    return blame
-
-
-def _blame_linked(configuration, fixed_precision: bool) -> Dict[str, int]:
-    # Mirrors _LinkedTally's walk word for word: same frame dedup (a
-    # shared ancestor ends the whole chain walk), same parked-value
-    # convention (m/n words on the frame, no binding charge), same
-    # global binding set.
-    blame: Dict[str, int] = {}
-    bindings: set = set()
-    seen_konts: set = set()
-
-    def add(key: str, words: int) -> None:
-        if words:
-            blame[key] = blame.get(key, 0) + words
-
-    def add_env(env) -> None:
-        if env is not None:
-            bindings.update(env.graph())
-
-    def add_kont(kont) -> None:
-        for frame in chain(kont):
-            if id(frame) in seen_konts:
-                return
-            seen_konts.add(id(frame))
-            if isinstance(frame, Push):
-                words = 1 + len(frame.pending) + len(frame.done)
-            elif isinstance(frame, CallK):
-                words = 1 + len(frame.args)
-            else:
-                words = 1
-            add(_kont_label(frame), words)
-            add_env(frame.env)
-
-    def add_value(value, where: str, cell: int = 0) -> None:
-        label = _value_label(value, where)
-        if isinstance(value, Closure):
-            add(label, cell + 1)
-            add_env(value.env)
-        elif isinstance(value, Escape):
-            add(label, cell + 1)
-            add_kont(value.kont)
-        else:
-            add(label, cell + value_structural(value, fixed_precision))
-
-    if isinstance(configuration, Final):
-        add_value(configuration.value, "acc")
-    else:
-        add_env(configuration.env)
-        add_kont(configuration.kont)
-        if configuration.is_value:
-            add_value(configuration.control, "acc")
-    for _location, value in configuration.store.items():
-        add_value(value, "store", cell=1)
-    for name, _location in bindings:
-        add(f"binding:{name}", 1)
-    return blame
-
-
 def blame_configuration(
     configuration,
     linked: bool = False,
     fixed_precision: bool = False,
 ) -> Dict[str, int]:
     """Decompose space(C) over named holders; the values sum exactly
-    to ``configuration_space(C)`` (or ``configuration_space_linked``)."""
+    to ``configuration_space(C)`` (or ``configuration_space_linked``).
+
+    The charges are the accounting's walk
+    (:func:`~repro.space.flat.flat_charges`,
+    :func:`~repro.space.linked.linked_charges`) grouped by label: the
+    register environment, each frame by class and call site, each
+    value by where it sits.  Under linked accounting the walk's
+    bindings are then charged one word each to ``binding:<name>``,
+    after every structural holder."""
+    blame: Dict[str, int] = {}
+    bindings: set = set()
     if linked:
-        return _blame_linked(configuration, fixed_precision)
-    return _blame_flat(configuration, fixed_precision)
+        charges = linked_charges(configuration, fixed_precision, bindings)
+    else:
+        charges = flat_charges(configuration, fixed_precision)
+    for holder, part, words, _fresh in charges:
+        if not words:
+            continue
+        if holder is REGISTER:
+            key = "env:register"
+        elif isinstance(part, Kont):
+            key = _kont_label(part)
+        elif holder is ACCUMULATOR:
+            key = _value_label(part, "acc")
+        else:
+            key = _value_label(part, "store")
+        blame[key] = blame.get(key, 0) + words
+    for name, _location in bindings:
+        key = f"binding:{name}"
+        blame[key] = blame.get(key, 0) + 1
+    return blame
 
 
 class IncrementalBlame:
@@ -202,14 +139,15 @@ class IncrementalBlame:
     dict tracks :func:`blame_configuration`'s decomposition of the
     *current* configuration exactly — a blame sample becomes an
     O(changed-holders) dict copy instead of an O(configuration)
-    re-decomposition.  Label and word conventions mirror
-    ``_blame_flat`` / ``_blame_linked`` term for term:
+    re-decomposition.  Each component is charged by the rule the walk
+    charges it by, under the same label:
 
-    - store cells via the mutation hooks (flat: ``1 + space(v)``;
-      linked: closures 2, others ``1 + structural``),
-    - continuation frames via the chain diff (own words =
-      ``flat_space``/``linked_space`` minus the parent's),
-    - the accumulator via the acc diff,
+    - store cells via the mutation hooks (one word plus the value's:
+      :func:`~repro.space.flat.value_space` flat,
+      :func:`~repro.space.linked.value_structural` linked),
+    - continuation frames via the chain diff (``Kont._flat_own`` /
+      ``Kont._linked_own``),
+    - the accumulator via the acc diff (the value's words),
     - ``env:register`` (flat only) set absolutely per step,
     - ``binding:<name>`` (linked only) driven by the binding ledger's
       0↔1 distinct-set transitions.
@@ -219,13 +157,16 @@ class IncrementalBlame:
     decomposition, so every sample stays exact either way.
     """
 
-    __slots__ = ("blame", "linked", "fixed_precision", "active")
+    __slots__ = (
+        "blame", "linked", "fixed_precision", "active", "_value_words"
+    )
 
     def __init__(self, linked: bool, fixed_precision: bool):
         self.blame: Dict[str, int] = {}
         self.linked = linked
         self.fixed_precision = fixed_precision
         self.active = True
+        self._value_words = value_structural if linked else value_space
 
     def _add(self, key: str, words: int) -> None:
         if words:
@@ -239,26 +180,18 @@ class IncrementalBlame:
 
     # -- store cells ---------------------------------------------------------
 
-    def _store_words(self, value) -> int:
-        if self.linked:
-            if isinstance(value, Closure):
-                return 2
-            return 1 + value_structural(value, self.fixed_precision)
-        return 1 + value_space(value, self.fixed_precision)
-
     def store_add(self, value) -> None:
-        self._add(_value_label(value, "store"), self._store_words(value))
+        words = 1 + self._value_words(value, self.fixed_precision)
+        self._add(_value_label(value, "store"), words)
 
     def store_remove(self, value) -> None:
-        self._add(_value_label(value, "store"), -self._store_words(value))
+        words = 1 + self._value_words(value, self.fixed_precision)
+        self._add(_value_label(value, "store"), -words)
 
     # -- continuation frames -------------------------------------------------
 
     def _frame_words(self, frame) -> int:
-        parent = frame.parent
-        if self.linked:
-            return frame.linked_space - (parent.linked_space if parent else 0)
-        return frame.flat_space - (parent.flat_space if parent else 0)
+        return frame._linked_own() if self.linked else frame._flat_own()
 
     def frame_add(self, frame) -> None:
         self._add(_kont_label(frame), self._frame_words(frame))
@@ -277,18 +210,13 @@ class IncrementalBlame:
         elif "env:register" in blame:
             blame["env:register"] = 0
 
-    def _acc_words(self, value) -> int:
-        if self.linked:
-            if isinstance(value, Closure):
-                return 1
-            return value_structural(value, self.fixed_precision)
-        return value_space(value, self.fixed_precision)
-
     def acc_add(self, value) -> None:
-        self._add(_value_label(value, "acc"), self._acc_words(value))
+        words = self._value_words(value, self.fixed_precision)
+        self._add(_value_label(value, "acc"), words)
 
     def acc_remove(self, value) -> None:
-        self._add(_value_label(value, "acc"), -self._acc_words(value))
+        words = self._value_words(value, self.fixed_precision)
+        self._add(_value_label(value, "acc"), -words)
 
     # -- distinct bindings (driven by the BindingLedger) ---------------------
 

@@ -15,9 +15,12 @@ one configuration:
   traversal exactly: environment ribs, frame-held locations and parked
   values, closure environments, pair/vector slots, and the frames
   captured by escape procedures;
-- every node carries a *self size* under the requested accounting
-  (Figure 7 flat or Figure 8 linked), assigned so that the node sizes
-  sum to precisely the configuration space the meter reports.
+- every node carries a *self size*: the words the accounting's one
+  charge walk (:func:`repro.space.flat.flat_charges` for Figure 7,
+  :func:`repro.space.linked.linked_charges` for Figure 8) charges to
+  its root or cell — under linked accounting with the bindings it is
+  first to hold and, for an escape, its captured frames — so the node
+  sizes sum to precisely the configuration space the meter reports.
 
 On top of the graph two analyses answer "why is this word live":
 
@@ -51,11 +54,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..machine.continuation import CallK, Push, chain
+from ..machine.continuation import chain
 from ..machine.gc import configuration_roots, reachable_locations
 from ..machine.values import Closure, Escape, Pair, Vector
-from ..space.flat import value_space
-from ..space.linked import value_structural
+from ..space.flat import (
+    ACCUMULATOR,
+    REGISTER,
+    configuration_space,
+    flat_charges,
+)
+from ..space.linked import configuration_space_linked, linked_charges
 from .blame import Sampler, _kont_label, _value_label, holder_class, node_label
 
 #: Root label for store cells kept alive by more than one root (their
@@ -409,9 +417,6 @@ def retention_snapshot(
     accounting.
     """
     if space is None:
-        from ..space.flat import configuration_space
-        from ..space.linked import configuration_space_linked
-
         space = (
             configuration_space_linked(configuration, fixed_precision)
             if linked
@@ -511,74 +516,15 @@ def retention_snapshot(
         for location in unreachable:
             add_edge(unreachable_node, loc_node[location], "pending-gc")
 
-    # -- self sizes ----------------------------------------------------------
-    if linked:
-        bindings: set = set()
-        seen_konts: set = set()
-
-        def new_binding_words(an_env) -> int:
-            if an_env is None:
-                return 0
-            fresh = an_env.graph() - bindings
-            bindings.update(fresh)
-            return len(fresh)
-
-        def kont_words(a_kont) -> int:
-            # _LinkedTally.add_kont: a shared ancestor ends the whole
-            # walk; parked values cost only the frame's m/n words.
-            words = 0
-            for frame in chain(a_kont):
-                if id(frame) in seen_konts:
-                    return words
-                seen_konts.add(id(frame))
-                if isinstance(frame, Push):
-                    words += 1 + len(frame.pending) + len(frame.done)
-                elif isinstance(frame, CallK):
-                    words += 1 + len(frame.args)
-                else:
-                    words += 1
-                words += new_binding_words(frame.env)
-            return words
-
-        def value_words(value, cell: int) -> int:
-            if isinstance(value, Closure):
-                return cell + 1 + new_binding_words(value.env)
-            if isinstance(value, Escape):
-                return cell + 1 + kont_words(value.kont)
-            return cell + value_structural(value, fixed_precision)
-
-        # Same walk order as _LinkedTally / _blame_linked: register
-        # environment, continuation frames, accumulator, store cells —
-        # each distinct binding charged to its first contributor.
-        if env_node is not None:
-            selfs[env_node] = new_binding_words(env)
-        for frame, node in zip(frames, frame_nodes):
-            if id(frame) in seen_konts:
-                continue
-            seen_konts.add(id(frame))
-            if isinstance(frame, Push):
-                words = 1 + len(frame.pending) + len(frame.done)
-            elif isinstance(frame, CallK):
-                words = 1 + len(frame.args)
-            else:
-                words = 1
-            selfs[node] = words + new_binding_words(frame.env)
-        if acc_node is not None:
-            selfs[acc_node] = value_words(acc, 0)
-        for location, value in store.items():
-            selfs[loc_node[location]] = value_words(value, 1)
-    else:
-        if env_node is not None:
-            selfs[env_node] = len(env._bindings)
-        for frame, node in zip(frames, frame_nodes):
-            parent = frame.parent
-            selfs[node] = frame.flat_space - (
-                parent.flat_space if parent is not None else 0
-            )
-        if acc_node is not None:
-            selfs[acc_node] = value_space(acc, fixed_precision)
-        for location, value in store.items():
-            selfs[loc_node[location]] = 1 + value_space(value, fixed_precision)
+    # -- self sizes: the accounting's walk, charged to its holders ----------
+    node_of: Dict[object, Optional[int]] = {
+        REGISTER: env_node, ACCUMULATOR: acc_node
+    }
+    node_of.update(zip(frames, frame_nodes))
+    node_of.update(loc_node)
+    walk = linked_charges if linked else flat_charges
+    for holder, _part, words, fresh in walk(configuration, fixed_precision):
+        selfs[node_of[holder]] += words + fresh
 
     # -- dominators and retained sizes --------------------------------------
     idom, rpo = _dominators(succs)

@@ -77,9 +77,10 @@ def test_blame_is_exact_on_random_programs_linked(body):
         assert total == space, as_program(body)
 
 
-@pytest.mark.parametrize("machine", [
-    "tail", "gc", "stack", "evlis", "free", "sfs", "bigloo", "mta",
-])
+MACHINES = ("tail", "gc", "stack", "evlis", "free", "sfs", "bigloo", "mta")
+
+
+@pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("linked", [False, True], ids=["flat", "linked"])
 def test_blame_is_exact_along_a_raw_walk(machine, linked):
     walk_blaming(machine, LOOP, None, linked)
@@ -288,31 +289,36 @@ def test_blame_by_class_is_an_exact_regrouping():
 @pytest.mark.parametrize("linked", (False, True), ids=("flat", "linked"))
 def test_trace_run_blames_incrementally_and_matches_the_walk(linked):
     """``repro trace`` samples the meter's incremental decomposition
-    instead of re-walking the configuration, and every table it reports
-    equals that of a profiler walking each sampled configuration of the
-    same computation (the reference engine offers no delta)."""
+    instead of re-walking the configuration, and on every machine every
+    table it reports equals that of a profiler walking each sampled
+    configuration of the same computation (the reference engine offers
+    no delta), whose sums meet the delta engine's measurements."""
     from repro.space.consumption import prepare_input
     from repro.space.meter import run_metered
 
-    session = trace_run("gc", BUILD, "12", linked=linked)
-    inc = session.blame
-    assert inc.incremental_samples > 0
-    walked = BlameProfiler()
-    result = run_metered(
-        make_machine("gc"), prepare_program(BUILD), prepare_input("12"),
-        linked=linked, gc_interval=1, engine="reference", blame=walked,
-    )
-    assert walked.incremental_samples == 0
-    assert (result.steps, result.sup_space) == (
-        session.result.steps, session.result.sup_space
-    )
-    assert (inc.sampled, inc.peak_space, inc.peak_step, inc.at_peak) == (
-        walked.sampled, walked.peak_space, walked.peak_step,
-        walked.at_peak,
-    )
-    assert inc.totals == walked.totals
-    assert inc.history == walked.history
-    assert inc.series().as_dict() == walked.series().as_dict()
+    for machine in MACHINES:
+        session = trace_run(machine, BUILD, "12", linked=linked)
+        inc = session.blame
+        assert inc.incremental_samples > 0, machine
+        walked = BlameProfiler()
+        result = run_metered(
+            make_machine(machine), prepare_program(BUILD),
+            prepare_input("12"), linked=linked, gc_interval=1,
+            engine="reference", blame=walked,
+        )
+        assert walked.incremental_samples == 0
+        assert (result.steps, result.sup_space) == (
+            session.result.steps, session.result.sup_space
+        ), machine
+        assert (
+            inc.sampled, inc.peak_space, inc.peak_step, inc.at_peak
+        ) == (
+            walked.sampled, walked.peak_space, walked.peak_step,
+            walked.at_peak,
+        ), machine
+        assert inc.totals == walked.totals, machine
+        assert inc.history == walked.history, machine
+        assert inc.series().as_dict() == walked.series().as_dict(), machine
 
 
 def test_trace_run_records_blame_instruments():

@@ -97,9 +97,10 @@ def walk_retaining(machine_name, source, arg, linked, fixed_precision=False):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("machine", [
-    "tail", "gc", "stack", "evlis", "free", "sfs", "bigloo", "mta",
-])
+MACHINES = ("tail", "gc", "stack", "evlis", "free", "sfs", "bigloo", "mta")
+
+
+@pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("linked", [False, True], ids=["flat", "linked"])
 def test_partition_is_exact_along_a_raw_walk(machine, linked):
     walk_retaining(machine, LOOP, None, linked)
@@ -114,16 +115,16 @@ def test_partition_is_exact_with_escapes_and_fixed_precision(linked):
 
 @pytest.mark.parametrize("fixed_precision", [False, True])
 def test_partition_is_exact_under_gc_over_a_full_metered_run(fixed_precision):
-    for machine, linked in [("gc", False), ("stack", False),
-                            ("evlis", True), ("mta", True)]:
-        _result, profiler = retention_run(
-            machine, BUILD, "7", linked=linked,
-            fixed_precision=fixed_precision,
-        )
-        assert profiler.history, "meter never called the profiler"
-        for _step, space, self_sum, partition_sum in profiler.history:
-            assert self_sum == space
-            assert partition_sum == space
+    for machine in MACHINES:
+        for linked in (False, True):
+            _result, profiler = retention_run(
+                machine, BUILD, "7", linked=linked,
+                fixed_precision=fixed_precision,
+            )
+            assert profiler.history, "meter never called the profiler"
+            for _step, space, self_sum, partition_sum in profiler.history:
+                assert self_sum == space, (machine, linked)
+                assert partition_sum == space, (machine, linked)
 
 
 @given(program_bodies)

@@ -26,7 +26,6 @@ from repro.space.flat import (
 )
 from repro.space.linked import (
     configuration_space_linked,
-    state_space_linked,
 )
 from repro.syntax.ast import Lambda, Quote, Var
 
@@ -135,7 +134,7 @@ class TestLinkedSpace:
         # Three environments share one binding: flat counts 3 words of
         # environment, linked counts 1.
         flat = state_space(state)
-        linked = state_space_linked(state)
+        linked = configuration_space_linked(state)
         assert flat - linked == 2
 
     def test_distinct_bindings_counted_separately(self):
@@ -144,7 +143,7 @@ class TestLinkedSpace:
         env_b = EMPTY_ENV.extend(("x",), (1,))  # same name, new location
         kont = Return(env_b, Halt())
         state = State(Quote(1), False, env_a, kont, store)
-        linked = state_space_linked(state)
+        linked = configuration_space_linked(state)
         assert linked == 2 + 1 + 1  # two bindings + two frame words
 
     def test_closure_env_shares_with_register_env(self):
@@ -153,7 +152,7 @@ class TestLinkedSpace:
         closure = Closure(1, Lambda((), Quote(1)), env)
         state = State(closure, True, env, Halt(), store)
         # Closure costs 1 structural word; its binding is shared.
-        assert state_space_linked(state) == 1 + 1 + 1
+        assert configuration_space_linked(state) == 1 + 1 + 1
 
     def test_linked_never_exceeds_flat(self):
         """U <= S pointwise (section 13)."""
@@ -174,7 +173,7 @@ class TestLinkedSpace:
                 )
                 break
             state = result
-            assert state_space_linked(state) <= state_space(state)
+            assert configuration_space_linked(state) <= state_space(state)
 
     def test_final_linked_space(self):
         store = Store()
@@ -187,7 +186,7 @@ class TestLinkedSpace:
         store.alloc(Closure(5, Lambda((), Quote(1)), env))
         state = State(Quote(1), False, EMPTY_ENV, Halt(), store)
         # store cell (1) + closure structural (1) + binding (1) + halt (1)
-        assert state_space_linked(state) == 4
+        assert configuration_space_linked(state) == 4
 
     def test_parked_closure_costs_frame_words_only(self):
         """Section 13 / DESIGN.md: a closure parked in a push or call
@@ -200,7 +199,7 @@ class TestLinkedSpace:
         kont = CallK((parked,), Halt())
         state = State(Quote(1), False, EMPTY_ENV, kont, store)
         # call frame: 1 + m(1); halt: 1 — and nothing for the env.
-        assert state_space_linked(state) == 3
+        assert configuration_space_linked(state) == 3
 
     def test_parked_closure_flat_also_costs_one_word(self):
         store = Store()
@@ -209,15 +208,15 @@ class TestLinkedSpace:
         kont = CallK((parked,), Halt())
         state = State(Quote(1), False, EMPTY_ENV, kont, store)
         assert state_space(state) == 3
-        assert state_space_linked(state) <= state_space(state)
+        assert configuration_space_linked(state) <= state_space(state)
 
     def test_push_and_call_frames_charge_m_n(self):
         store = Store()
         push = Push((Quote(1),), (TRUE, NIL), (0, 1, 2), EMPTY_ENV, Halt())
         state = State(Quote(1), False, EMPTY_ENV, push, store)
         # push: 1 + m(1) + n(2); halt: 1
-        assert state_space_linked(state) == 5
+        assert configuration_space_linked(state) == 5
         call = CallK((TRUE,), Halt())
         state = State(TRUE, True, EMPTY_ENV, call, store)
         # accumulator 1 + call (1 + 1) + halt 1
-        assert state_space_linked(state) == 4
+        assert configuration_space_linked(state) == 4
