@@ -986,11 +986,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="metering engine (all report identical numbers)",
     )
     sweep_parser.add_argument(
-        "--meter", default="exact", choices=METERS,
-        help="space meter: exact (measure every transition, the "
-        "Definition 21 schedule made observable) or sampled (identical "
-        "numbers, exact measurement only at checkpoints and allocation "
-        "bursts; cells with per-cell telemetry run exactly)",
+        "--meter", default="sampled", choices=METERS,
+        help="space meter: sampled (the default; identical numbers, "
+        "exact measurement only at checkpoints, at allocation bursts "
+        "and whenever its bound passes the running sup; cells with "
+        "per-cell telemetry run exactly) or exact (measure every "
+        "transition, the Definition 21 schedule made observable)",
     )
     sweep_parser.add_argument(
         "--checkpoint-every", type=_positive_int,

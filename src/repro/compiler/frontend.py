@@ -11,6 +11,9 @@ A compiled program is its own expanded tree: the prepass keeps every
 plan, address and quote value on the nodes it describes
 (:mod:`repro.compiler.prepass`), and all of it is freed with the tree.
 An artifact is that tree pickled (:mod:`repro.serving.artifacts`).
+:func:`compiled_program` keeps a process's most recently used
+programs compiled, so a sweep worker or a serve worker that meets a
+program again skips the front end.
 
 The validation rule (:func:`repro.syntax.validate.validate`'s
 default): free variables must be bound in rho_0, and constants must be
@@ -21,7 +24,8 @@ here (there is no ``string-set!``), so sharing one is harmless.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from collections import OrderedDict
+from typing import Callable, Optional, Union
 
 from ..machine.primitives import primitive_names
 from ..syntax.ast import Expr
@@ -30,6 +34,15 @@ from ..syntax.validate import validate
 from .prepass import annotate
 
 Source = Union[str, Expr]
+
+#: Programs :func:`compiled_program` keeps per process, and the
+#: default size of serve's artifact cache.
+DEFAULT_CAPACITY = 64
+
+#: stripped source text -> compiled program, least recently used
+#: first.  Keyed on the text itself, which :func:`program_sha` hashes:
+#: hashing it here would load hashlib into every sweep worker.
+_COMPILED: "OrderedDict[str, Expr]" = OrderedDict()
 
 
 def program_sha(source: str) -> str:
@@ -46,6 +59,29 @@ def prepare_program(source: Source, strict: bool = False) -> Expr:
     tree, or an already compiled program (returned as it is)."""
     program = source if isinstance(source, Expr) else expand_program(source)
     return _lower(program, strict)
+
+
+def compiled_program(source: str,
+                     build: Optional[Callable[[], Expr]] = None) -> Expr:
+    """The compiled program for source text *source*, built once per
+    process while it stays among the :data:`DEFAULT_CAPACITY` most
+    recently used: by *build* (serve hydrating an artifact) or by
+    :func:`prepare_program`.  A build that raises caches nothing."""
+    key = source.strip()
+    program = _COMPILED.get(key)
+    if program is None:
+        program = build() if build is not None else prepare_program(source)
+        _COMPILED[key] = program
+        if len(_COMPILED) > DEFAULT_CAPACITY:
+            _COMPILED.popitem(last=False)
+    else:
+        _COMPILED.move_to_end(key)
+    return program
+
+
+def clear_compiled() -> None:
+    """Drop this process's compiled programs (testing hygiene)."""
+    _COMPILED.clear()
 
 
 def prepare_input(source: Optional[Source], strict: bool = False

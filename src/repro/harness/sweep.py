@@ -5,7 +5,8 @@ The drivers behind Figure 6, Theorem 25/26, and the section 13 tables
 all evaluate the same shape of work: a grid of independent
 S_X/U_X measurements, each a full metered run.  A :class:`SweepCell`
 freezes one grid point as plain picklable data (program *source*, not
-AST — workers re-expand), :func:`run_grid` executes the cells either
+AST — each process compiles a program once, into the front end's LRU
+of compiled programs), :func:`run_grid` executes the cells either
 serially or on a ``multiprocessing`` pool, and :func:`sweep_series`
 mirrors :func:`repro.space.consumption.sweep` for the common
 one-machine-over-N series.
@@ -34,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..compiler.frontend import program_sha
+from ..compiler.frontend import compiled_program, program_sha
 from ..space.consumption import Consumption, measure
 from ..space.meter import DEFAULT_CHECKPOINT_EVERY, DEFAULT_STEP_LIMIT
 
@@ -50,10 +51,11 @@ class SweepCell:
     linked: bool = False
     fixed_precision: bool = False
     engine: str = "delta"
-    #: ``"exact"`` (the per-step Definition 21 meter) or ``"sampled"``
-    #: (the lazy schedule where the meter allows it — same numbers,
-    #: fewer exact measurements; a cell with telemetry runs eagerly).
-    meter: str = "exact"
+    #: ``"sampled"`` (the default: the lazy schedule where the meter
+    #: allows it — same numbers, fewer exact measurements; a cell with
+    #: telemetry runs eagerly) or ``"exact"`` (the per-step Definition
+    #: 21 meter).
+    meter: str = "sampled"
     #: Lazy-schedule checkpoint cadence (exact measurement at least
     #: every this many transitions).
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
@@ -113,7 +115,9 @@ class SweepOutcome:
 def run_cell(cell: SweepCell) -> SweepOutcome:
     """Execute one cell (module-level so worker processes can import
     it by reference).  Exceptions become error outcomes: they must
-    travel back over the pickle channel.
+    travel back over the pickle channel.  The program goes through the
+    front end once per process (:func:`compiled_program`); one that
+    fails to compile fails every cell that names it.
 
     With ``cell.metrics`` a fresh :class:`MetricsRegistry` rides the
     metered run and comes back serialized (``as_dict``) on the outcome
@@ -156,7 +160,7 @@ def run_cell(cell: SweepCell) -> SweepOutcome:
     try:
         result = measure(
             cell.machine,
-            cell.program,
+            compiled_program(cell.program),
             cell.argument,
             linked=cell.linked,
             fixed_precision=cell.fixed_precision,

@@ -32,8 +32,11 @@ Two collectors implement the rule:
   ``define`` initializations are the ubiquitous source: the recursive
   closure's environment mentions its own cell) and counts root and
   heap references separately.  A decrement that leaves a location with
-  heap references but no roots is a cycle *suspect*; at the next
-  application of the GC rule the tracker resolves suspects cheaply:
+  heap references but no roots is a cycle *suspect*, and so is a cell
+  without roots that a write gives a forward edge (when roots lag the
+  machine, the references that held it may be gone before any drop is
+  counted); at the next application of the GC rule the tracker
+  resolves suspects cheaply:
 
   * if every live anchor still has a root reference, every cycle is
     rooted, hence live — the suspects are cleared in O(|anchors|);
@@ -218,8 +221,9 @@ class RefTracker:
         #: last collection — the candidate set for the next sweep.
         self.zeros: Set[Location] = set()
         #: Locations decremented to a nonzero count with no remaining
-        #: root references while a cycle is possible: a garbage cycle's
-        #: orphaning always flags a member or retained straggler here.
+        #: root references while a cycle is possible, and unrooted cells
+        #: given a forward edge: a garbage cycle's orphaning always
+        #: flags a member or retained straggler here.
         self.suspects: Set[Location] = set()
         #: Cells whose *current* value holds a forward (or self) edge —
         #: every store cycle passes through one (alloc-time edges point
@@ -324,7 +328,13 @@ class RefTracker:
             # binding cell.
             self.anchors.add(location)
             if self.root_rc.get(location, 0) == 0:
+                # Unrooted already, so no drop of a root will flag it:
+                # when the roots lag the machine (the lazy schedule),
+                # the environments that held the cell may have come
+                # and gone between two syncs, and the cycle it closes
+                # is garbage that only a trial finds.
                 self.unrooted_anchors.add(location)
+                self.suspects.add(location)
         else:
             self.anchors.discard(location)
             if self.unrooted_anchors:

@@ -16,8 +16,9 @@ Three layers:
   a :class:`~repro.telemetry.metrics.MetricsRegistry`.
 - :func:`resolve_program` — the worker-side entry: specs carry the
   blob over the existing pickle channel; each worker hydrates a given
-  program once and serves repeats from its own LRU of hydrated
-  programs, bounded at the cache's default capacity.
+  program once into the front end's per-process LRU of compiled
+  programs (:func:`~repro.compiler.frontend.compiled_program`, bounded
+  at the cache's default capacity) and serves repeats from it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ import pickle
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from ..compiler.frontend import Source, prepare_program, program_sha
+from ..compiler.frontend import (
+    DEFAULT_CAPACITY,
+    Source,
+    clear_compiled,
+    compiled_program,
+    prepare_program,
+    program_sha,
+)
 from ..syntax.ast import Expr
 
 #: Artifact pickles are process-to-process within one host, never
@@ -35,10 +43,6 @@ PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Bump when the blob layout changes; hydration rejects other versions.
 ARTIFACT_VERSION = 2
-
-#: Programs an :class:`ArtifactCache` keeps by default, and the bound
-#: on each worker's hydrated programs.
-DEFAULT_CAPACITY = 64
 
 
 def build_artifact(program: Source) -> bytes:
@@ -130,30 +134,18 @@ class ArtifactCache:
 
 # -- worker side -----------------------------------------------------------
 
-#: sha -> hydrated program, per worker process, least recently used
-#: first: the first job for a program pays one unpickle; repeats skip
-#: even that.
-_HYDRATED: "OrderedDict[str, Expr]" = OrderedDict()
-
-
 def resolve_program(spec: dict):
     """The program to run for a job spec: the hydrated artifact when
-    the spec carries one (``artifact`` bytes + ``program_sha``), else
-    the source text (the cold path — ``run`` compiles it)."""
+    the spec carries one, else the source text (the cold path —
+    ``run`` compiles it).  A worker hydrates a program once; repeats
+    come from the front end's LRU, keyed on the spec's source text."""
     blob = spec.get("artifact")
     if blob is None:
         return spec["program"]
-    sha = spec.get("program_sha") or program_sha(spec["program"])
-    program = _HYDRATED.get(sha)
-    if program is None:
-        program = _HYDRATED[sha] = hydrate_artifact(blob)
-        if len(_HYDRATED) > DEFAULT_CAPACITY:
-            _HYDRATED.popitem(last=False)
-    else:
-        _HYDRATED.move_to_end(sha)
-    return program
+    return compiled_program(spec["program"], lambda: hydrate_artifact(blob))
 
 
 def clear_hydrated() -> None:
-    """Drop this process's hydrated programs (testing hygiene)."""
-    _HYDRATED.clear()
+    """Drop this process's compiled programs, hydrated ones among them
+    (testing hygiene)."""
+    clear_compiled()

@@ -172,6 +172,9 @@ def test_resolve_program_hydrates_once_per_sha():
     first = resolve_program(spec)
     second = resolve_program(spec)
     assert first is second  # the per-worker table, not a re-unpickle
+    # Like the sha, the table ignores surrounding whitespace.
+    assert resolve_program(dict(spec, program=spec["program"] + "\n")) \
+        is first
     assert resolve_program({"program": "(define (f n) n)"}) \
         == "(define (f n) n)"
     clear_hydrated()
@@ -179,7 +182,10 @@ def test_resolve_program_hydrates_once_per_sha():
 
 def test_hydrated_programs_stay_within_the_cache_bound():
     """A worker resolving more distinct artifacts than the artifact
-    cache holds keeps only the most recently used ones."""
+    cache holds keeps only the most recently used ones, in the front
+    end's table of compiled programs (keyed on the source text)."""
+    from repro.compiler import frontend
+
     clear_hydrated()
     bound = artifacts.DEFAULT_CAPACITY
     sources = [f"(define (f n) (+ n {k}))" for k in range(bound + 3)]
@@ -189,9 +195,9 @@ def test_hydrated_programs_stay_within_the_cache_bound():
             "program_sha": program_sha(source),
             "artifact": build_artifact(source),
         })
-    assert len(artifacts._HYDRATED) == bound
-    assert program_sha(sources[0]) not in artifacts._HYDRATED
-    assert program_sha(sources[-1]) in artifacts._HYDRATED
+    assert len(frontend._COMPILED) == bound
+    assert sources[0] not in frontend._COMPILED
+    assert sources[-1] in frontend._COMPILED
     clear_hydrated()
 
 

@@ -637,3 +637,26 @@ def test_sampled_sup_equals_exact_on_random_programs(body, machine_name):
         assert_sampled_matches_exact(
             machine_name, program, "3", linked=linked, checkpoint_every=7
         )
+
+
+@pytest.mark.parametrize("machine_name", ("evlis", "bigloo", "mta"))
+def test_sampled_sup_equals_exact_when_roots_lag_a_cycle(machine_name):
+    """puzzle-lite's named lets store each loop closure in its own
+    binding cell.  Under the lazy schedule the environments that held
+    such a cell can come and go between two root syncs, so no dropped
+    root flags the cycle; the write that closes it must.  Unflagged,
+    the retro-collection keeps the cycle and a certified sampled run
+    reports a sup above the exact one (evlis 678 for 650 at cadence
+    1000, mta 793 for 776 at 128, fixed precision)."""
+    program = load_program("puzzle-lite")
+    for fixed_precision in (True, False):
+        for linked in (False, True):
+            for checkpoint_every in (128, 256, 1000, 10**9):
+                assert_sampled_matches_exact(
+                    machine_name,
+                    program.source,
+                    program.default_input,
+                    linked=linked,
+                    fixed_precision=fixed_precision,
+                    checkpoint_every=checkpoint_every,
+                )

@@ -3,6 +3,8 @@ degradation, and the CLI ``--jobs`` path."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import main
@@ -222,3 +224,103 @@ def test_cli_sweep_jobs_identical(tmp_path, capsys):
     parallel_out = capsys.readouterr().out
     assert serial_out == parallel_out
     assert "tail" in serial_out and "gc" in serial_out
+
+
+@pytest.mark.parametrize("linked", (False, True), ids=("flat", "linked"))
+def test_default_cells_take_the_lazy_schedule(linked):
+    """A cell meters lazily unless told otherwise, certifies its own
+    sup, and reports what an exact cell reports."""
+    from repro.machine.variants import ALL_MACHINES
+    from repro.programs.separators import SEPARATORS
+
+    for separator in SEPARATORS:
+        for machine in sorted(ALL_MACHINES):
+            cell = SweepCell(key=(separator.name, machine), machine=machine,
+                             program=separator.source, argument="16",
+                             linked=linked)
+            lazy = run_cell(cell).result
+            exact = run_cell(replace(cell, meter="exact")).result
+            assert lazy.meter_stats["mode"] == "sampled"
+            assert lazy.meter_stats["certified"] is True
+            assert lazy.meter_stats["exact_rerun"] is False
+            assert exact.meter_stats["mode"] == "exact"
+            assert (lazy.answer, lazy.steps, lazy.sup_space, lazy.total) \
+                == (exact.answer, exact.steps, exact.sup_space, exact.total)
+
+
+def test_run_cell_compiles_each_program_once(monkeypatch):
+    """The cells of a grid share their program's compilation; a
+    program that fails to compile fails every cell that names it and
+    is never kept."""
+    from repro.compiler import frontend
+
+    frontend.clear_compiled()
+    expanded = []
+    expand = frontend.expand_program
+
+    def counted(source):
+        expanded.append(source)
+        return expand(source)
+
+    monkeypatch.setattr(frontend, "expand_program", counted)
+    for outcome in run_grid(make_cells()):
+        assert outcome.error is None
+    assert expanded == [LOOP]
+    bad = SweepCell(key=("bad",), machine="tail",
+                    program="(undefined-procedure 1)")
+    for _ in range(3):
+        assert run_cell(bad).error.startswith("ValidationError")
+        assert bad.program not in frontend._COMPILED
+    assert expanded == [LOOP] + [bad.program] * 3
+    frontend.clear_compiled()
+
+
+def test_compiled_programs_stay_within_the_capacity():
+    """Run cells over more distinct programs than a process keeps: the
+    least recently used fall out, and resolving a served artifact
+    shares the same table."""
+    from repro.compiler import frontend
+    from repro.serving.artifacts import build_artifact, resolve_program
+
+    frontend.clear_compiled()
+    bound = frontend.DEFAULT_CAPACITY
+    sources = [f"(define (f n) (+ n {k}))" for k in range(bound + 3)]
+    for k, source in enumerate(sources):
+        outcome = run_cell(SweepCell(key=(k,), machine="tail",
+                                     program=source, argument="1"))
+        assert outcome.result.answer == str(k + 1)
+    assert len(frontend._COMPILED) == bound
+    assert sources[0] not in frontend._COMPILED
+    assert sources[-1] in frontend._COMPILED
+    served = resolve_program({"program": sources[-1],
+                              "artifact": build_artifact(sources[-1])})
+    assert served is frontend._COMPILED[sources[-1]]
+    frontend.clear_compiled()
+
+
+def test_a_sweep_process_never_loads_hashlib():
+    """Programs are kept by their text, so a process that only runs
+    cells never pays for hashlib."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys\n"
+        "from repro.harness.sweep import SweepCell, run_cell\n"
+        f"cell = SweepCell(key=(1,), machine='gc', program={LOOP!r},"
+        " argument='8')\n"
+        "assert run_cell(cell).total == run_cell(cell).total\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    output = subprocess.run([sys.executable, "-c", script], env=env,
+                            check=True, capture_output=True, text=True,
+                            timeout=120).stdout
+    assert output.strip() == "False"
