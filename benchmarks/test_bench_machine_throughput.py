@@ -48,8 +48,8 @@ SPEEDUP_MACHINE = "gc"
 SPEEDUP_N = 128
 
 #: The sampled-meter flagship cell: the Theorem 25 separator at a size
-#: where the GC machine's staircase is long enough to exercise every
-#: trigger (checkpoints, allocation bursts, bound-exceeds-sup trips).
+#: where the GC machine's staircase is long enough to exercise both
+#: triggers (allocation bursts, bound-exceeds-sup trips).
 FLAGSHIP_N = 512
 FLAGSHIP_ROUNDS = 5
 
@@ -67,7 +67,7 @@ SAMPLED_VS_PER_STEP_MAX = 5.0
 #: nearly every peak-setting step trips a retro-exact reconstruction
 #: and the sampled meter degenerates toward per-step measurement
 #: (measured ~1.4x here; programs whose sup settles early see far
-#: more, since checkpoint intervals then run meter-free).
+#: more, since the steps after it settles then run meter-free).
 SAMPLED_OVER_EXACT_MIN = 1.2
 
 

@@ -294,13 +294,13 @@ def _cmd_meter_audit(args: argparse.Namespace) -> int:
                 stats.get("root_updates", 0),
                 stats.get("ledger_updates", 0),
                 stats.get("trips", "-"),
-                stats.get("checkpoints", "-"),
+                stats.get("bursts", "-"),
                 stats.get("certified", "-"),
             ])
     print(render_table(
         [
             "program", "meter", "steps", "collect", "trials", "fallback",
-            "roots", "ledger", "trips", "checkpts", "cert",
+            "roots", "ledger", "trips", "bursts", "cert",
         ],
         rows,
         title=(
@@ -418,7 +418,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         linked=args.linked,
         engine=args.engine,
         meter=args.meter,
-        checkpoint_every=args.checkpoint_every,
         metrics=bool(args.metrics),
         trace_sample=args.trace_sample,
         blame_every=args.blame_every,
@@ -988,18 +987,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--meter", default="sampled", choices=METERS,
         help="space meter: sampled (the default; identical numbers, "
-        "exact measurement only at checkpoints, at allocation bursts "
-        "and whenever its bound passes the running sup; cells with "
-        "per-cell telemetry run exactly) or exact (measure every "
-        "transition, the Definition 21 schedule made observable)",
-    )
-    sweep_parser.add_argument(
-        "--checkpoint-every", type=_positive_int,
-        default=DEFAULT_CHECKPOINT_EVERY,
-        metavar="K",
-        help="checkpoint cadence: the sampled meter takes an exact "
-        "measurement at least every K transitions "
-        f"(default {DEFAULT_CHECKPOINT_EVERY})",
+        "exact measurement only where its bound passes the running sup "
+        "and at allocation bursts; cells with per-cell telemetry run "
+        "exactly) or exact (measure every transition, the Definition "
+        "21 schedule made observable)",
     )
     sweep_parser.add_argument(
         "--metrics", metavar="PATH",
@@ -1228,7 +1219,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_parser.add_argument(
         "--checkpoint-every", type=_positive_int,
-        default=DEFAULT_CHECKPOINT_EVERY,
+        default=DEFAULT_CHECKPOINT_EVERY, metavar="K",
+        help="heartbeat cadence: the meter reports progress every K "
+        f"transitions (default {DEFAULT_CHECKPOINT_EVERY})",
     )
     submit_parser.add_argument(
         "--budget", type=int, default=None,

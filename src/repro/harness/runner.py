@@ -74,8 +74,9 @@ def run(
     1,024 cells) since the last collection (see
     :func:`repro.space.meter.run_to_final`), so ``gc_interval`` applies
     to metered runs only.  ``meter="sampled"`` lets the meter take its
-    lazy schedule (identical numbers, exact measurement only at
-    checkpoints; see :func:`repro.space.meter.run_metered`).
+    lazy schedule (identical numbers, exact measurement only where its
+    bound passes the running sup and at allocation bursts; see
+    :func:`repro.space.meter.run_metered`).
     ``engine`` picks the metering engine (``"delta"`` or
     ``"reference"``).
 
@@ -98,7 +99,7 @@ def run(
     receipt naming the blame-census top holder) the moment its
     certified space lower bound crosses.  ``checkpoint_hook(steps,
     consumption)`` is the meter's progress callback, called every
-    ``checkpoint_every`` steps.
+    ``checkpoint_every`` steps under either meter.
 
     ``trace``/``metrics``/``blame`` attach the telemetry stack (a
     :class:`~repro.telemetry.bus.TraceBus`, a

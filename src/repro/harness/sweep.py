@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..compiler.frontend import compiled_program, program_sha
 from ..space.consumption import Consumption, measure
-from ..space.meter import DEFAULT_CHECKPOINT_EVERY, DEFAULT_STEP_LIMIT
+from ..space.meter import DEFAULT_STEP_LIMIT
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,11 @@ class SweepCell:
     fixed_precision: bool = False
     engine: str = "delta"
     #: ``"sampled"`` (the default: the lazy schedule where the meter
-    #: allows it — same numbers, fewer exact measurements; a cell with
-    #: telemetry runs eagerly) or ``"exact"`` (the per-step Definition
-    #: 21 meter).
+    #: allows it — same numbers, exact measurements only where the
+    #: bound passes the running sup and at allocation bursts; a cell
+    #: with telemetry runs eagerly) or ``"exact"`` (the per-step
+    #: Definition 21 meter).
     meter: str = "sampled"
-    #: Lazy-schedule checkpoint cadence (exact measurement at least
-    #: every this many transitions).
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     gc_interval: int = 1
     step_limit: int = DEFAULT_STEP_LIMIT
     metrics: bool = False
@@ -166,7 +164,6 @@ def run_cell(cell: SweepCell) -> SweepOutcome:
             fixed_precision=cell.fixed_precision,
             engine=cell.engine,
             meter=cell.meter,
-            checkpoint_every=cell.checkpoint_every,
             gc_interval=cell.gc_interval,
             step_limit=cell.step_limit,
             metrics=registry,

@@ -49,8 +49,9 @@ def quota_receipt(exc, blame_top: int = 8) -> dict:
 
 
 def make_progress_hook(emit, progress_every: int):
-    """A meter ``checkpoint_hook`` that ships every k-th certified
-    checkpoint down the worker's progress channel."""
+    """A meter ``checkpoint_hook`` that ships every k-th heartbeat down
+    the worker's progress channel: one every k * ``checkpoint_every``
+    steps under either meter."""
     if emit is None or progress_every <= 0:
         return None
     fired = 0

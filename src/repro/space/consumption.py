@@ -20,7 +20,7 @@ from ..compiler.frontend import Source, prepare_input, prepare_program
 from ..machine.answer import answer_string
 from ..machine.policy import Policy
 from ..machine.variants import REFERENCE_MACHINES, make_machine
-from .meter import DEFAULT_CHECKPOINT_EVERY, DEFAULT_STEP_LIMIT, run_metered
+from .meter import DEFAULT_STEP_LIMIT, run_metered
 
 
 @dataclass
@@ -55,9 +55,7 @@ def measure(
     answer_limit: int = 200,
     engine: str = "delta",
     meter: str = "exact",
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     budget: Optional[int] = None,
-    checkpoint_hook=None,
     trace=None,
     metrics=None,
     blame=None,
@@ -66,10 +64,10 @@ def measure(
     """Measure the Definition 23 space consumption of running
     *program* on *argument* under the named reference implementation.
 
-    Every metering option — ``engine``, ``meter``, ``checkpoint_every``,
-    ``checkpoint_hook``, ``budget`` and the telemetry stack
-    (``trace``/``metrics``/``blame``/``retention``) — goes straight to
-    :func:`repro.space.meter.run_metered`, which picks the schedule."""
+    Every metering option — ``engine``, ``meter``, ``budget`` and the
+    telemetry stack (``trace``/``metrics``/``blame``/``retention``) —
+    goes straight to :func:`repro.space.meter.run_metered`, which picks
+    the schedule."""
     machine = (
         make_machine(machine_name, policy=policy)
         if policy is not None
@@ -85,8 +83,6 @@ def measure(
         step_limit=step_limit,
         engine=engine,
         meter=meter,
-        checkpoint_every=checkpoint_every,
-        checkpoint_hook=checkpoint_hook,
         budget=budget,
         trace=trace,
         metrics=metrics,

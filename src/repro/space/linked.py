@@ -163,9 +163,19 @@ class BindingLedger:
     distinct environment rooted by the register or a continuation frame
     (the meter registers a shared environment once, however many
     holders share it), the accumulator's closure, and each stored
-    closure.  ``updates`` counts pair-count changes (work telemetry)."""
+    closure.  ``updates`` counts pair-count changes (work telemetry).
 
-    __slots__ = ("_counts", "distinct", "saw_escape", "blame", "updates")
+    ``lag`` covers the lazy schedule, whose roots are synced only at its
+    trips: it counts the pairs the configuration may hold that
+    ``distinct`` has not counted since the last :meth:`resync`.  A store
+    write or deletion adds the pairs it takes out of the distinct set
+    (:meth:`remove_value`), and :meth:`bring_back` those of a closure
+    that was held uncounted, parked in a frame."""
+
+    __slots__ = (
+        "_counts", "distinct", "saw_escape", "blame", "updates", "lag",
+        "_brought",
+    )
 
     def __init__(self):
         self._counts: Dict[Tuple[str, int], int] = {}
@@ -173,6 +183,8 @@ class BindingLedger:
         self.saw_escape = False
         self.blame = None
         self.updates = 0
+        self.lag = 0
+        self._brought: Set = set()
 
     def add_graph(self, graph) -> None:
         self.updates += len(graph)
@@ -207,8 +219,34 @@ class BindingLedger:
             self.saw_escape = True
 
     def remove_value(self, value: Value) -> None:
+        """Unregister a value leaving the store or the accumulator.  The
+        pairs that leave the distinct set count into ``lag``: between
+        two root syncs only store writes and deletions get here, and
+        the closure they take out may live on in the accumulator or a
+        register."""
         if isinstance(value, Closure):
+            distinct = self.distinct
             self.remove_graph(value.env.graph())
+            self.lag += distinct - self.distinct
+
+    # -- the lazy schedule's lag ---------------------------------------------
+
+    def bring_back(self, env) -> None:
+        """A closure the roots held without counting its bindings (it
+        was parked in a push or call frame at the last sync) is back in
+        the accumulator, or applied: add to ``lag`` the pairs of its
+        environment that no counted component holds, once per
+        environment until the next :meth:`resync`."""
+        if env in self._brought:
+            return
+        self._brought.add(env)
+        counts = self._counts
+        self.lag += sum(1 for binding in env.graph() if binding not in counts)
+
+    def resync(self) -> None:
+        """The meter synced its roots: ``distinct`` is exact again."""
+        self.lag = 0
+        self._brought.clear()
 
     # -- store mutation hooks (same interface as RefTracker) ---------------
 

@@ -45,15 +45,16 @@ configuration, apply the GC rule after every step.  The *lazy*
 schedule (``meter="sampled"``) applies the GC rule lazily, reading an
 O(1) *upper bound* on the exact pre-GC space each step and
 reconstructing the exact measurement retroactively (pinned collection
-against the previous configuration's roots) only when the bound
-threatens the running sup, every ``checkpoint_every`` transitions, and
-at every allocation-burst watermark.  The reported sup is exact: any
-step whose bound could not be resolved exactly records the bound as a
-*suspect*, and a run whose suspects are not all dominated by the final
-sup replays under the eager schedule.  A sampled run takes the lazy
-schedule only where its bound is sound and nothing observes single
-steps — see :func:`run_metered` — and the eager one otherwise, so a
-meter/engine/observer combination is never an error.
+against the previous configuration's roots) only when the bound passes
+the running sup and at every allocation-burst watermark: a
+configuration whose bound is at or below the sup cannot move it.  The
+reported sup is exact: any step whose bound could not be resolved
+exactly records the bound as a *suspect*, and a run whose suspects are
+not all dominated by the final sup replays under the eager schedule.
+A sampled run takes the lazy schedule only where its bound is sound
+and nothing observes single steps — see :func:`run_metered` — and the
+eager one otherwise, so a meter/engine/observer combination is never
+an error.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ from functools import partial
 from typing import List, Optional, Tuple, Union
 
 from ..machine.config import Configuration, Final, State
-from ..machine.continuation import Kont, ReturnStack, chain
+from ..machine.continuation import CallK, Kont, ReturnStack, chain
 from ..machine.errors import StepLimitExceeded
 from ..machine.gc import RefTracker, collect
 from ..machine.machine import Machine
-from ..machine.values import Closure, Escape, Pair, Value, Vector
+from ..machine.values import Closure, Escape, Pair, Primop, Value, Vector
 from ..syntax.ast import Expr, ast_size
 from .flat import configuration_space, value_space
 from .linked import BindingLedger, configuration_space_linked, value_structural
@@ -78,9 +79,8 @@ DEFAULT_STEP_LIMIT = 5_000_000
 METERS = ("exact", "sampled")
 ENGINES = ("delta", "reference")
 
-#: Default checkpoint cadence: ``checkpoint_hook`` fires every this
-#: many transitions, and the lazy schedule measures exactly at least
-#: that often.
+#: Default heartbeat cadence: ``checkpoint_hook`` fires every this
+#: many transitions under either schedule.
 DEFAULT_CHECKPOINT_EVERY = 64
 #: The lazy schedule also measures exactly whenever this many locations
 #: were allocated since the last collection (the burst watermark bounds
@@ -101,7 +101,7 @@ class MeterResult:
     peak_step: int
     #: Engine/meter observability (``repro analyze --meter-audit``):
     #: collection and trial counters, fallback counts, lazy-schedule
-    #: trip and checkpoint counts, certification outcome.
+    #: trip and burst counts, certification outcome.
     meter_stats: dict = field(default_factory=dict)
 
     @property
@@ -115,13 +115,15 @@ class QuotaExceeded(Exception):
 
     ``budget`` caps the Definition 23 consumption ``|P| + sup space``.
     The eager schedule kills at the first transition whose measurement
-    crosses; the lazy schedule kills at the first checkpoint whose
-    retro-exact reconstruction crosses.  Every measurement that can
-    trigger a kill is a lower bound of the run's true sup (exact trips
-    are exact; write-step trip readings can only understate the exact
-    pre-GC space), so a program whose true consumption fits the budget
-    is never killed, and an uncertified sampled run that slips through
-    is caught by its transparent exact replay.
+    crosses; the lazy schedule kills at the first trip whose
+    retro-exact reconstruction crosses, which is the same step unless a
+    suspect hides it (a crossing configuration's bound passes the sup,
+    so it trips).  Every measurement that can trigger a kill is a lower
+    bound of the run's true sup (exact trips are exact; write-step trip
+    readings can only understate the exact pre-GC space), so a program
+    whose true consumption fits the budget is never killed, and an
+    uncertified sampled run that slips through is caught by its
+    transparent exact replay.
 
     The exception carries a structured receipt: the blame census of
     the killing configuration (exact under both accountings, summing
@@ -787,17 +789,33 @@ def run_metered(
     - Every step reads an O(1) *bound* on the exact pre-GC space: the
       current register/continuation/accumulator terms (exact) plus the
       lazily-collected store's maintained total (a superset of the
-      exact store, so the bound can only overestimate).  Under linked
-      accounting the ledger's staleness is covered by adding one word
-      per location allocated since the last root sync — every binding
-      pair created since then uses a fresh location.
-    - When the bound exceeds the running sup (or every
-      ``checkpoint_every`` transitions, or :data:`BURST` allocations
-      accumulated), the exact measurement is reconstructed
-      *retroactively*: sync the engine's roots to the previous
-      configuration and apply the GC rule with the current step's
-      allocations pinned.  The store is then exactly the pre-GC store
-      of the current step, and the same O(1) read is exact.
+      exact store, so the bound can only overestimate).
+    - Under linked accounting the ledger counts the bindings of the
+      roots as of the last root sync and of the lazy store, and two
+      terms cover what it misses since the sync.  One word per
+      location allocated covers every binding created (each binds a
+      fresh location).  The ledger's ``lag`` covers old bindings: those
+      a store write or deletion took out of the ledger (the closure
+      that held them may live on in the accumulator or a register),
+      and those of a closure the sync found parked in a push or call
+      frame.  Figure 8 does not charge a parked closure's bindings, so
+      the ledger did not count them; they count from the step the
+      closure becomes the accumulator or ``apply``/``call/cc`` applies
+      it from a call frame's arguments, the only ways a parked value's
+      environment re-enters a charged component.  An escape's captured
+      frames are outside the bound altogether: the step an escape
+      enters the configuration (stored, or in the accumulator) trips,
+      and the trip's root sync hands the run to the eager schedule.
+    - A step *trips* for one of two reasons: its bound exceeds the
+      running sup, or :data:`BURST` locations were allocated since the
+      last collection (the watermark bounds how far the lazy store
+      outgrows the exact one).  No other step can move the sup: its
+      space is at most its bound, which is at most the sup.  A trip
+      reconstructs the exact measurement *retroactively*: sync the
+      engine's roots to the previous configuration and apply the GC
+      rule with the current step's allocations pinned.  The store is
+      then exactly the pre-GC store of the current step, and the same
+      O(1) read is exact.
     - A step that wrote to the store cannot be reconstructed (the
       write may have dropped edges that kept garbage reachable in the
       exact schedule, so the retro-collection could delete cells the
@@ -829,9 +847,12 @@ def run_metered(
 
     ``checkpoint_hook(steps, consumption)`` is called with the running
     certified lower bound of the consumption at the prime measurement
-    and every ``checkpoint_every`` steps, and on the lazy schedule also
-    after every exact trip, but never at the final configuration — the
-    serving layer's progress heartbeat.
+    and every ``checkpoint_every`` steps, never at the final
+    configuration — the serving layer's progress heartbeat.  Both
+    schedules call it at the same steps, and on a lazy run certified
+    without suspects it reports the same numbers: that run's running
+    sup is the eager schedule's running maximum, since every skipped
+    configuration's space is at most the sup.
 
     Telemetry (all optional, all observation-only — none changes a
     transition or a measured number):
@@ -959,7 +980,7 @@ def run_metered(
         fp = fixed_precision
         final = None
         mode = "sampled" if lazy else "exact"
-        trips = checkpoints = 0
+        trips = bursts = 0
         suspects: List[Tuple[int, int]] = []
         compacts = type(machine).compact is not Machine.compact
         # No GC rule under flat accounting: the lazy store IS the exact
@@ -968,6 +989,13 @@ def run_metered(
         exact_bound = not uses_gc and not linked
         if lazy:
             sync_loc = last_collect_loc = store._next_location
+            # The roots as of the last sync: the engine moves them only
+            # at trips (see the docstring's linked bound).
+            held = engine_meter._held
+            ledger = engine_meter.ledger
+            # Set only under linked accounting, where a step an escape
+            # enters ends the lazy schedule.
+            escaped = False
         while lazy:
             prev = state
             mut_mark = store.mut_version
@@ -980,12 +1008,8 @@ def run_metered(
                 final = configuration
                 bound = measure(final)
                 if linked:
-                    bound += store._next_location - sync_loc
-            elif linked:
-                bound = measure(configuration) + (
-                    store._next_location - sync_loc
-                )
-            else:
+                    bound += store._next_location - sync_loc + ledger.lag
+            elif not linked:
                 bound = (
                     len(configuration.env._bindings)
                     + configuration.kont.flat_space
@@ -993,25 +1017,39 @@ def run_metered(
                 )
                 if configuration.is_value:
                     bound += value_space(configuration.control, fp)
+            else:
+                escaped = ledger.saw_escape
+                if configuration.is_value:
+                    value = configuration.control
+                    if type(value) is Closure:
+                        if value in held:
+                            ledger.bring_back(value.env)
+                    elif type(value) is Escape:
+                        escaped = True
+                elif type(prev.control) is Primop and type(prev.kont) is CallK:
+                    # ``apply`` or ``call/cc`` applied a closure parked
+                    # among the call frame's arguments.
+                    for value in prev.kont.args:
+                        if type(value) is Closure and value in held:
+                            ledger.bring_back(value.env)
+                bound = (
+                    measure(configuration)
+                    + store._next_location - sync_loc
+                    + ledger.lag
+                )
             if exact_bound:
                 if bound > sup_space:
                     sup_space, peak_step = bound, steps
                     if bound > room:
                         raise kill(bound, steps, configuration)
-                if (
-                    checkpoint_hook is not None
-                    and steps % checkpoint_every == 0
-                    and final is None
-                ):
-                    checkpoint_hook(steps, program_size + sup_space)
             else:
-                due = (
-                    steps % checkpoint_every == 0
-                    or store._next_location - last_collect_loc >= BURST
-                ) and final is None
-                if bound > sup_space or due:
+                burst = (
+                    store._next_location - last_collect_loc >= BURST
+                    and final is None
+                )
+                if bound > sup_space or burst or escaped:
                     wrote = uses_gc and store.mut_version != mut_mark
-                    if wrote and not due:
+                    if wrote and not (burst or escaped):
                         suspects.append((steps, bound))
                     else:
                         transition(prev)
@@ -1030,13 +1068,14 @@ def run_metered(
                             # exact pre-GC space on a write step.
                             suspects.append((steps, bound))
                         sync_loc = last_collect_loc = store._next_location
+                        if linked:
+                            ledger.resync()
                         trips += 1
-                        if due:
-                            checkpoints += 1
-                        if checkpoint_hook is not None and final is None:
-                            checkpoint_hook(steps, program_size + sup_space)
+                        bursts += burst
             if final is not None:
                 break
+            if checkpoint_hook is not None and steps % checkpoint_every == 0:
+                checkpoint_hook(steps, program_size + sup_space)
             state = configuration
             if compacts:
                 state = machine.compact(state)
@@ -1141,7 +1180,7 @@ def run_metered(
             certified = all(bound <= sup_space for _step, bound in suspects)
             stats.update(
                 trips=trips,
-                checkpoints=checkpoints,
+                bursts=bursts,
                 suspect_steps=len(suspects),
                 certified=certified,
                 exact_rerun=False,

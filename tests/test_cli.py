@@ -219,7 +219,7 @@ class TestMeterAuditCommand:
         out = capsys.readouterr().out
         assert "delta meter audit [gc]" in out
         for column in ("program", "meter", "steps", "collect", "trials",
-                       "fallback", "roots", "ledger", "trips", "checkpts",
+                       "fallback", "roots", "ledger", "trips", "bursts",
                        "cert"):
             assert column in out
         # One exact row and one sampled row per program.
@@ -562,7 +562,7 @@ class TestProgramErrors:
 OPTION_ERROR_CASES = [
     (("sweep", "--ns", "8,x"),
      "argument --ns: want comma-separated integers, got '8,x'"),
-    (("sweep", "--checkpoint-every", "0"),
+    (("submit", "--checkpoint-every", "0"),
      "argument --checkpoint-every: must be at least 1, got 0"),
     (("run", "--meter", "--gc-interval", "0"),
      "argument --gc-interval: must be at least 1, got 0"),

@@ -660,3 +660,25 @@ def test_sampled_sup_equals_exact_when_roots_lag_a_cycle(machine_name):
                     fixed_precision=fixed_precision,
                     checkpoint_every=checkpoint_every,
                 )
+
+
+@pytest.mark.parametrize("machine_name", ("tail", "free", "evlis", "sfs"))
+def test_sampled_sup_equals_exact_when_a_parked_closure_comes_back(
+    machine_name,
+):
+    """Figure 8 charges the bindings of a closure in the accumulator or
+    being applied, not of one parked in a push or call frame.  A closure
+    parked at the lazy schedule's last root sync and applied after it
+    brings bindings of old locations back into the configuration, and
+    the linked bound must count them: without that, the sampled runs at
+    N = 8 certified 202/199/184/181 where the exact meter reads
+    208/205/187/184 (tail/free/evlis/sfs, fixed precision)."""
+    with open(
+        os.path.join(FUZZ_CORPUS_DIR, "parked-closure-bindings.scm")
+    ) as handle:
+        source = handle.read()
+    for argument in ("5", "8"):
+        assert_sampled_matches_exact(
+            machine_name, source, argument, linked=True,
+            fixed_precision=True,
+        )

@@ -327,3 +327,36 @@ def test_corpus_engine_matrix_equivalent(filename):
     with open(os.path.join(CORPUS_DIR, filename)) as handle:
         source = handle.read()
     assert_engine_matrix_equivalent(source)
+
+
+@given(random_bodies)
+@settings(max_examples=20, deadline=None)
+def test_random_programs_sampled_heartbeats_equal_exact(body):
+    """At cadence 1 the checkpoint hook reports the running sup after
+    every step.  Both meters call it at the same steps, and a sampled run
+    certified without suspects reports the eager schedule's running sup
+    at each: the lazy schedule skips only configurations whose bound is
+    at or below the sup it holds."""
+    program_expr = prepare_program(wrap(body))
+    argument_expr = prepare_input(ARGUMENT)
+    for name in ALL_MACHINE_NAMES:
+        for linked in (False, True):
+            heartbeats = {}
+            for mode in METERS:
+                hooks = heartbeats[mode] = []
+                try:
+                    result = run_metered(
+                        make_stepper(name), program_expr, argument_expr,
+                        meter=mode, linked=linked, step_limit=FUEL,
+                        checkpoint_every=1,
+                        checkpoint_hook=lambda *beat: hooks.append(beat),
+                    )
+                except StuckError:
+                    break
+            else:
+                stats = result.meter_stats
+                if stats["exact_rerun"] or stats["suspect_steps"]:
+                    continue
+                assert heartbeats["sampled"] == heartbeats["exact"], (
+                    name, linked, wrap(body),
+                )

@@ -3,7 +3,9 @@
 The digests below were computed with the recursive-descent reader and
 the multi-pass ``CallPlan`` this reader and prepass replaced, over
 every program the repository ships; the current code must reproduce
-them exactly.
+them exactly.  ``TOKENS_AND_DATUMS_SHA256`` was pinned again when
+``tests/fuzz_corpus/parked-closure-bindings.scm`` joined the shipped
+programs: over the others it is the digest taken with the old reader.
 """
 
 import glob
@@ -21,7 +23,7 @@ from repro.syntax.ast import Call, walk
 FUZZ_CORPUS = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 
 TOKENS_AND_DATUMS_SHA256 = (
-    "a81d10ad293872a6be5fe6e40e4f9846d7a33fcaed9a488e759a15bfcaa554e9"
+    "cb76ee77c169d3ef7d99c9f6248a4bb19732389882cd5a76817db94bcf13aa7c"
 )
 CORPUS_PLANS_SHA256 = (
     "ba7fde52d7c25c1bce1d483bb265a0f22edb69dab32183fd9487cd5c887c031d"
@@ -103,7 +105,7 @@ def corpus_plans_digest():
 
 def test_tokens_and_datums_of_every_shipped_program():
     programs = shipped_programs()
-    assert len(programs) == 24 + 4 + 9 + 4 + 25 + 16
+    assert len(programs) == 24 + 4 + 9 + 4 + 25 + 17
     assert tokens_and_datums_digest(programs) == TOKENS_AND_DATUMS_SHA256
 
 

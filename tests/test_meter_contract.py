@@ -21,8 +21,24 @@ and a certified sampled run report a sup above the exact one.  Only
 ``trials`` moved, in 16 sampled rows (browse-lite, destruct,
 puzzle-lite) and in the uncertified run (316 to 325); every other
 number, counter and heartbeat, and every exact row, is as before.
+
+All three were pinned again when the lazy schedule stopped tripping
+every ``checkpoint_every`` steps (a step whose bound is at or below the
+running sup cannot move it) and its checkpoint hook began to fire on
+the eager schedule's cadence instead of after every trip, and when the
+linked bound began to charge the bindings a parked closure brings back.
+Every exact row, and every sampled row's sup, steps and collected, are
+as before; so are the uncertified run's sup 187, steps 1,882 and
+collected 234.  Only the sampled rows' counters (``trips``,
+``checkpoints``, now ``bursts``, ``collections``, ``trials``,
+``root_updates``, ``ledger_updates``, ``suspect_steps``, and
+``exact_rerun`` in 4 linked puzzle-lite rows, which now replay) and
+heartbeats moved: the sampled heartbeats of 444 of the 448 sampled
+rows now equal the exact row's, against 28 before (the other 4
+replay, so their hooks also hear the replay).
 """
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -44,13 +60,13 @@ from repro.telemetry.blame import trace_run
 from repro.telemetry.bus import TraceBus
 
 METERED_RUNS_SHA256 = (
-    "8091ca3de3ca9d36111daf293ab6bfe447702b35bbdc56d8a6da680734c70199"
+    "0f6f8d78c72ce7e9a9c5b083cd10f987af31b9d0d2eed8fed1c8812abb609b35"
 )
 QUOTA_RECEIPTS_SHA256 = (
     "c038eab7b358e7e3570c2cd436bfda6636709f447f46dc96859c5e6ef1db7954"
 )
 UNCERTIFIED_REPLAY_SHA256 = (
-    "ec8fdc51bff871fc89139308130015a53f8bafc78d28dd6494557f51a47e53cb"
+    "e73a0a7090d4bc4ace509a1839b523617d347dec57fb31e5b82e681d4d200093"
 )
 TRACE_RUN_SHA256 = (
     "4e0254afb513f6cd63ff9bdd4e01919ead788b0edf241d89dbac107b60af35dc"
@@ -110,9 +126,12 @@ def metered_cases():
     return cases
 
 
-def metered_runs_digest():
-    digest = hashlib.sha256()
-    runs = 0
+@functools.lru_cache(maxsize=None)
+def metered_rows():
+    """((name, machine, linked, meter), row) for every metered case on
+    every machine, both accountings and both meters (computed once per
+    session: two tests read them)."""
+    rows = []
     for name, source, argument in metered_cases():
         program = prepare_program(source)
         argument = prepare_input(argument)
@@ -123,17 +142,42 @@ def metered_runs_digest():
                         machine, program, argument, linked=linked,
                         meter=meter,
                     )
-                    runs += 1
-                    digest.update(
-                        repr((name, machine, linked, meter, row)).encode()
-                    )
-    return digest.hexdigest(), runs
+                    rows.append(((name, machine, linked, meter), row))
+    return tuple(rows)
+
+
+def metered_runs_digest():
+    digest = hashlib.sha256()
+    rows = metered_rows()
+    for key, row in rows:
+        digest.update(repr(key + (row,)).encode())
+    return digest.hexdigest(), len(rows)
 
 
 def test_run_metered_on_the_corpus_and_the_separators():
     digest, runs = metered_runs_digest()
     assert runs == (24 + 4) * 8 * 2 * 2
     assert digest == METERED_RUNS_SHA256
+
+
+def test_sampled_heartbeats_are_the_exact_ones():
+    """The checkpoint hook fires at the same steps under both meters,
+    and a sampled run certified without suspects reports the eager
+    schedule's running sup at each: every configuration it skips has a
+    bound, so a space, at or below that sup."""
+    rows = dict(metered_rows())
+    compared = 0
+    for (name, machine, linked, meter), row in rows.items():
+        if meter != "sampled":
+            continue
+        stats = dict(row[4])
+        if stats["exact_rerun"] or stats["suspect_steps"]:
+            continue
+        compared += 1
+        exact = rows[(name, machine, linked, "exact")]
+        assert row[5] == exact[5], (name, machine, linked)
+    # 448 sampled rows: 4 replay and 2 more have a suspect step.
+    assert compared == 442
 
 
 def test_quota_kill_receipts():
@@ -165,19 +209,19 @@ def test_quota_kill_receipts():
 #: step (not reported by a sampled run) and its meter_stats.
 UNCERTIFIED_REPLAY_NUMBERS = (
     187, 1882, 234, None,
-    [("anchors", 0), ("canonical_fallbacks", 0), ("certified", True),
-     ("checkpoints", 29), ("collections", 143), ("engine", "delta"),
+    [("anchors", 0), ("bursts", 0), ("canonical_fallbacks", 0),
+     ("certified", True), ("collections", 120), ("engine", "delta"),
      ("escape_fallback", False), ("exact_rerun", True),
-     ("ledger_updates", 5336), ("mode", "sampled"), ("root_updates", 6286),
-     ("suspect_steps", 2), ("trials", 325), ("trips", 142)],
+     ("ledger_updates", 4630), ("mode", "sampled"), ("root_updates", 5182),
+     ("suspect_steps", 1), ("trials", 298), ("trips", 119)],
 )
 
 
 def test_uncertified_sampled_run_replays_exactly():
     """At the default cadence this run's suspects are not dominated by
     its sup, so it replays on the eager schedule.  The checkpoint hook
-    hears both passes: the replay's heartbeats count from step 0 again,
-    one every ``checkpoint_every`` steps."""
+    hears both passes at the same steps: one every ``checkpoint_every``
+    steps, the replay's counting from step 0 again."""
     program = prepare_program(load_program("destruct").source)
     row = metered_row(
         "mta", program, prepare_input("10"), linked=True,
@@ -187,10 +231,9 @@ def test_uncertified_sampled_run_replays_exactly():
     assert row[:5] == UNCERTIFIED_REPLAY_NUMBERS
     hooks = row[5]
     replay = next(i for i in range(1, len(hooks)) if hooks[i][0] == 0)
-    assert replay == 143
-    assert [steps for steps, _total in hooks[replay:]] == list(
-        range(0, row[1], DEFAULT_CHECKPOINT_EVERY)
-    )
+    cadence = list(range(0, row[1], DEFAULT_CHECKPOINT_EVERY))
+    assert [steps for steps, _total in hooks[:replay]] == cadence
+    assert [steps for steps, _total in hooks[replay:]] == cadence
     digest = hashlib.sha256(repr(row).encode()).hexdigest()
     assert digest == UNCERTIFIED_REPLAY_SHA256
 

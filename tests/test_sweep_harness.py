@@ -167,7 +167,6 @@ def test_blame_cells_merge_to_the_walked_table():
             cell.machine, cell.program, cell.argument,
             linked=cell.linked, fixed_precision=cell.fixed_precision,
             engine="reference", meter=cell.meter,
-            checkpoint_every=cell.checkpoint_every,
             gc_interval=cell.gc_interval, step_limit=cell.step_limit,
             blame=profiler,
         )
