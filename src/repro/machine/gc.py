@@ -528,7 +528,7 @@ class RefTracker:
         rooted: Iterable[Tuple[Location, ...]],
     ) -> Tuple[Dict[Location, int], Dict[Location, int]]:
         """Recompute (total, root-only) counts from scratch
-        (checkpoint_spaces-style audit): one heap reference per
+        (the integrity audit): one heap reference per
         location mentioned by each store cell, and one root reference
         per location of each entry of *rooted* — the locations of each
         distinct rooted object, and each deletion set, listed once.

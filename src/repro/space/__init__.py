@@ -20,9 +20,7 @@ from .consumption import (
 )
 from .flat import (
     configuration_space,
-    final_space,
     number_space,
-    state_space,
     store_space,
     value_space,
 )
@@ -51,9 +49,7 @@ __all__ = [
     "space_consumption",
     "sweep",
     "configuration_space",
-    "final_space",
     "number_space",
-    "state_space",
     "store_space",
     "value_space",
     "configuration_space_linked",

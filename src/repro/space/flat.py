@@ -32,13 +32,17 @@ continuation retains its frames.
 invokes when noting that its "linear" example programs are O(N log N)
 with bignums but O(N) with fixed precision.
 
-Two things compute it.  :func:`configuration_space` adds the O(1)
-totals the continuation frames and the store keep as they are built;
-it is what the meter reads.  :func:`flat_charges` walks the
-configuration component by component and charges each its words by
-the same rules (``Kont._flat_own``, :func:`value_space`); the blame
-and retention layers group its charges by holder, and the tests hold
-its total to the cached one.
+Two things compute it.  :func:`configuration_space` adds
+:func:`registers_space` (the accumulator, the register environment and
+the continuation's cached ``Kont.flat_space``) to :func:`store_space`,
+a walk of the store's cells; it is the reference engine's measurement.
+:func:`flat_charges` walks the configuration component by component
+and charges each its words by the same rules (``Kont._flat_own``,
+:func:`value_space`); the blame and retention layers group its charges
+by holder, and the tests hold its total to :func:`configuration_space`.
+The delta engine walks no store: it adds :func:`registers_space` to the
+store words it keeps as the store changes
+(``repro.space.meter.DeltaMeter``).
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ def number_space(value: int, fixed_precision: bool = False) -> int:
     """1 + log2(z) for exact integers, pinned to at least 1 bit."""
     if fixed_precision:
         return 1
-    return 1 + max(1, abs(value).bit_length())
+    bits = abs(value).bit_length()
+    return 1 + bits if bits > 1 else 2
 
 
 def value_space(value: Value, fixed_precision: bool = False) -> int:
@@ -84,36 +89,32 @@ def value_space(value: Value, fixed_precision: bool = False) -> int:
 
 
 def store_space(store, fixed_precision: bool = False) -> int:
-    """space(sigma) — maintained incrementally by the store, O(1)."""
-    return store.space_fixed if fixed_precision else store.space_bignum
-
-
-def state_space(state: State, fixed_precision: bool = False) -> int:
-    """space of an intermediate configuration."""
-    total = (
-        len(state.env)
-        + state.kont.flat_space
-        + store_space(state.store, fixed_precision)
+    """space(sigma): 1 + space(v) summed over the store's cells."""
+    return sum(
+        1 + value_space(value, fixed_precision)
+        for _location, value in store.items()
     )
-    if state.is_value:
-        total += value_space(state.control, fixed_precision)
+
+
+def registers_space(
+    configuration: Union[State, Final], fixed_precision: bool = False
+) -> int:
+    """space(C) less space(sigma): the accumulator, |Dom rho| and the
+    continuation's cached ``Kont.flat_space``."""
+    if configuration.is_final:
+        return value_space(configuration.value, fixed_precision)
+    total = len(configuration.env) + configuration.kont.flat_space
+    if configuration.is_value:
+        total += value_space(configuration.control, fixed_precision)
     return total
-
-
-def final_space(final: Final, fixed_precision: bool = False) -> int:
-    """space of a final configuration (v, sigma)."""
-    return value_space(final.value, fixed_precision) + store_space(
-        final.store, fixed_precision
-    )
 
 
 def configuration_space(
     configuration: Union[State, Final], fixed_precision: bool = False
 ) -> int:
     """space(C) for either configuration shape."""
-    if isinstance(configuration, Final):
-        return final_space(configuration, fixed_precision)
-    return state_space(configuration, fixed_precision)
+    store = store_space(configuration.store, fixed_precision)
+    return store + registers_space(configuration, fixed_precision)
 
 
 #: Holder keys of the configuration's registers in a charge walk.  A

@@ -34,12 +34,13 @@ Two implementations compute it:
   environments, stored closures, the accumulator's closure) currently
   contribute each binding; ``distinct`` — the U_X binding term — is
   the number of pairs with a positive count, maintained in O(delta)
-  per step.  The structural words are cached elsewhere: per
-  continuation frame (``Kont.linked_space``), per store cell
-  (``Store.linked_structural``), leaving :func:`value_structural` for
-  the accumulator.  The ledger does not model escape procedures
-  (which root whole continuation chains); it flags them and the meter
-  falls back to the oracle.
+  per step.  The structural words are kept elsewhere: cached per
+  continuation frame (``Kont.linked_space``) and, for the store, as the
+  meter's running total (``DeltaMeter.store_words``, whose walk is
+  :func:`store_structural`), leaving :func:`value_structural` for the
+  accumulator.  The ledger does not model escape procedures (which
+  root whole continuation chains); it flags them and the meter falls
+  back to the oracle.
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ def value_structural(value: Value, fixed_precision: bool = False) -> int:
     if isinstance(value, Str):
         return 1 + len(value.value)
     return 1
+
+
+def store_structural(store, fixed_precision: bool = False) -> int:
+    """The store's structural words: 1 + :func:`value_structural`
+    summed over its cells."""
+    return sum(
+        1 + value_structural(value, fixed_precision)
+        for _location, value in store.items()
+    )
 
 
 def linked_charges(

@@ -22,10 +22,11 @@ GC rule and measure space for it:
   instead of O(live heap).  Roots are counted per object: the engine
   counts the holders of each rooted environment and value, and moves
   the per-location counts only when an object enters or leaves the
-  roots (:class:`DeltaMeter`).  Under linked accounting it also keeps a
-  :class:`~repro.space.linked.BindingLedger` plus the cached
-  ``Kont.linked_space`` / ``Store.linked_structural`` totals so each
-  U_X measurement is O(1) instead of a configuration re-walk.  Cycle
+  roots (:class:`DeltaMeter`).  It keeps the store's words under the
+  run's accounting as the store changes, and under linked accounting a
+  :class:`~repro.space.linked.BindingLedger` beside the cached
+  ``Kont.linked_space`` totals, so each measurement is O(1) instead of
+  a configuration re-walk.  Cycle
   suspects are resolved locally (rooted-anchor check, bounded trial
   deletion — see the ``gc`` module docstring); the engine degrades to
   the canonical trace only per-application when a trial exceeds its
@@ -34,7 +35,8 @@ GC rule and measure space for it:
   chains it retains).  Either way the measured numbers are
   *identical* to the reference engine on every program.
 - ``engine="reference"`` — the seed behaviour: canonical full-heap
-  trace per application, direct configuration re-walk per measurement.
+  trace per application, direct configuration re-walk (store cells
+  included) per measurement.
   Kept as the verification oracle; the agreement tests in
   ``tests/test_delta_meter.py`` hold the engines equal over the
   corpus, the separator families, and random programs.
@@ -69,10 +71,27 @@ from ..machine.continuation import CallK, Kont, ReturnStack, chain
 from ..machine.errors import StepLimitExceeded
 from ..machine.gc import RefTracker, collect
 from ..machine.machine import Machine
-from ..machine.values import Closure, Escape, Pair, Primop, Value, Vector
+from ..machine.values import (
+    Boolean,
+    Char,
+    Closure,
+    Escape,
+    Num,
+    Pair,
+    Primop,
+    Sym,
+    Value,
+    Vector,
+    _Singleton,
+)
 from ..syntax.ast import Expr, ast_size
-from .flat import configuration_space, value_space
-from .linked import BindingLedger, configuration_space_linked, value_structural
+from .flat import configuration_space, registers_space, store_space, value_space
+from .linked import (
+    BindingLedger,
+    configuration_space_linked,
+    store_structural,
+    value_structural,
+)
 
 DEFAULT_STEP_LIMIT = 5_000_000
 
@@ -205,10 +224,30 @@ def _quota_kill(
     )
 
 
-class ReferenceMeter:
-    """The canonical engine: trace per collection, re-walk per measure."""
+def _walk_store(store, linked: bool, fixed_precision: bool) -> int:
+    """The store's words under one accounting, summed over its cells."""
+    walk = store_structural if linked else store_space
+    return walk(store, fixed_precision)
 
-    __slots__ = ("uses_gc", "fixed_precision", "_measure", "on_gc", "prov")
+
+class ReferenceMeter:
+    """The canonical engine: trace per collection, re-walk per measure.
+
+    It keeps no total: each measurement walks the configuration, store
+    cells included (:func:`~repro.space.flat.configuration_space`,
+    :func:`~repro.space.linked.configuration_space_linked`), so it
+    checks the delta engine's running totals instead of reading them.
+    """
+
+    __slots__ = (
+        "uses_gc",
+        "linked",
+        "fixed_precision",
+        "_measure",
+        "_store",
+        "on_gc",
+        "prov",
+    )
 
     #: The canonical engine never *falls back* (it is the fallback);
     #: kept as a class constant so telemetry reads one attribute on
@@ -218,16 +257,24 @@ class ReferenceMeter:
 
     def __init__(self, machine: Machine, linked: bool, fixed_precision: bool):
         self.uses_gc = machine.uses_gc_rule
+        self.linked = linked
         self.fixed_precision = fixed_precision
         self._measure = (
             configuration_space_linked if linked else configuration_space
         )
+        self._store = None
         self.on_gc = None
         #: Optional allocation-site provenance sink (a retention
         #: profiler's :class:`~repro.telemetry.retention.AllocSites`);
         #: when set this engine installs itself as the store tracker
         #: purely to forward allocation events.
         self.prov = None
+
+    @property
+    def store_words(self) -> int:
+        """The primed store's words under this run's accounting, walked
+        (the ``gc_reclaimed_words`` metric reads it)."""
+        return _walk_store(self._store, self.linked, self.fixed_precision)
 
     def attach_bus(self, bus) -> None:
         """Publish this engine's reclamations to a trace bus."""
@@ -252,6 +299,7 @@ class ReferenceMeter:
 
     def prime(self, state: State) -> int:
         collected = collect(state, self.on_gc) if self.uses_gc else 0
+        self._store = state.store
         if self.prov is not None:
             state.store.tracker = self
         return collected
@@ -276,6 +324,18 @@ class ReferenceMeter:
 #: that root anything while the accumulator holds them or a frame parks
 #: them.
 _ROOTING_VALUES = frozenset((Closure, Escape, Pair, Vector))
+
+#: One store cell's words (1 + the value's) for the value classes whose
+#: charge is a class constant under every accounting and precision:
+#: immediates cost one word, pairs three.
+_CONSTANT_CELLS = {
+    Boolean: 2,
+    Char: 2,
+    Pair: 4,
+    Primop: 2,
+    Sym: 2,
+    _Singleton: 2,
+}
 
 
 def _root_holders(configuration: Configuration) -> Tuple[dict, list]:
@@ -305,12 +365,15 @@ def _root_holders(configuration: Configuration) -> Tuple[dict, list]:
 
 
 class DeltaMeter:
-    """The incremental engine: refcount delta-GC + memoized U_X.
+    """The incremental engine: refcount delta-GC + memoized space.
 
     Implements the store tracker interface (``on_alloc`` / ``on_write``
-    / ``on_delete``) by fanning each event to the reference-count
-    tracker and (under linked accounting) the binding ledger, and
-    tracks the configuration's root components — register environment,
+    / ``on_delete``): each event moves ``store_words`` — the store's
+    words under this run's accounting, 1 + ``value_space`` per cell
+    flat and 1 + ``value_structural`` linked — and fans out to the
+    reference-count tracker, (under linked accounting) the binding
+    ledger and the blame and provenance sinks.  The engine tracks the
+    configuration's root components — register environment,
     continuation, accumulator — by diffing them across steps.
 
     Roots are counted per object, not per location.  ``_held`` maps
@@ -335,13 +398,14 @@ class DeltaMeter:
         "blame_inc",
         "prov",
         "fallback",
+        "store_words",
+        "_cell_words",
+        "_value_words",
         "_tracking",
-        "_fallback_measure",
         "_env",
         "_kont",
         "_acc",
         "_held",
-        "_store",
         "on_gc",
         "canonical_fallbacks",
         "_spent",
@@ -366,6 +430,20 @@ class DeltaMeter:
         #: counts stop modelling reachability.
         self.prov = None
         self.fallback = False
+        #: The store's words under this run's accounting, set by
+        #: :meth:`prime` and moved by the store hooks, through the
+        #: escape fallback too.
+        self.store_words = 0
+        #: A cell's words by value class, for the classes where they
+        #: are a constant under this accounting and precision (a number
+        #: costs one word at fixed precision, a closure or an escape
+        #: one word linked): the fast path of :meth:`_charge`.
+        self._cell_words = dict(_CONSTANT_CELLS)
+        if fixed_precision:
+            self._cell_words[Num] = 2
+        if linked:
+            self._cell_words[Closure] = self._cell_words[Escape] = 2
+        self._value_words = value_structural if linked else value_space
         #: Whether :meth:`transition` has a sink to feed (set by
         #: :meth:`prime`; cleared by the fallback).
         self._tracking = True
@@ -375,45 +453,55 @@ class DeltaMeter:
         self.canonical_fallbacks = 0
         #: The work counters frozen by the escape fallback.
         self._spent: dict = {}
-        self._fallback_measure = (
-            configuration_space_linked if linked else configuration_space
-        )
         # Last-seen root components (None until primed).
         self._env = None
         self._kont: Optional[Kont] = None
         self._acc: Optional[Value] = None
         #: Holder count per rooted object (see the class docstring).
         self._held: dict = {}
-        self._store = None
 
     # -- store tracker interface -------------------------------------------
 
+    def _charge(self, value: Value) -> int:
+        """One store cell's words under this run's accounting."""
+        words = self._cell_words.get(value.__class__)
+        if words is None:
+            words = 1 + self._value_words(value, self.fixed_precision)
+        return words
+
     def on_alloc(self, location, value) -> None:
+        words = self._charge(value)
+        self.store_words += words
         if self.tracker is not None:
             self.tracker.on_alloc(location, value)
         if self.ledger is not None:
             self.ledger.on_alloc(location, value)
         if self.blame_inc is not None:
-            self.blame_inc.store_add(value)
+            self.blame_inc.store_add(value, words)
         if self.prov is not None:
             self.prov.on_alloc(location, value)
 
     def on_write(self, location, old, new) -> None:
+        old_words = self._charge(old)
+        new_words = self._charge(new)
+        self.store_words += new_words - old_words
         if self.tracker is not None:
             self.tracker.on_write(location, old, new)
         if self.ledger is not None:
             self.ledger.on_write(location, old, new)
         if self.blame_inc is not None:
-            self.blame_inc.store_remove(old)
-            self.blame_inc.store_add(new)
+            self.blame_inc.store_remove(old, old_words)
+            self.blame_inc.store_add(new, new_words)
 
     def on_delete(self, location, value) -> None:
+        words = self._charge(value)
+        self.store_words -= words
         if self.tracker is not None:
             self.tracker.on_delete(location, value)
         if self.ledger is not None:
             self.ledger.on_delete(location, value)
         if self.blame_inc is not None:
-            self.blame_inc.store_remove(value)
+            self.blame_inc.store_remove(value, words)
         if self.prov is not None:
             self.prov.on_delete(location, value)
 
@@ -517,11 +605,9 @@ class DeltaMeter:
         counted so far stays reported (:meth:`work_stats`)."""
         self._spent = self.work_stats()
         self.fallback = True
-        # Provenance survives the fallback: keep the store hooked so
-        # allocation events still reach the sink (the on_* forwarders
-        # null-check every other sink).
-        if self._store is not None and self.prov is None:
-            self._store.tracker = None
+        # The store stays hooked: ``store_words`` and the provenance
+        # sink still follow it (the on_* forwarders null-check every
+        # other sink).
         self.tracker = None
         if self.ledger is not None:
             self.ledger.blame = None
@@ -556,22 +642,23 @@ class DeltaMeter:
 
     def prime(self, state: State) -> int:
         collected = collect(state, self.on_gc) if self.uses_gc else 0
-        self._store = state.store
+        store = state.store
+        charge = self._charge
+        self.store_words = sum(charge(value) for _loc, value in store.items())
         if self.tracker is not None:
-            self.tracker.prime(state.store)
+            self.tracker.prime(store)
         if self.ledger is not None:
-            for _location, value in state.store.items():
+            for _location, value in store.items():
                 self.ledger.add_value(value)
         if self.blame_inc is not None:
-            for _location, value in state.store.items():
-                self.blame_inc.store_add(value)
+            for _location, value in store.items():
+                self.blame_inc.store_add(value, charge(value))
         self._tracking = (
             self.tracker is not None
             or self.ledger is not None
             or self.blame_inc is not None
         )
-        if self._tracking or self.prov is not None:
-            state.store.tracker = self
+        store.tracker = self
         self.transition(state)
         return collected
 
@@ -620,11 +707,14 @@ class DeltaMeter:
 
     def measure(self, configuration: Configuration) -> int:
         if not self.linked:
-            return configuration_space(configuration, self.fixed_precision)
+            return self.store_words + registers_space(
+                configuration, self.fixed_precision
+            )
         if self.fallback:
-            return self._fallback_measure(configuration, self.fixed_precision)
-        total = configuration.store.linked_structural(self.fixed_precision)
-        total += self.ledger.distinct
+            return configuration_space_linked(
+                configuration, self.fixed_precision
+            )
+        total = self.store_words + self.ledger.distinct
         if isinstance(configuration, Final):
             total += value_structural(configuration.value, self.fixed_precision)
         else:
@@ -656,10 +746,17 @@ class DeltaMeter:
     # -- integrity audit ----------------------------------------------------
 
     def audit(self, configuration: Configuration) -> None:
-        """checkpoint_spaces-style integrity audit: recount the root
-        holders, the reference counts and the binding ledger from
-        scratch and compare (no-op once the engine has fallen back, or
-        when it tracks nothing)."""
+        """Integrity audit: re-walk the store's cells, and recount the
+        root holders, the reference counts and the binding ledger from
+        scratch, and compare (the recounts are skipped once the engine
+        has fallen back, or when it tracks nothing)."""
+        words = _walk_store(
+            configuration.store, self.linked, self.fixed_precision
+        )
+        if words != self.store_words:
+            raise AssertionError(
+                f"store-words drift: walked={words} kept={self.store_words}"
+            )
         if not self._tracking:
             return
         held, deletion_sets = _root_holders(configuration)
@@ -770,9 +867,11 @@ def run_metered(
     every that many steps; 1 is Definition 21's schedule.
 
     ``engine`` selects the metering engine (see the module docstring);
-    both report identical numbers.  ``audit_every`` > 0 re-derives the
-    delta engine's reference counts and binding ledger from scratch
-    every that many collections and raises on drift (testing only).
+    both report identical numbers.  ``audit_every`` > 0 re-walks the
+    delta engine's store words and re-derives its reference counts and
+    binding ledger from scratch every that many steps on the GC clock
+    (after the collection, on a machine with the GC rule) and at the
+    final configuration, and raises on drift (testing only).
 
     ``meter`` selects the schedule.  ``"exact"`` is the eager
     Definition 21 schedule.  ``"sampled"`` takes the lazy schedule
@@ -788,8 +887,8 @@ def run_metered(
 
     - Every step reads an O(1) *bound* on the exact pre-GC space: the
       current register/continuation/accumulator terms (exact) plus the
-      lazily-collected store's maintained total (a superset of the
-      exact store, so the bound can only overestimate).
+      engine's store words for the lazily-collected store (a superset
+      of the exact store, so the bound can only overestimate).
     - Under linked accounting the ledger counts the bindings of the
       roots as of the last root sync and of the lazy store, and two
       terms cover what it misses since the sync.  One word per
@@ -950,12 +1049,13 @@ def run_metered(
         if bus is not None:
             bus.emit_phase("prime", True)
         if metrics is not None:
-            words_before = store.space_bignum
+            # No engine has seen the store before its prime: walk it.
+            words_before = _walk_store(store, linked, fixed_precision)
         collected = engine_meter.prime(state)
         if metrics is not None and collected:
             gc_collections.inc()
             gc_locations.inc(collected)
-            gc_words.inc(words_before - store.space_bignum)
+            gc_words.inc(words_before - engine_meter.store_words)
         if bus is not None:
             bus.emit_phase("prime", False)
         sup_space = engine_meter.measure(state)
@@ -1013,7 +1113,7 @@ def run_metered(
                 bound = (
                     len(configuration.env._bindings)
                     + configuration.kont.flat_space
-                    + (store._space_fixed if fp else store._space_bignum)
+                    + engine_meter.store_words
                 )
                 if configuration.is_value:
                     bound += value_space(configuration.control, fp)
@@ -1129,20 +1229,21 @@ def run_metered(
             state = configuration
             if checkpoint_hook is not None and steps % checkpoint_every == 0:
                 checkpoint_hook(steps, program_size + sup_space)
-            if uses_gc and steps % gc_interval == 0:
-                if compacts:
-                    compacted = machine.compact(state)
-                    if compacted is not state:
-                        transition(compacted)
-                        state = compacted
-                if metrics is not None:
-                    words_before = store.space_bignum
-                freed = engine_meter.collect(state)
-                collected += freed
-                if metrics is not None and freed:
-                    gc_collections.inc()
-                    gc_locations.inc(freed)
-                    gc_words.inc(words_before - store.space_bignum)
+            if steps % gc_interval == 0:
+                if uses_gc:
+                    if compacts:
+                        compacted = machine.compact(state)
+                        if compacted is not state:
+                            transition(compacted)
+                            state = compacted
+                    if metrics is not None:
+                        words_before = engine_meter.store_words
+                    freed = engine_meter.collect(state)
+                    collected += freed
+                    if metrics is not None and freed:
+                        gc_collections.inc()
+                        gc_locations.inc(freed)
+                        gc_words.inc(words_before - engine_meter.store_words)
                 if audit_every and steps % audit_every == 0:
                     engine_meter.audit(state)
             if steps >= step_limit:
@@ -1153,15 +1254,15 @@ def run_metered(
         transition(final)
         if uses_gc:
             if metrics is not None:
-                words_before = store.space_bignum
+                words_before = engine_meter.store_words
             freed = engine_meter.collect(final)
             collected += freed
             if metrics is not None and freed:
                 gc_collections.inc()
                 gc_locations.inc(freed)
-                gc_words.inc(words_before - store.space_bignum)
-            if audit_every:
-                engine_meter.audit(final)
+                gc_words.inc(words_before - engine_meter.store_words)
+        if audit_every:
+            engine_meter.audit(final)
         if bus is not None:
             bus.emit_phase("run", False)
         if metrics is not None:

@@ -32,7 +32,7 @@ charges of the accounting's one walk
 :func:`repro.space.linked.linked_charges`, whose linked total *is*
 ``configuration_space_linked``) by holder label, so the frame dedup,
 the parked-value convention and every word come from the same rules
-the meter's cached totals are built from.
+the meter's running totals are built from.
 
 :class:`BlameProfiler` samples :func:`blame_configuration` over a
 metered run (the meter calls :meth:`BlameProfiler.observe` at every
@@ -142,7 +142,8 @@ class IncrementalBlame:
     re-decomposition.  Each component is charged by the rule the walk
     charges it by, under the same label:
 
-    - store cells via the mutation hooks (one word plus the value's:
+    - store cells via the mutation hooks, at the charge the engine
+      adds to its store words (one word plus the value's:
       :func:`~repro.space.flat.value_space` flat,
       :func:`~repro.space.linked.value_structural` linked),
     - continuation frames via the chain diff (``Kont._flat_own`` /
@@ -180,12 +181,12 @@ class IncrementalBlame:
 
     # -- store cells ---------------------------------------------------------
 
-    def store_add(self, value) -> None:
-        words = 1 + self._value_words(value, self.fixed_precision)
+    def store_add(self, value, words: int) -> None:
+        """A cell holding *value* entered the store; *words* is its
+        charge, as the engine's ``store_words`` counts it."""
         self._add(_value_label(value, "store"), words)
 
-    def store_remove(self, value) -> None:
-        words = 1 + self._value_words(value, self.fixed_precision)
+    def store_remove(self, value, words: int) -> None:
         self._add(_value_label(value, "store"), -words)
 
     # -- continuation frames -------------------------------------------------

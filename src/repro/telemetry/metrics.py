@@ -17,7 +17,8 @@ registry is passed):
 ``restrict_calls/hits{machine=}``   environment-restrict memo hit rate
 ``gc_collections{machine=}``        applications of the GC rule that freed
 ``gc_reclaimed_locations{machine=}``  locations freed by the GC rule
-``gc_reclaimed_words{machine=}``    flat store words freed by the GC rule
+``gc_reclaimed_words{machine=}``    store words freed by the GC rule, in
+                                    the run's accounting and precision
 ``engine_canonical_fallbacks{machine=}``  delta-GC applications that
                                     needed the canonical trace
 ``engine_escape_fallback{machine=}``  1 when the run degraded permanently

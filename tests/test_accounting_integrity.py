@@ -1,5 +1,7 @@
 """Integrity cross-checks: the incremental/cached space accounting
-must equal a from-scratch recomputation at every step of a real run.
+must equal a from-scratch recomputation at every step of a real run —
+the cached continuation totals the reference measure adds to its store
+walk, and the store words the delta engine keeps.
 """
 
 import pytest
@@ -8,7 +10,8 @@ from repro.machine.config import Final
 from repro.machine.continuation import CallK, Push, chain
 from repro.machine.variants import make_machine
 from repro.space.consumption import prepare_input, prepare_program
-from repro.space.flat import state_space, value_space
+from repro.space.flat import configuration_space, value_space
+from repro.space.meter import make_meter
 
 
 def brute_force_kont_space(kont) -> int:
@@ -62,12 +65,20 @@ PROGRAMS = [
 def test_incremental_equals_brute_force(machine_name, name, source, argument):
     machine = make_machine(machine_name)
     state = machine.inject(prepare_program(source), prepare_input(argument))
-    for _step in range(3000):
-        assert state_space(state, fixed_precision=True) == (
-            brute_force_state_space(state)
-        ), f"{machine_name}/{name} diverged at step {_step}"
-        result = machine.step(state)
-        if isinstance(result, Final):
-            return
-        state = result
+    meter = make_meter(machine, fixed_precision=True)
+    meter.prime(state)
+    try:
+        for _step in range(3000):
+            expected = brute_force_state_space(state)
+            where = f"{machine_name}/{name} diverged at step {_step}"
+            assert configuration_space(state, fixed_precision=True) == (
+                expected
+            ), where
+            assert meter.measure(state) == expected, where
+            result = machine.step(state)
+            if isinstance(result, Final):
+                return
+            state = result
+    finally:
+        meter.detach(state.store)
     raise AssertionError("program did not finish within the step budget")

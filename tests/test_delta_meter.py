@@ -34,6 +34,7 @@ from repro.programs.separators import (
     theorem26_program,
 )
 from repro.space.consumption import prepare_input, prepare_program
+from repro.space.linked import store_structural
 from repro.space.meter import ENGINES, make_meter, run_metered
 
 ALL_MACHINE_NAMES = tuple(sorted(ALL_MACHINES))
@@ -178,12 +179,12 @@ def test_engines_agree_on_relaxed_gc_schedule(gc_interval):
 
 
 @pytest.mark.parametrize("name", sorted(TRICKY_PROGRAMS), ids=str)
-@pytest.mark.parametrize("machine_name", ("tail", "gc", "stack", "evlis", "free", "sfs"))
+@pytest.mark.parametrize("machine_name", ALL_MACHINE_NAMES)
 def test_delta_bookkeeping_audit(machine_name, name):
-    """Re-derive the reference counts, root counts, anchors, and
-    binding ledger from scratch after every collection and require
-    exact agreement (RefTracker.audit / BindingLedger.audit raise on
-    drift)."""
+    """Re-walk the store words and re-derive the reference counts,
+    root counts, anchors, and binding ledger from scratch after every
+    step and require exact agreement (DeltaMeter.audit, RefTracker.audit
+    and BindingLedger.audit raise on drift)."""
     program = prepare_program(TRICKY_PROGRAMS[name])
     for linked in (False, True):
         machine = make_machine(machine_name)
@@ -191,21 +192,27 @@ def test_delta_bookkeeping_audit(machine_name, name):
 
 
 def test_store_linked_structural_checkpoint():
-    """Store.linked_structural's incremental totals equal a
-    from-scratch recomputation mid-run."""
-    from repro.machine.store import Store
-
+    """The delta engine's linked store words equal a from-scratch
+    walk of the cells mid-run, under both precisions."""
     program = prepare_program(TRICKY_PROGRAMS["set-accumulator"])
-    machine = make_machine("gc")
-    state = machine.inject(program, None)
-    for _ in range(60):
-        configuration = machine.step(state)
-        if not hasattr(configuration, "store"):
-            break
-        state = configuration
-        expected_bignum, expected_fixed = state.store.checkpoint_linked_structural()
-        assert state.store.linked_structural(False) == expected_bignum
-        assert state.store.linked_structural(True) == expected_fixed
+    for fixed_precision in (False, True):
+        machine = make_machine("gc")
+        state = machine.inject(program, None)
+        meter = make_meter(
+            machine, linked=True, fixed_precision=fixed_precision
+        )
+        meter.prime(state)
+        try:
+            for _ in range(60):
+                configuration = machine.step(state)
+                if not hasattr(configuration, "store"):
+                    break
+                state = configuration
+                assert meter.store_words == store_structural(
+                    state.store, fixed_precision
+                )
+        finally:
+            meter.detach(state.store)
 
 
 def test_escape_triggers_permanent_fallback():
@@ -322,15 +329,25 @@ def _plant_bindings(meter):
     meter.ledger._counts[binding] += 1
 
 
+def _plant_store_words(meter):
+    meter.store_words += 1
+
+
 @pytest.mark.parametrize(
     "plant",
-    (_plant_holders, _plant_refcounts, _plant_root_counts, _plant_bindings),
-    ids=("holders", "refcounts", "root-counts", "bindings"),
+    (
+        _plant_holders,
+        _plant_refcounts,
+        _plant_root_counts,
+        _plant_bindings,
+        _plant_store_words,
+    ),
+    ids=("holders", "refcounts", "root-counts", "bindings", "store-words"),
 )
 def test_audit_catches_planted_drift(plant):
     """Each table the audit recounts — the meter's per-object holder
     counts, the tracker's total and root counts, the ledger's binding
-    counts — raises on a one-off drift."""
+    counts, the store words — raises on a one-off drift."""
     program = prepare_program(TRICKY_PROGRAMS["inner-define"])
     machine = make_machine("gc")
     meter = make_meter(machine, linked=True)
@@ -481,10 +498,20 @@ SAMPLED_PROGRAMS = dict(
 def assert_sampled_matches_exact(
     machine_name, program, argument, *, checkpoint_every=64, **options
 ):
+    """The sampled run equals the exact one on sup, steps, collected
+    and answer; and when it is certified without suspects and was not
+    replayed, its heartbeats at *checkpoint_every* are the exact run's
+    at the same cadence."""
     program = prepare_program(program)
     argument = prepare_input(argument)
+    heartbeats = {"exact": [], "sampled": []}
     exact = run_metered(
-        make_machine(machine_name), program, argument, **options
+        make_machine(machine_name),
+        program,
+        argument,
+        checkpoint_every=checkpoint_every,
+        checkpoint_hook=lambda *beat: heartbeats["exact"].append(beat),
+        **options,
     )
     sampled = run_metered(
         make_machine(machine_name),
@@ -492,6 +519,7 @@ def assert_sampled_matches_exact(
         argument,
         meter="sampled",
         checkpoint_every=checkpoint_every,
+        checkpoint_hook=lambda *beat: heartbeats["sampled"].append(beat),
         **options,
     )
     assert (
@@ -506,6 +534,12 @@ def assert_sampled_matches_exact(
     assert str(sampled.final.value) == str(exact.final.value)
     stats = sampled.meter_stats
     assert stats["mode"] == "exact" or stats["certified"]
+    if stats["mode"] == "exact" or (
+        stats["suspect_steps"] == 0 and not stats["exact_rerun"]
+    ):
+        assert heartbeats["sampled"] == heartbeats["exact"], (
+            machine_name, checkpoint_every, options
+        )
     return sampled
 
 

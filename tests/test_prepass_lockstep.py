@@ -43,6 +43,8 @@ from repro.machine.variants import ALL_MACHINES, make_machine, make_stepper
 from repro.programs.corpus import load_corpus
 from repro.programs.separators import SEPARATORS
 from repro.space.consumption import prepare_input, prepare_program
+from repro.space.flat import store_space, value_space
+from repro.space.linked import value_structural
 from repro.space.meter import run_metered
 from repro.syntax.ast import Call, Quote, Var
 from repro.syntax.expander import expand_program
@@ -211,18 +213,24 @@ def _kont_signature(kont):
     return tuple(signature)
 
 
+def _store_words(store):
+    """The store's words under flat and linked accounting, bignum and
+    fixed precision, summed over its cells in one pass."""
+    flat = flat_fixed = linked = linked_fixed = 0
+    for _location, value in store.items():
+        flat += 1 + value_space(value)
+        flat_fixed += 1 + value_space(value, True)
+        linked += 1 + value_structural(value)
+        linked_fixed += 1 + value_structural(value, True)
+    return flat, flat_fixed, linked, linked_fixed
+
+
 def _fingerprint(configuration):
     """Everything observable about a configuration, identity-free for
     values (repr) and identity-based for code (the two steppers share
     the same AST objects)."""
     store = configuration.store
-    store_sig = (
-        len(store),
-        store.space_bignum,
-        store.space_fixed,
-        store.linked_structural(),
-        store.linked_structural(fixed_precision=True),
-    )
+    store_sig = (len(store),) + _store_words(store)
     if configuration.is_final:
         return ("final", repr(configuration.value), store_sig)
     control = (
@@ -734,7 +742,7 @@ def _space_profile(machine, program, argument):
     differently (or at a different step) would change the profile."""
     state = machine.inject(program, argument)
     steps = 0
-    sup = state.store.space_bignum
+    sup = store_space(state.store)
     peak = 0
     while not state.is_final:
         if steps >= LOCKSTEP_LIMIT:
@@ -742,7 +750,7 @@ def _space_profile(machine, program, argument):
         state, taken = machine.run_steps(state, 1)
         assert taken == 1, (machine, steps)
         steps += taken
-        space = state.store.space_bignum
+        space = store_space(state.store)
         if space > sup:
             sup, peak = space, steps
     return (repr(state.value), steps, sup, peak)

@@ -5,20 +5,34 @@
   reference machine (Corollary 20);
 - Theorem 24's pointwise inequalities on random programs;
 - GC never collects reachable locations and is idempotent;
-- the store's incremental space totals match recomputation.
+- the delta engine's store words match a walk of the cells.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from conftest import ACCOUNTINGS, primed_meter, walked_store_words
 from repro.harness.runner import answers_agree, compare_machines
 from repro.machine.config import Final
+from repro.machine.continuation import Halt
+from repro.machine.environment import EMPTY_ENV
 from repro.machine.gc import collect, reachable_locations
 from repro.machine.store import Store
-from repro.machine.values import NIL, Num, Pair, Vector
+from repro.machine.values import (
+    NIL,
+    TRUE,
+    Closure,
+    Escape,
+    Num,
+    Pair,
+    Str,
+    Sym,
+    Vector,
+)
 from repro.reader.datum import Symbol, datum_to_string
 from repro.reader.parser import read
 from repro.space.consumption import measure_all
+from repro.syntax.ast import Lambda, Quote
 
 # ---------------------------------------------------------------------------
 # Reader round-trip
@@ -177,11 +191,78 @@ def test_gc_preserves_exactly_the_reachable(heap):
     assert collect(state) == 0
 
 
-@given(heaps())
-@settings(max_examples=100)
-def test_store_space_totals_match_recomputation(heap):
-    store, roots = heap
-    assert (store.space_bignum, store.space_fixed) == store.checkpoint_spaces()
+#: A store value to build: its class and what it holds.  References are
+#: indices, taken modulo the locations allocated so far.
+value_specs = st.one_of(
+    st.tuples(st.just("num"), st.integers(-(2 ** 80), 2 ** 80)),
+    st.tuples(st.just("str"), st.text(max_size=4)),
+    st.tuples(st.just("immediate"), st.sampled_from((TRUE, NIL, Sym("s")))),
+    st.tuples(st.just("pair"), st.lists(st.integers(0, 63), min_size=2,
+                                        max_size=2)),
+    st.tuples(st.just("vector"), st.lists(st.integers(0, 63), max_size=3)),
+    st.tuples(st.just("closure"), st.lists(st.integers(0, 63), max_size=3)),
+    st.tuples(st.just("escape"), st.integers(0, 63)),
+)
+
+store_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), value_specs),
+        st.tuples(st.just("alloc_many"), st.lists(value_specs, max_size=3)),
+        st.tuples(st.just("write"), st.integers(0, 63), value_specs),
+        st.tuples(st.just("delete"), st.lists(st.integers(0, 63), max_size=3)),
+    ),
+    max_size=30,
+)
+
+
+def _value(spec, locations):
+    kind, held = spec
+    if kind == "num":
+        return Num(held)
+    if kind == "str":
+        return Str(held)
+    if kind == "immediate":
+        return held
+    if kind == "escape":
+        return Escape(locations[held % len(locations)], Halt())
+    refs = tuple(locations[index % len(locations)] for index in held)
+    if kind == "pair":
+        return Pair(*refs)
+    if kind == "vector":
+        return Vector(refs)
+    env = EMPTY_ENV.extend(("x", "y", "z")[: len(refs)], refs)
+    return Closure(locations[0], Lambda((), Quote(1)), env)
+
+
+@given(store_operations)
+@settings(max_examples=100, deadline=None)
+def test_store_space_totals_match_recomputation(operations):
+    """A primed delta engine follows random allocations, writes and
+    deletions: its store words equal the walk of the cells after every
+    operation, under both accountings and both precisions."""
+    for linked, fixed_precision in ACCOUNTINGS:
+        store = Store()
+        meter = primed_meter(store, linked, fixed_precision)
+        locations = [store.alloc(Num(0))]
+        for operation in operations:
+            kind = operation[0]
+            if kind == "alloc":
+                locations.append(store.alloc(_value(operation[1], locations)))
+            elif kind == "alloc_many":
+                values = [_value(spec, locations) for spec in operation[1]]
+                locations.extend(store.alloc_many(values))
+            elif kind == "write":
+                location = locations[operation[1] % len(locations)]
+                if location in store:
+                    store.write(location, _value(operation[2], locations))
+            else:
+                store.delete_many(
+                    locations[index % len(locations)]
+                    for index in operation[1]
+                )
+            assert meter.store_words == walked_store_words(
+                store, linked, fixed_precision
+            ), (linked, fixed_precision, operation)
 
 
 # ---------------------------------------------------------------------------

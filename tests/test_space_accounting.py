@@ -1,5 +1,6 @@
 """Figure 7 (flat) and Figure 8 (linked) space accounting tests."""
 
+from conftest import primed_meter
 from repro.machine.config import Final, State
 from repro.machine.continuation import CallK, Halt, Push, Return
 from repro.machine.environment import EMPTY_ENV
@@ -19,9 +20,8 @@ from repro.machine.values import (
 )
 from repro.space.flat import (
     configuration_space,
-    final_space,
     number_space,
-    state_space,
+    store_space,
     value_space,
 )
 from repro.space.linked import (
@@ -90,18 +90,18 @@ class TestConfigurationSpace:
         store.alloc(Num(1))  # store space: 1 + 2
         env = EMPTY_ENV.extend(("x", "y"), (0, 1))
         state = State(Quote(1), False, env, Halt(), store)
-        assert state_space(state) == 2 + 1 + 3
+        assert configuration_space(state) == 2 + 1 + 3
 
     def test_value_state_adds_value_space(self):
         store = Store()
         state = State(Num(3), True, EMPTY_ENV, Halt(), store)
-        assert state_space(state) == value_space(Num(3)) + 1
+        assert configuration_space(state) == value_space(Num(3)) + 1
 
     def test_final_configuration(self):
         store = Store()
         store.alloc(TRUE)  # 1 + 1
         final = Final(Num(1), store)
-        assert final_space(final) == 2 + 2
+        assert configuration_space(final) == 2 + 2
 
     def test_configuration_space_dispatches(self):
         store = Store()
@@ -111,16 +111,19 @@ class TestConfigurationSpace:
         assert configuration_space(state) == 2
 
     def test_store_space_is_incremental(self):
+        """The delta engine measures with the store words it kept
+        through the mutations; the reference measure walks the cells."""
         store = Store()
+        meter = primed_meter(store)
         env_locs = [store.alloc(Num(i)) for i in range(5)]
         store.write(env_locs[0], Vector(tuple(env_locs[1:])))
         store.delete_many(env_locs[4:])
         state = State(TRUE, True, EMPTY_ENV, Halt(), store)
-        recomputed_bignum, _ = store.checkpoint_spaces()
         halt_space = 1
-        assert state_space(state) == (
-            value_space(TRUE) + halt_space + recomputed_bignum
+        assert meter.measure(state) == (
+            value_space(TRUE) + halt_space + store_space(store)
         )
+        assert configuration_space(state) == meter.measure(state)
 
 
 class TestLinkedSpace:
@@ -133,7 +136,7 @@ class TestLinkedSpace:
         state = State(Quote(1), False, shared, kont, store)
         # Three environments share one binding: flat counts 3 words of
         # environment, linked counts 1.
-        flat = state_space(state)
+        flat = configuration_space(state)
         linked = configuration_space_linked(state)
         assert flat - linked == 2
 
@@ -173,7 +176,7 @@ class TestLinkedSpace:
                 )
                 break
             state = result
-            assert configuration_space_linked(state) <= state_space(state)
+            assert configuration_space_linked(state) <= configuration_space(state)
 
     def test_final_linked_space(self):
         store = Store()
@@ -207,8 +210,8 @@ class TestLinkedSpace:
         parked = Closure(9, Lambda((), Quote(1)), env)
         kont = CallK((parked,), Halt())
         state = State(Quote(1), False, EMPTY_ENV, kont, store)
-        assert state_space(state) == 3
-        assert configuration_space_linked(state) <= state_space(state)
+        assert configuration_space(state) == 3
+        assert configuration_space_linked(state) <= configuration_space(state)
 
     def test_push_and_call_frames_charge_m_n(self):
         store = Store()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import ACCOUNTINGS, primed_meter, walked_store_words
 from repro.machine.continuation import (
     Assign,
     CallK,
@@ -63,17 +64,27 @@ class TestStore:
         assert store.read(locs[1]).value == 2
 
     def test_space_totals_track_operations(self):
-        store = Store()
-        loc = store.alloc(Num(1))
-        store.alloc(Vector((loc,)))
-        store.write(loc, Num(2 ** 64))
-        assert (store.space_bignum, store.space_fixed) == store.checkpoint_spaces()
+        """The delta engine's store words follow allocations and writes
+        under every accounting."""
+        for linked, fixed_precision in ACCOUNTINGS:
+            store = Store()
+            meter = primed_meter(store, linked, fixed_precision)
+            loc = store.alloc(Num(1))
+            store.alloc(Vector((loc,)))
+            store.write(loc, Num(2 ** 64))
+            assert meter.store_words == walked_store_words(
+                store, linked, fixed_precision
+            )
 
     def test_space_totals_after_delete(self):
-        store = Store()
-        locs = [store.alloc(Num(i)) for i in range(10)]
-        store.delete_many(locs[:5])
-        assert (store.space_bignum, store.space_fixed) == store.checkpoint_spaces()
+        for linked, fixed_precision in ACCOUNTINGS:
+            store = Store()
+            meter = primed_meter(store, linked, fixed_precision)
+            locs = [store.alloc(Num(i)) for i in range(10)]
+            store.delete_many(locs[:5])
+            assert meter.store_words == walked_store_words(
+                store, linked, fixed_precision
+            )
 
     def test_version_bumps(self):
         """``mut_version`` is the sampled meter's write barrier: it

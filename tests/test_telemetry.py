@@ -381,6 +381,47 @@ def test_escape_fallback_is_counted():
         "engine_escape_fallback{machine=tail}", 0) == 1
 
 
+@pytest.mark.parametrize("engine", ["delta", "reference"])
+def test_gc_reclaimed_words_flat_bignum_is_pinned(engine):
+    """Flat, bignum: the words fib 10 frees on gc, as counted when the
+    store kept its own bignum total."""
+    fib = load_program("fib")
+    dump = trace_run("gc", fib.source, "10", engine=engine).metrics.as_dict()
+    assert dump["counters"]["gc_reclaimed_words{machine=gc}"] == 924
+
+
+@pytest.mark.parametrize("engine", ["delta", "reference"])
+def test_gc_reclaimed_words_follow_the_run_accounting(engine, monkeypatch):
+    """Linked: the counter is the sum of the engine's drops in store
+    words over its collections, the prime's included, each walked
+    before and after under Figure 8."""
+    from repro.space import meter as meter_module
+    from repro.space.linked import store_structural
+
+    cls = {
+        "delta": meter_module.DeltaMeter,
+        "reference": meter_module.ReferenceMeter,
+    }[engine]
+    drops = []
+
+    def walked(method):
+        def wrapper(self, configuration, *args, **kwargs):
+            before = store_structural(configuration.store)
+            result = method(self, configuration, *args, **kwargs)
+            drops.append(before - store_structural(configuration.store))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(cls, "prime", walked(cls.prime))
+    monkeypatch.setattr(cls, "collect", walked(cls.collect))
+    fib = load_program("fib")
+    session = trace_run("gc", fib.source, "10", linked=True, engine=engine)
+    dump = session.metrics.as_dict()
+    assert sum(drops) > 0
+    assert dump["counters"]["gc_reclaimed_words{machine=gc}"] == sum(drops)
+
+
 # ---------------------------------------------------------------------------
 # Sweep aggregation
 # ---------------------------------------------------------------------------
